@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on domain errors (unverifiable items, corpus
 mismatches, unknown names, ...), 2 on usage errors.  Diagnostics go to
 stderr; data goes to files or stdout.  Identical inputs and flags produce
-byte-identical outputs regardless of ``--jobs``.
+byte-identical outputs.  ``--jobs`` is accepted but everything runs in one
+thread: the checker and the planner are pure Python holding the interpreter
+lock, and thread pools measured slower than serial runs.
 """
 
 from __future__ import annotations
@@ -160,11 +162,10 @@ def _cmd_speedup(args) -> int:
 def _cmd_learn_eval(args) -> int:
     corpus = parse_corpus(args.dir)
     edges = read_edges_jsonl(args.deps, method=args.method)
-    ks = [int(part) for part in args.k.split(",") if part]
     result = evaluate_chrono(
         corpus,
         edges,
-        ks,
+        args.k,
         alpha=args.alpha,
         weight=args.weight,
         explicit_only=args.explicit_only,
@@ -202,6 +203,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _cutoffs(text: str) -> list[int]:
+    """Comma-separated positive integers, as in ``--k 1,10,50``."""
+    return [_positive_int(part) for part in text.split(",") if part]
+
+
 def _add_method(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--method",
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("-o", "--output", required=True, help="edge records (JSON lines)")
     p.add_argument("--mode", choices=("trace", "minimize", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; runs serially either way")
     p.add_argument("--events", help="also write the per-item progress message stream")
     p.add_argument("--compare", help="also write the trace/minimize comparison report")
     p.add_argument(
@@ -281,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speedup", help="item-based vs file-based recheck cost")
     p.add_argument("dir")
     p.add_argument("--deps", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; runs serially either way")
     _add_method(p)
     p.set_defaults(func=_cmd_speedup)
 
@@ -293,15 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = learn_sub.add_parser("eval", help="chronological recall evaluation")
     q.add_argument("dir")
     q.add_argument("--deps", required=True)
-    q.add_argument("--k", default="1,10,50", help="comma-separated cutoffs")
+    q.add_argument("--k", type=_cutoffs, default="1,10,50", help="comma-separated cutoffs")
     q.add_argument("--seed", type=int, default=42, help="random baseline seed")
-    q.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for symmetry; training is sequential by contract, so "
-        "output never depends on it",
-    )
     q.add_argument("--alpha", type=float, default=1.0)
     q.add_argument("--weight", type=float, default=1.0)
     q.add_argument("--explicit-only", action="store_true")
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = learn_sub.add_parser("export", help="write pruned problem files")
     q.add_argument("dir")
     q.add_argument("--deps", required=True)
-    q.add_argument("--k", type=int, default=10)
+    q.add_argument("--k", type=_positive_int, default=10)
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--alpha", type=float, default=1.0)
     q.add_argument("--weight", type=float, default=1.0)

@@ -716,7 +716,12 @@ def parse_corpus(root: str | Path) -> Corpus:
     )
     items: list[Item] = []
     for rel in relpaths:
-        items.extend(parse_source((root / rel).read_text(encoding="utf-8"), rel))
+        data = (root / rel).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError("not valid UTF-8", rel, data.count(b"\n", 0, err.start) + 1) from None
+        items.extend(parse_source(text, rel))
     return Corpus(items)
 
 

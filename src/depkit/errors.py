@@ -13,7 +13,7 @@ class DepkitError(Exception):
 
 
 class ParseError(DepkitError):
-    """Malformed micro-article source."""
+    """Malformed micro-article source or edge record, with its position."""
 
     def __init__(self, message: str, source_file: str, line: int):
         super().__init__(f"{source_file}:{line}: {message}")

@@ -18,7 +18,6 @@ hints, say) in favor of the earliest candidate in corpus order.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,7 +31,8 @@ from .corpus import (
     Opacity,
     Visibility,
 )
-from .errors import CorpusMismatchError, NotVerifiableError
+from .errors import CorpusMismatchError, NotVerifiableError, ParseError
+from .graph import _merge_edges
 
 # Kinds are trimmed in this fixed order.
 KIND_MINIMIZATION_ORDER = (
@@ -208,9 +208,10 @@ def extract_corpus(
 ) -> ExtractionResult:
     """Run trace and/or minimization extraction over a whole corpus.
 
-    Minimization of distinct microarticles is independent, so with
-    ``jobs > 1`` a thread pool processes them concurrently; results are
-    reassembled in corpus order, so output does not depend on ``jobs``.
+    ``jobs`` is accepted and never changes anything: items are minimized
+    one after another in corpus order, because the checker is pure Python
+    that holds the interpreter lock, and a thread pool measured slower
+    than one thread.
     """
     if mode not in ("trace", "minimize", "both"):
         raise ValueError(f"unknown extraction mode: {mode!r}")
@@ -225,17 +226,14 @@ def extract_corpus(
             for edge in trace_edges:
                 seeds.setdefault(edge.src, []).append(edge.dst)
 
-        micros = decompose(corpus)
-
-        def work(micro: Microarticle) -> MinimizationResult:
-            seed = seeds.get(micro.item.name, []) if seeds is not None else None
-            return minimize_env(corpus, micro, seed_targets=seed)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                minimization = tuple(pool.map(work, micros))
-        else:
-            minimization = tuple(map(work, micros))
+        minimization = tuple(
+            minimize_env(
+                corpus,
+                micro,
+                seed_targets=seeds.get(micro.item.name, []) if seeds is not None else None,
+            )
+            for micro in decompose(corpus)
+        )
         min_edges = tuple(edges_from_minimization(corpus, minimization))
 
     return ExtractionResult(
@@ -314,27 +312,28 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     """Load edges back, optionally filtered by extraction method.
 
     With ``method="any"`` records from both methods are merged and
-    duplicate (from, to) pairs collapse to one edge; explicit visibility
-    wins over implicit.
+    duplicate (from, to) pairs collapse to one edge in first-seen order;
+    explicit visibility wins over implicit and transparent opacity over
+    opaque.  A malformed record raises ``ParseError`` naming its line.
     """
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
-    merged: dict[tuple[str, str], DepEdge] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    edges: list[DepEdge] = []
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        if method != "any" and rec["method"] != method:
-            continue
-        edge = DepEdge(
-            src=rec["from"],
-            dst=rec["to"],
-            visibility=Visibility(rec["vis"]),
-            opacity=Opacity(rec["opacity"]),
-        )
-        prev = merged.get(edge.pair())
-        if prev is None:
-            merged[edge.pair()] = edge
-        elif prev.visibility is Visibility.IMPLICIT and edge.visibility is Visibility.EXPLICIT:
-            merged[edge.pair()] = edge
-    return list(merged.values())
+        try:
+            rec = json.loads(line)
+            if method != "any" and rec["method"] != method:
+                continue
+            edges.append(
+                DepEdge(
+                    src=rec["from"],
+                    dst=rec["to"],
+                    visibility=Visibility(rec["vis"]),
+                    opacity=Opacity(rec["opacity"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
+    return _merge_edges(edges)

@@ -112,8 +112,8 @@ class DepGraph:
         if len(self._index) != len(self.nodes):
             raise ValueError("duplicate node names")
 
-        merged: dict[tuple[str, str], DepEdge] = {}
-        for edge in edges:
+        merged = _merge_edges(edges)
+        for edge in merged:
             for end in edge.pair():
                 if end not in self._index:
                     raise UnknownItemError(end)
@@ -123,13 +123,8 @@ class DepGraph:
                     f"edge {edge.src} -> {edge.dst} does not point at an earlier node; "
                     "corpus order is not a topological witness"
                 )
-            prev = merged.get(edge.pair())
-            if prev is None:
-                merged[edge.pair()] = edge
-            elif prev.visibility is Visibility.IMPLICIT and edge.visibility is Visibility.EXPLICIT:
-                merged[edge.pair()] = edge
         self.edges: tuple[DepEdge, ...] = tuple(
-            sorted(merged.values(), key=lambda e: (self._index[e.src], self._index[e.dst]))
+            sorted(merged, key=lambda e: (self._index[e.src], self._index[e.dst]))
         )
         self._fwd: list[list[int]] = [[] for _ in self.nodes]
         for edge in self.edges:
@@ -138,6 +133,7 @@ class DepGraph:
         self._rev_reach: list[int] | None = None
         self._reach_transparent: list[int] | None = None
         self._reach_explicit: list[int] | None = None
+        self._file_scope_bits: tuple[list[int], list[int], list[int]] | None = None
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -163,13 +159,7 @@ class DepGraph:
     def reach(self) -> list[int]:
         """Per-node bitsets of transitively reachable (depended-on) nodes."""
         if self._reach is None:
-            reach = [0] * len(self.nodes)
-            for i in range(len(self.nodes)):
-                bits = 0
-                for j in self._fwd[i]:
-                    bits |= (1 << j) | reach[j]
-                reach[i] = bits
-            self._reach = reach
+            self._reach = self._closure_bits(lambda e: True)
         return self._reach
 
     def _attr_reach(self) -> tuple[list[int], list[int]]:
@@ -233,6 +223,72 @@ class DepGraph:
             self._rev_reach = rev
         return self._rev_reach
 
+    def _file_scopes(self) -> tuple[list[int], list[int], list[int]]:
+        """Item bitsets for whole-file invalidation, built once per graph.
+
+        Returns, per node, the index of its file in the file projection;
+        per file, the bitset of its own items; and per file, the bitset of
+        the items of every file that transitively depends on it.
+        """
+        if self._file_scope_bits is None:
+            file_g = DepGraph(*_project_files(self.nodes, self.files, self.edges), Granularity.FILE)
+            file_of = [file_g._index[self.files[name]] for name in self.nodes]
+            own = [0] * len(file_g.nodes)
+            for i, f in enumerate(file_of):
+                own[f] |= 1 << i
+            dependents = []
+            for bits in file_g.reverse_reach():
+                items = 0
+                while bits:
+                    low = bits & -bits
+                    items |= own[low.bit_length() - 1]
+                    bits ^= low
+                dependents.append(items)
+            self._file_scope_bits = (file_of, own, dependents)
+        return self._file_scope_bits
+
+
+def _merge_edges(edges: Iterable[DepEdge]) -> list[DepEdge]:
+    """Collapse duplicate (src, dst) records into one edge, first-seen order.
+
+    Explicit wins over implicit and transparent wins over opaque, so the
+    merged edge keeps every way in which the source can see the target.
+    """
+    merged: dict[tuple[str, str], DepEdge] = {}
+    for edge in edges:
+        key = edge.pair()
+        prev = merged.get(key)
+        if prev is None:
+            merged[key] = edge
+        elif prev != edge:
+            merged[key] = DepEdge(
+                edge.src,
+                edge.dst,
+                Visibility.EXPLICIT
+                if Visibility.EXPLICIT in (prev.visibility, edge.visibility)
+                else Visibility.IMPLICIT,
+                Opacity.TRANSPARENT
+                if Opacity.TRANSPARENT in (prev.opacity, edge.opacity)
+                else Opacity.OPAQUE,
+            )
+    return list(merged.values())
+
+
+def _project_files(
+    nodes: Sequence[str], files: dict[str, str], edges: Iterable[DepEdge]
+) -> tuple[list[str], list[DepEdge]]:
+    """File nodes in first-item order, and every cross-file item edge lifted
+    to its pair of files (``DepGraph`` merges the duplicates)."""
+    lifted = []
+    for edge in edges:
+        for end in edge.pair():
+            if end not in files:
+                raise UnknownItemError(end)
+        src_file, dst_file = files[edge.src], files[edge.dst]
+        if src_file != dst_file:
+            lifted.append(DepEdge(src_file, dst_file, edge.visibility, edge.opacity))
+    return list(dict.fromkeys(files[name] for name in nodes)), lifted
+
 
 def _nodes_from_corpus(corpus: Corpus):
     nodes = [item.name for item in corpus.items]
@@ -259,32 +315,7 @@ def build_graph(
     if granularity is Granularity.ITEM:
         return DepGraph(nodes, edges, granularity, kinds=kinds, files=files, opacities=opacities)
 
-    file_nodes = list(dict.fromkeys(files[name] for name in nodes))
-    merged: dict[tuple[str, str], DepEdge] = {}
-    for edge in edges:
-        for end in edge.pair():
-            if end not in files:
-                raise UnknownItemError(end)
-        src_file, dst_file = files[edge.src], files[edge.dst]
-        if src_file == dst_file:
-            continue
-        key = (src_file, dst_file)
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = DepEdge(src_file, dst_file, edge.visibility, edge.opacity)
-        else:
-            vis = (
-                Visibility.EXPLICIT
-                if Visibility.EXPLICIT in (prev.visibility, edge.visibility)
-                else Visibility.IMPLICIT
-            )
-            opa = (
-                Opacity.TRANSPARENT
-                if Opacity.TRANSPARENT in (prev.opacity, edge.opacity)
-                else Opacity.OPAQUE
-            )
-            merged[key] = DepEdge(src_file, dst_file, vis, opa)
-    return DepGraph(file_nodes, merged.values(), granularity)
+    return DepGraph(*_project_files(nodes, files, edges), granularity)
 
 
 def build_graph_from_edges(edges: Iterable[DepEdge]) -> DepGraph:

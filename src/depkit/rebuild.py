@@ -14,13 +14,13 @@ means differ from it by exactly one.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+from statistics import median
 from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import Corpus, Opacity
 from .errors import UnknownItemError
-from .extract import decompose, minimize_env
+from .extract import Microarticle, minimize_env
 from .graph import DepGraph, Granularity
 
 
@@ -73,37 +73,30 @@ def plan(
         if name not in g:
             raise UnknownItemError(name)
 
-    rev = g.reverse_reach()
-    full_bits = 0
-    pruned_bits = 0
-    changed_bits = 0
-    for name, kind in changes.changes:
-        i = g.index_of(name)
-        changed_bits |= 1 << i
-        full_bits |= rev[i]
-        if _propagates(g, name, kind, honor_opacity):
-            pruned_bits |= rev[i]
-
+    # Per changed item: the items re-checked with it (itself, or its whole
+    # file) and the items an edit of it invalidates.
     if granularity is Granularity.ITEM:
-        recheck_bits = changed_bits | pruned_bits
-        skipped_bits = (changed_bits | full_bits) & ~recheck_bits
-        to_recheck = _names(g, recheck_bits)
-        skipped = frozenset(_names(g, skipped_bits))
+        rev = g.reverse_reach()
+
+        def scope(i: int) -> tuple[int, int]:
+            return 1 << i, rev[i]
+
     else:
-        file_rev = _file_reverse_closure(g)
-        affected: set[str] = set()
-        affected_full: set[str] = set()
-        for name, kind in changes.changes:
-            f = g.files[name]
-            affected.add(f)
-            affected_full.add(f)
-            affected_full.update(file_rev[f])
-            if _propagates(g, name, kind, honor_opacity):
-                affected.update(file_rev[f])
-        to_recheck = tuple(n for n in g.nodes if g.files[n] in affected)
-        skipped = frozenset(
-            n for n in g.nodes if g.files[n] in affected_full and g.files[n] not in affected
-        )
+        file_of, own, dependents = g._file_scopes()
+
+        def scope(i: int) -> tuple[int, int]:
+            return own[file_of[i]], dependents[file_of[i]]
+
+    recheck_bits = 0
+    full_bits = 0
+    for name, kind in changes.changes:
+        changed, invalidated = scope(g.index_of(name))
+        recheck_bits |= changed
+        full_bits |= changed | invalidated
+        if _propagates(g, name, kind, honor_opacity):
+            recheck_bits |= invalidated
+    to_recheck = _names(g, recheck_bits)
+    skipped = frozenset(_names(g, full_bits & ~recheck_bits))
 
     return RebuildPlan(
         to_recheck=to_recheck,
@@ -121,29 +114,6 @@ def _names(g: DepGraph, bits: int) -> tuple[str, ...]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return tuple(g.nodes[i] for i in sorted(out))
-
-
-def _file_reverse_closure(g: DepGraph) -> dict[str, set[str]]:
-    """Per file, the files that transitively depend on it (file-graph closure)."""
-    file_order = list(dict.fromkeys(g.files[n] for n in g.nodes))
-    fwd: dict[str, set[str]] = {f: set() for f in file_order}
-    for edge in g.edges:
-        sf, df = g.files[edge.src], g.files[edge.dst]
-        if sf != df:
-            fwd[sf].add(df)
-    # Files are ordered like the corpus, so edges point at earlier files.
-    reach: dict[str, set[str]] = {}
-    for f in file_order:
-        bits: set[str] = set()
-        for dep in fwd[f]:
-            bits.add(dep)
-            bits.update(reach[dep])
-        reach[f] = bits
-    rev: dict[str, set[str]] = {f: set() for f in file_order}
-    for f, deps in reach.items():
-        for dep in deps:
-            rev[dep].add(f)
-    return rev
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,12 +143,12 @@ def execute(plan_: RebuildPlan, corpus: Corpus, reminimize: bool = False) -> Exe
     passed: list[str] = []
     failed: list[tuple[str, str]] = []
     missing: list[str] = []
-    micros = {m.item.name: m for m in decompose(corpus)}
     for name in plan_.to_recheck:
-        micro = micros.get(name)
-        if micro is None:
+        if name not in corpus:
             missing.append(name)
             continue
+        index = corpus.index_of(name)
+        micro = Microarticle(corpus.items[index], corpus.candidate_environment(index))
         env = micro.candidate_env
         if reminimize and corpus.accepts(micro.item, env):
             env = minimize_env(corpus, micro).minimal_env
@@ -202,9 +172,10 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42, jobs: int = 1)
     Draws ``samples`` items uniformly (with replacement, seeded); when
     ``samples`` equals the node count every node is used exactly once
     instead (exhaustive mode).  All edits are statement-level, the
-    worst case for invalidation.  Plans are read-only over the graph, so
-    ``jobs`` may fan them out across threads; results are reassembled in
-    draw order and never depend on it.
+    worst case for invalidation.  ``jobs`` is accepted and never changes
+    anything: plans run serially, because planning is pure Python that
+    holds the interpreter lock, and a thread pool measured slower than one
+    thread.
     """
     if not g.nodes:
         raise ValueError("speedup_report needs a nonempty graph")
@@ -216,28 +187,8 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42, jobs: int = 1)
         rng = random.Random(rng_seed)
         picks = [g.nodes[rng.randrange(len(g.nodes))] for _ in range(samples)]
 
-    def costs_for(name: str) -> tuple[int, int]:
-        change = ChangeSet.single(name)
-        return (
-            plan(g, change, Granularity.ITEM).cost,
-            plan(g, change, Granularity.FILE).cost,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(costs_for, picks))
-    else:
-        pairs = [costs_for(name) for name in picks]
-    item_costs = [item for item, _ in pairs]
-    file_costs = [file for _, file in pairs]
-
-    def _median(xs: list[int]) -> float:
-        ordered = sorted(xs)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return float(ordered[mid])
-        return (ordered[mid - 1] + ordered[mid]) / 2
-
+    item_costs = [plan(g, ChangeSet.single(name), Granularity.ITEM).cost for name in picks]
+    file_costs = [plan(g, ChangeSet.single(name), Granularity.FILE).cost for name in picks]
     item_total, file_total = sum(item_costs), sum(file_costs)
     item_mean = item_total / len(picks)
     file_mean = file_total / len(picks)
@@ -248,8 +199,8 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42, jobs: int = 1)
         "item_mean": item_mean,
         "file_mean": file_mean,
         "ratio": file_mean / item_mean if item_mean else 0.0,
-        "item_median": _median(item_costs),
-        "file_median": _median(file_costs),
+        "item_median": float(median(item_costs)),
+        "file_median": float(median(file_costs)),
         "item_total": item_total,
         "file_total": file_total,
     }

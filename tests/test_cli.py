@@ -268,3 +268,62 @@ def test_jobs_produce_byte_identical_artifacts(tmp_path, capsys):
         assert code == 0
         outputs[jobs] = (deps.read_bytes(), events.read_bytes())
     assert outputs["1"] == outputs["8"]
+
+
+def test_nonpositive_samples_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["speedup", "corpus", "--deps", "d.jsonl", "--samples", "-1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "eval", "corpus", "--deps", "d.jsonl", "--k", "1,x"],
+        ["learn", "export", "corpus", "--deps", "d.jsonl", "--k", "-1", "-o", "out"],
+    ],
+)
+def test_bad_cutoff_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def _deps_lines(tmp_path, capsys) -> tuple:
+    deps = tmp_path / "d.jsonl"
+    run(["extract", str(FIXTURES / "redundant_hint"), "-o", str(deps)], capsys)
+    return deps, deps.read_text().splitlines()
+
+
+def test_truncated_deps_line_exits_one_with_position(tmp_path, capsys):
+    deps, lines = _deps_lines(tmp_path, capsys)
+    deps.write_text("\n".join(lines[:2] + [lines[2][:20]]) + "\n")
+    code, _, err = run(
+        ["stats", str(deps), "--corpus", str(FIXTURES / "redundant_hint")], capsys
+    )
+    assert code == 1
+    assert f"{deps}:3:" in err
+
+
+def test_deps_record_without_vis_exits_one_with_position(tmp_path, capsys):
+    deps, lines = _deps_lines(tmp_path, capsys)
+    record = json.loads(lines[1])
+    del record["vis"]
+    lines[1] = json.dumps(record)
+    deps.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        ["speedup", str(FIXTURES / "redundant_hint"), "--deps", str(deps), "--samples", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert f"{deps}:2:" in err and "vis" in err
+
+
+def test_non_utf8_source_exits_one_with_path(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "ok.art").write_text("def a := lit;\n")
+    (corpus_dir / "latin1.art").write_bytes("def a2 := lit;\n# caf\u00e9\n".encode("latin-1"))
+    code, _, err = run(["extract", str(corpus_dir), "-o", str(tmp_path / "d.jsonl")], capsys)
+    assert code == 1
+    assert "latin1.art:2:" in err

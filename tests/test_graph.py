@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from depkit.corpus import Corpus, DepEdge, Opacity, Visibility, parse_source
 from depkit.errors import CycleDetectedError, UnknownItemError
-from depkit.extract import extract_corpus, trace_extract
+from depkit.extract import edge_record, extract_corpus, read_edges_jsonl, trace_extract
 from depkit.gen import generate_corpus
 from depkit.graph import (
+    DepGraph,
     Granularity,
     GraphStats,
     build_graph,
@@ -68,6 +71,45 @@ def test_five_file_fixture_file_edges_match_hand_count(five_file_corpus):
         ("d.art", "c.art"),
         ("e.art", "d.art"),
     }
+
+
+@pytest.mark.parametrize(
+    "attrs",
+    [
+        [(Visibility.IMPLICIT, Opacity.OPAQUE), (Visibility.EXPLICIT, Opacity.OPAQUE)],
+        [(Visibility.IMPLICIT, Opacity.OPAQUE), (Visibility.IMPLICIT, Opacity.TRANSPARENT)],
+        [(Visibility.EXPLICIT, Opacity.OPAQUE), (Visibility.IMPLICIT, Opacity.TRANSPARENT)],
+        [(Visibility.IMPLICIT, Opacity.OPAQUE), (Visibility.IMPLICIT, Opacity.OPAQUE)],
+        [
+            (Visibility.IMPLICIT, Opacity.OPAQUE),
+            (Visibility.EXPLICIT, Opacity.OPAQUE),
+            (Visibility.IMPLICIT, Opacity.TRANSPARENT),
+        ],
+    ],
+)
+def test_duplicate_records_merge_alike_on_every_path(tmp_path, attrs):
+    """Explicit wins and transparent wins, whichever record comes first."""
+    corpus = Corpus(parse_source("def a := lit;", "a.art") + parse_source("def b := lit;", "b.art"))
+    explicit = any(vis is Visibility.EXPLICIT for vis, _ in attrs)
+    transparent = any(opa is Opacity.TRANSPARENT for _, opa in attrs)
+    expected_vis = Visibility.EXPLICIT if explicit else Visibility.IMPLICIT
+    expected_opa = Opacity.TRANSPARENT if transparent else Opacity.OPAQUE
+    for order in itertools.permutations(attrs):
+        records = [DepEdge("b", "a", vis, opa) for vis, opa in order]
+        path = tmp_path / "deps.jsonl"
+        path.write_text("".join(edge_record(e, "trace") + "\n" for e in records))
+        (from_file,) = read_edges_jsonl(path)
+        (in_graph,) = DepGraph(["a", "b"], records, Granularity.ITEM).edges
+        (projected,) = build_graph(corpus, records, Granularity.FILE).edges
+        assert from_file == in_graph == DepEdge("b", "a", expected_vis, expected_opa)
+        assert projected == DepEdge("b.art", "a.art", expected_vis, expected_opa)
+
+
+def test_read_edges_keeps_first_seen_order(tmp_path):
+    records = [_edge("c", "a"), _edge("b", "a"), _edge("c", "a", Visibility.IMPLICIT), _edge("c", "b")]
+    path = tmp_path / "deps.jsonl"
+    path.write_text("".join(edge_record(e, "min") + "\n" for e in records))
+    assert [e.pair() for e in read_edges_jsonl(path)] == [("c", "a"), ("b", "a"), ("c", "b")]
 
 
 def test_unknown_item_rejected(redundant_hint_corpus):

@@ -125,6 +125,36 @@ def test_opacity_pruning_never_skips_transparent_reverse_paths():
                 assert (skipped, name) not in transparent_pairs, (name, skipped)
 
 
+def test_file_plans_match_brute_force_file_closure():
+    """Every item, both edit kinds, with and without opacity pruning."""
+    for seed in (51, 52, 53):
+        corpus, g = _generated(items=60, seed=seed, per_file=7)
+        files_of = {it.name: it.source_file for it in corpus.items}
+        file_nodes = list(dict.fromkeys(files_of[n] for n in g.nodes))
+        file_edges = {
+            (files_of[s], files_of[d]) for s, d in (e.pair() for e in g.edges)
+            if files_of[s] != files_of[d]
+        }
+        file_pairs = reachable_pairs_bruteforce(file_nodes, file_edges)
+        for name in g.nodes:
+            home = files_of[name]
+            dependents = {a for (a, b) in file_pairs if b == home}
+            for kind in ChangeKind:
+                for honor in (False, True):
+                    propagates = (
+                        not honor
+                        or kind is ChangeKind.STATEMENT_OR_TYPE
+                        or corpus.item(name).opacity is Opacity.TRANSPARENT
+                    )
+                    affected = {home} | (dependents if propagates else set())
+                    skipped = dependents - affected
+                    p = plan(g, ChangeSet.single(name, kind), Granularity.FILE, honor)
+                    assert p.to_recheck == tuple(n for n in g.nodes if files_of[n] in affected)
+                    assert p.skipped_opaque == frozenset(
+                        n for n in g.nodes if files_of[n] in skipped
+                    )
+
+
 # execute ---------------------------------------------------------------------
 
 
