@@ -209,6 +209,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _cutoffs(text: str) -> list[int]:
     """Comma-separated positive integers, as in ``--k 1,10,50``."""
     return [_positive_int(part) for part in text.split(",") if part]
@@ -325,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_learn_export)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
-    p.add_argument("--items", type=int, required=True)
+    p.add_argument("--items", type=_nonnegative_int, required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--family", choices=gen_mod.FAMILIES, default="mixed")
-    p.add_argument("--per-file", type=int, default=10)
+    p.add_argument("--per-file", type=_positive_int, default=10)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 

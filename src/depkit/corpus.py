@@ -21,6 +21,15 @@ than assumed.  In trace mode the checker records one dependency edge per
 resolution it performs, including one edge per *applicable* hint when a
 theorem is justified by ``auto`` (not just the one hint that minimization
 would keep), so traces can strictly exceed minimal environments.
+
+An environment is one int: a bit mask over the positions of a table that
+numbers names and holds one mask per kind.  A corpus owns one table, in
+corpus order, shared by every environment it hands out, so a candidate
+environment is a prefix mask, trimming one is an AND, and a membership test
+is a bit test; per-kind name lists are derived only when asked for.  The
+checker tests bits against corpus-side indexes (reservations per variable,
+hints per symbol), so it tries reservations and traces hints in corpus
+order.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, compress, count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -152,10 +162,78 @@ class DepEdge:
         return (self.src, self.dst)
 
 
-class Environment:
-    """Per-kind ordered, duplicate-free name lists available to the checker."""
+# bin() digits as bytes 0/1, so that a mask selects with itertools.compress.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
-    __slots__ = ("definitions", "theorems", "notations", "hints", "reservations", "_sets")
+# Kinds a symbol or ``by`` reference resolves to.
+_SYMBOL_KINDS = (ItemKind.DEFINITION, ItemKind.THEOREM)
+
+# Slot of each kind in a table's kind masks and an environment's name cache.
+_SLOT = {kind: slot for slot, kind in enumerate(KIND_FIELDS)}
+
+
+def _bit_selectors(bits: int) -> bytes:
+    """One byte per position of ``bits``, lowest first: 1 where set, else 0."""
+    return bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def bit_positions(bits: int) -> list[int]:
+    """The set positions of a non-negative ``bits``, ascending."""
+    return list(compress(count(), _bit_selectors(bits))) if bits else []
+
+
+class _Positions:
+    """A position table: the name at each position, one mask per kind
+    (indexed by ``_SLOT``), and each name's position."""
+
+    __slots__ = ("names", "kinds", "_index")
+
+    def __init__(
+        self, names: tuple[str, ...], kinds: tuple[int, ...], index: dict[str, int] | None = None
+    ):
+        self.names = names
+        self.kinds = kinds
+        self._index = index
+
+    @property
+    def index(self) -> dict[str, int]:
+        # Built on first use when not given: the checker reads an
+        # environment built by name without it.
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(self.names, range(len(self.names))))
+        return index
+
+
+def _names_of(kind: ItemKind) -> property:
+    slot = _SLOT[kind]
+    return property(lambda env: env._names_at(slot), doc=f"The {KIND_FIELDS[kind]}, in table order.")
+
+
+class Environment:
+    """The names available to the checker, as one bit mask over a position table.
+
+    A table numbers names and holds one mask per kind; bit ``p`` of an
+    environment's mask says that the name at position ``p`` is present.  A
+    corpus owns one table, with position = corpus index, and every
+    environment it hands out shares it: ``Corpus.candidate_environment(i)``
+    is the prefix mask ``(1 << i) - 1``, ``restrict`` and ``replace_kind``
+    are AND / AND-NOT, ``contains`` is a bit test and ``size`` a popcount.
+    An environment thus costs one int, and extraction memory grows
+    linearly in corpus size.  ``names(kind)``, ``all_names()`` and the
+    ``definitions`` ... ``reservations`` attributes are derived from the mask
+    on first use and cached; they list names in table order, which for a
+    corpus table is corpus order.
+
+    ``Environment(definitions=..., ...)`` builds a private table holding
+    each kind's names contiguously, in the order given, so each kind mask
+    is one range.  A name may appear once in the whole environment.  The
+    checker reads such an environment by name; see ``Corpus._verify``.
+    Environments are immutable.  Two are equal when they list the same
+    names per kind in the same order, whichever tables they use.
+    """
+
+    __slots__ = ("_table", "_mask", "_names")
 
     def __init__(
         self,
@@ -165,65 +243,128 @@ class Environment:
         hints: Iterable[str] = (),
         reservations: Iterable[str] = (),
     ):
-        self.definitions = tuple(definitions)
-        self.theorems = tuple(theorems)
-        self.notations = tuple(notations)
-        self.hints = tuple(hints)
-        self.reservations = tuple(reservations)
-        self._sets = {}
-        for kind, attr in KIND_FIELDS.items():
-            names = getattr(self, attr)
-            s = frozenset(names)
-            if len(s) != len(names):
-                raise ValueError(f"duplicate names in environment {attr}: {names}")
-            self._sets[kind] = s
+        parts = [
+            tuple(definitions), tuple(theorems), tuple(notations), tuple(hints), tuple(reservations)
+        ]
+        names = parts[0] + parts[1] + parts[2] + parts[3] + parts[4]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate names in environment: {names}")
+        # 1 << (position where each kind's range ends), in _SLOT order.
+        d_end = 1 << len(parts[0])
+        t_end = d_end << len(parts[1])
+        n_end = t_end << len(parts[2])
+        h_end = n_end << len(parts[3])
+        r_end = h_end << len(parts[4])
+        kinds = (d_end - 1, t_end - d_end, n_end - t_end, h_end - n_end, r_end - h_end)
+        self._table = _Positions(names, kinds)
+        self._mask = r_end - 1
+        # The full mask of a fresh table selects exactly the given lists.
+        self._names = parts
+
+    @classmethod
+    def _of(cls, table: _Positions, mask: int) -> "Environment":
+        env = object.__new__(cls)
+        env._table = table
+        env._mask = mask
+        env._names = None
+        return env
+
+    definitions = _names_of(ItemKind.DEFINITION)
+    theorems = _names_of(ItemKind.THEOREM)
+    notations = _names_of(ItemKind.NOTATION)
+    hints = _names_of(ItemKind.HINT)
+    reservations = _names_of(ItemKind.RESERVATION)
+
+    @property
+    def mask(self) -> int:
+        """The positions present, over this environment's table."""
+        return self._mask
+
+    def kind_mask(self, kind: ItemKind) -> int:
+        """The positions of ``kind`` present."""
+        return self._mask & self._table.kinds[_SLOT[kind]]
+
+    def with_mask(self, mask: int) -> "Environment":
+        """The environment over the same table with positions ``mask``."""
+        return Environment._of(self._table, mask)
+
+    def _names_at(self, slot: int) -> tuple[str, ...]:
+        cache = self._names
+        if cache is None:
+            cache = self._names = [None] * len(_SLOT)
+        names = cache[slot]
+        if names is None:
+            bits = self._mask & self._table.kinds[slot]
+            names = tuple(compress(self._table.names, _bit_selectors(bits))) if bits else ()
+            cache[slot] = names
+        return names
 
     def names(self, kind: ItemKind) -> tuple[str, ...]:
-        return getattr(self, KIND_FIELDS[kind])
+        return self._names_at(_SLOT[kind])
 
     def contains(self, kind: ItemKind, name: str) -> bool:
-        return name in self._sets[kind]
+        pos = self._table.index.get(name)
+        return pos is not None and self.kind_mask(kind) >> pos & 1 == 1
 
     def size(self) -> int:
-        return sum(len(self.names(k)) for k in ItemKind)
+        return self._mask.bit_count()
 
     def all_names(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for kind in ItemKind:
-            out.extend(self.names(kind))
-        return tuple(out)
+        return tuple(chain.from_iterable(map(self._names_at, range(len(_SLOT)))))
+
+    def _mask_of(self, names: Iterable[str]) -> int:
+        index = self._table.index
+        bits = 0
+        for name in names:
+            pos = index.get(name)
+            if pos is not None:
+                bits |= 1 << pos
+        return bits
 
     def replace_kind(self, kind: ItemKind, names: Iterable[str]) -> "Environment":
-        parts = {attr: getattr(self, attr) for attr in KIND_FIELDS.values()}
-        parts[KIND_FIELDS[kind]] = tuple(names)
-        return Environment(**parts)
+        """``kind``'s names replaced by ``names``, which must be names of
+        that kind in this environment's table; they keep table order."""
+        names = tuple(names)
+        bits = self._mask_of(names)
+        kind_bits = self._table.kinds[_SLOT[kind]]
+        if bits & ~kind_bits or bits.bit_count() != len(names):
+            raise ValueError(f"not all {KIND_FIELDS[kind]} of this table: {names}")
+        return Environment._of(self._table, self._mask & ~kind_bits | bits)
 
     def restrict(self, keep: frozenset[str] | set[str]) -> "Environment":
-        return Environment(
-            **{
-                attr: tuple(n for n in getattr(self, attr) if n in keep)
-                for attr in KIND_FIELDS.values()
-            }
-        )
+        """Only the present names that are in ``keep``."""
+        return Environment._of(self._table, self._mask & self._mask_of(keep))
 
     def is_subenv_of(self, other: "Environment") -> bool:
         """Per-kind subset (membership only; both sides keep corpus order)."""
-        return all(self._sets[k] <= other._sets[k] for k in ItemKind)
+        if self._table is other._table:
+            return not self._mask & ~other._mask
+        return all(
+            set(self._names_at(slot)) <= set(other._names_at(slot)) for slot in range(len(_SLOT))
+        )
 
-    def _key(self):
-        return (self.definitions, self.theorems, self.notations, self.hints, self.reservations)
+    def _key(self) -> tuple[tuple[str, ...], ...]:
+        """The names per kind, in ``_SLOT`` order."""
+        cache = self._names
+        if cache is None or None in cache:
+            return tuple(map(self._names_at, range(len(_SLOT))))
+        return tuple(cache)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Environment) and self._key() == other._key()
+        if not isinstance(other, Environment):
+            return False
+        if self._table is other._table:
+            return self._mask == other._mask
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         return hash(self._key())
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{attr}={list(getattr(self, attr))}"
-            for attr in KIND_FIELDS.values()
-            if getattr(self, attr)
+            f"{attr}={list(names)}"
+            for attr, names in zip(KIND_FIELDS.values(), self._key())
+            if names
         )
         return f"Environment({parts})"
 
@@ -537,19 +678,40 @@ class Corpus:
     Corpus order (file path order, then position in file) is the canonical
     topological order: accepted items only ever resolve names introduced
     earlier.  Parser and checker never mutate the corpus, so instances are
-    safe to share across threads.
+    safe to share across threads.  The position table of its environments
+    and the checker's indexes are built once, in the constructor.
     """
 
     def __init__(self, items: Sequence[Item]):
         self.items: tuple[Item, ...] = tuple(items)
         self._by_name: dict[str, Item] = {}
         self._order: dict[str, int] = {}
+        kinds = [0] * len(_SLOT)
+        # Checker indexes.  Positions of the names a symbol can resolve to,
+        # split into definitions/theorems and notations; in corpus order,
+        # the positions of the reservations covering each variable and of
+        # the hints mentioning each symbol.
+        self._symbol_at: dict[str, int] = {}
+        self._notation_at: dict[str, int] = {}
+        self._reserving: dict[str, list[int]] = {}
+        self._hinting: dict[str, list[int]] = {}
         for idx, item in enumerate(self.items):
             prev = self._by_name.get(item.name)
             if prev is not None:
                 raise DuplicateNameError(item.name, prev.source_file, item.source_file)
             self._by_name[item.name] = item
             self._order[item.name] = idx
+            kinds[_SLOT[item.kind]] |= 1 << idx
+            if item.kind in _SYMBOL_KINDS:
+                self._symbol_at[item.name] = idx
+            elif item.kind is ItemKind.NOTATION:
+                self._notation_at[item.name] = idx
+            elif item.kind is ItemKind.HINT:
+                for sym in item.statement_symbols:
+                    self._hinting.setdefault(sym, []).append(idx)
+            for var in item.reserved_vars:
+                self._reserving.setdefault(var, []).append(idx)
+        self._table = _Positions(tuple(self._order), tuple(kinds), self._order)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -583,17 +745,10 @@ class Corpus:
         return grouped
 
     def candidate_environment(self, index: int) -> Environment:
-        """Everything declared before position ``index``, split per kind."""
-        lists: dict[ItemKind, list[str]] = {kind: [] for kind in ItemKind}
-        for item in self.items[:index]:
-            lists[item.kind].append(item.name)
-        return Environment(
-            definitions=lists[ItemKind.DEFINITION],
-            theorems=lists[ItemKind.THEOREM],
-            notations=lists[ItemKind.NOTATION],
-            hints=lists[ItemKind.HINT],
-            reservations=lists[ItemKind.RESERVATION],
-        )
+        """Everything declared before position ``index`` (slice semantics):
+        the prefix mask over the corpus table."""
+        _, stop, _ = slice(index).indices(len(self.items))
+        return Environment._of(self._table, (1 << stop) - 1)
 
     # Checker -------------------------------------------------------------
 
@@ -608,7 +763,9 @@ class Corpus:
         type symbol itself resolves, and (d) an ``auto`` justification finds
         at least one hint in ``env`` sharing a symbol with the statement.
         Rejection is reported as a verdict with a reason code, never as an
-        exception.
+        exception.  The first reservation in corpus order whose type
+        resolves is the witness of (c), and (d) traces every applicable
+        hint in corpus order.
         """
         reason, resolved = self._verify(item, env, trace_requested)
         if reason is not None:
@@ -632,54 +789,72 @@ class Corpus:
         reason, _ = self._verify(item, env, False)
         return reason is None
 
+    def _bits_of(self, env: Environment) -> int:
+        """``env`` as a mask over the corpus table: each present name at
+        its corpus position, if the corpus has it under the same kind."""
+        if env._table is self._table:
+            return env._mask
+        order = self._order
+        bits = 0
+        for names, kind_bits in zip(env._key(), self._table.kinds):
+            if names:
+                found = 0
+                for name in names:
+                    pos = order.get(name)
+                    if pos is not None:
+                        found |= 1 << pos
+                bits |= found & kind_bits
+        return bits
+
     def _verify(
         self, item: Item, env: Environment, collect: bool
     ) -> tuple[RejectReason | None, dict[str, None]]:
+        """The first failing check of ``check_item``, or None, and the names
+        resolved so far (only when ``collect``).
+
+        Every lookup is a bit test on ``env`` as a mask over the corpus
+        table.  For an environment the corpus handed out that mask is the
+        environment itself; one built by name is matched to corpus
+        positions by name and kind, and its names outside the corpus are
+        ignored.  Reservations covering a variable and hints applicable
+        to a statement come from corpus-side indexes, so they are tried and
+        traced in corpus order, which is the environment's own order for
+        every environment the corpus hands out.
+        """
+        bits = self._bits_of(env)
+        symbol_at = self._symbol_at
         resolved: dict[str, None] = {}
 
-        def note(name: str) -> None:
-            if collect:
-                resolved.setdefault(name)
-
         for ref in item.statement_symbols + item.body_symbols:
-            target = self._by_name.get(ref)
-            if target is None:
-                return RejectReason.UNRESOLVED_SYMBOL, resolved
-            if target.kind is ItemKind.NOTATION:
-                if not env.contains(ItemKind.NOTATION, ref):
-                    return RejectReason.MISSING_NOTATION, resolved
-            elif target.kind in (ItemKind.DEFINITION, ItemKind.THEOREM):
-                if not env.contains(target.kind, ref):
+            pos = symbol_at.get(ref)
+            if pos is None:
+                pos = self._notation_at.get(ref)
+                if pos is None:
                     return RejectReason.UNRESOLVED_SYMBOL, resolved
-            else:
+                if not bits >> pos & 1:
+                    return RejectReason.MISSING_NOTATION, resolved
+            elif not bits >> pos & 1:
                 return RejectReason.UNRESOLVED_SYMBOL, resolved
-            note(ref)
+            if collect:
+                resolved[ref] = None
 
         for ref in item.by_refs:
-            target = self._by_name.get(ref)
-            if (
-                target is None
-                or target.kind not in (ItemKind.DEFINITION, ItemKind.THEOREM)
-                or not env.contains(target.kind, ref)
-            ):
+            pos = symbol_at.get(ref)
+            if pos is None or not bits >> pos & 1:
                 return RejectReason.BAD_JUSTIFICATION, resolved
-            note(ref)
+            if collect:
+                resolved[ref] = None
 
         for var in item.free_vars:
             witness = None
             covered = False
-            for rname in env.reservations:
-                res = self._by_name[rname]
-                if var not in res.reserved_vars:
+            for pos in self._reserving.get(var, ()):
+                if not bits >> pos & 1:
                     continue
                 covered = True
-                type_sym = res.statement_symbols[0]
-                typ = self._by_name.get(type_sym)
-                if (
-                    typ is not None
-                    and typ.kind in (ItemKind.DEFINITION, ItemKind.THEOREM)
-                    and env.contains(typ.kind, type_sym)
-                ):
+                res = self.items[pos]
+                type_at = symbol_at.get(res.statement_symbols[0])
+                if type_at is not None and bits >> type_at & 1:
                     witness = res
                     break
             if witness is None:
@@ -687,21 +862,26 @@ class Corpus:
                     RejectReason.UNRESOLVED_SYMBOL if covered else RejectReason.MISSING_RESERVATION
                 )
                 return reason, resolved
-            note(witness.name)
-            note(witness.statement_symbols[0])
+            if collect:
+                resolved[witness.name] = None
+                resolved[witness.statement_symbols[0]] = None
 
         if item.by_auto:
-            stmt = set(item.statement_symbols)
-            applicable = [
-                hname
-                for hname in env.hints
-                if stmt.intersection(self._by_name[hname].statement_symbols)
-            ]
+            hinting = self._hinting
+            applicable = sorted(
+                {
+                    pos
+                    for sym in item.statement_symbols
+                    for pos in hinting.get(sym, ())
+                    if bits >> pos & 1
+                }
+            )
             if not applicable:
                 return RejectReason.NO_APPLICABLE_HINT, resolved
             # Deliberately exhaustive: every applicable hint is a dependency.
-            for hname in applicable:
-                note(hname)
+            if collect:
+                for pos in applicable:
+                    resolved[self.items[pos].name] = None
 
         return None, resolved
 

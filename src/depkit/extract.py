@@ -30,6 +30,7 @@ from .corpus import (
     ItemKind,
     Opacity,
     Visibility,
+    bit_positions,
 )
 from .errors import CorpusMismatchError, NotVerifiableError, ParseError
 from .graph import _merge_edges
@@ -68,31 +69,34 @@ def decompose(corpus: Corpus) -> list[Microarticle]:
     ]
 
 
-def _shrink_list(candidates: Sequence[str], still_ok) -> list[str]:
-    """Greedy monotone reduction of one kind's candidate list.
+def _shrink(keep: list[int], bits: int, still_ok) -> int:
+    """Greedy monotone reduction of one kind's positions.
 
-    Tries removing chunks of half the list, then quarters, and so on down
-    to pairs, scanning chunks back to front, then finishes with one
-    single-removal pass.  ``still_ok`` is called with the trial list and
-    must be monotone in the set of surviving candidates.
+    ``keep`` lists the set positions of ``bits`` in ascending order.  Tries
+    removing chunks of half the list, then quarters, and so on down to
+    pairs, scanning chunks back to front, then finishes with one
+    single-removal pass.  A chunk is a run of ``keep``, so its trial is
+    ``bits`` minus the position range from the run's first to its last
+    entry.  ``still_ok`` is called with the trial mask and must be
+    monotone in the set of surviving positions.
     """
-    keep = list(candidates)
     size = (len(keep) + 1) // 2
     while size >= 2:
         start = ((len(keep) - 1) // size) * size if keep else -1
         while start >= 0:
-            trial = keep[:start] + keep[start + size:]
+            end = min(start + size, len(keep)) - 1
+            trial = bits & ~((2 << keep[end]) - (1 << keep[start]))
             if still_ok(trial):
-                keep = trial
+                bits = trial
+                del keep[start : end + 1]
             start -= size
         size = (size + 1) // 2 if size > 2 else 1
-    i = len(keep) - 1
-    while i >= 0:
-        trial = keep[:i] + keep[i + 1:]
+    for i in range(len(keep) - 1, -1, -1):
+        trial = bits & ~(1 << keep[i])
         if still_ok(trial):
-            keep = trial
-        i -= 1
-    return keep
+            bits = trial
+            del keep[i]
+    return bits
 
 
 def minimize_env(
@@ -108,7 +112,8 @@ def minimize_env(
     restricted to the seed verifies, minimization proceeds inside it only.
     ``oracle_calls`` counts the verification attempts made during the
     search itself (the upfront validation of the full environment is not a
-    search step).
+    search step).  The search edits the environment's position mask, so a
+    trial costs one int and one check.
     """
     item = micro.item
     env = micro.candidate_env
@@ -128,24 +133,26 @@ def minimize_env(
         if restricted != env and oracle(restricted):
             env = restricted
 
-    current = env
+    current = env.mask
     for kind in KIND_MINIMIZATION_ORDER:
-        names = current.names(kind)
-        if not names:
+        kind_bits = current & env.kind_mask(kind)
+        if not kind_bits:
             continue
+        others = current & ~kind_bits
 
-        def still_ok(trial: list[str], kind=kind) -> bool:
-            return oracle(current.replace_kind(kind, trial))
+        def still_ok(trial: int, others=others) -> bool:
+            return oracle(env.with_mask(others | trial))
 
-        kept = _shrink_list(names, still_ok)
-        current = current.replace_kind(kind, kept)
+        current = others | _shrink(bit_positions(kind_bits), kind_bits, still_ok)
 
+    minimal = env.with_mask(current)
+    candidate = micro.candidate_env
     removed = {
-        kind: len(micro.candidate_env.names(kind)) - len(current.names(kind))
+        kind: candidate.kind_mask(kind).bit_count() - minimal.kind_mask(kind).bit_count()
         for kind in ItemKind
     }
     return MinimizationResult(
-        item_name=item.name, minimal_env=current, oracle_calls=calls, removed=removed
+        item_name=item.name, minimal_env=minimal, oracle_calls=calls, removed=removed
     )
 
 

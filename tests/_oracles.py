@@ -10,20 +10,21 @@ from __future__ import annotations
 
 from collections import Counter
 
-from depkit.corpus import Corpus, Environment, Item, ItemKind, KIND_FIELDS
+from depkit.corpus import Corpus, Environment, Item, ItemKind, KIND_FIELDS, RejectReason
 
 
-def env_candidates(env: Environment) -> list[tuple[ItemKind, str]]:
-    """Flatten an environment into (kind, name) pairs in corpus order order."""
-    pairs = [(kind, name) for kind in ItemKind for name in env.names(kind)]
-    return pairs
+def env_candidates(env: Environment) -> list[tuple[str, str]]:
+    """Flatten an environment into (kind attribute, name) pairs, kind by kind."""
+    return [(attr, name) for kind, attr in KIND_FIELDS.items() for name in env.names(kind)]
 
 
-def env_from_mask(env: Environment, pairs, mask: int) -> Environment:
+def env_from_mask(pairs, mask: int) -> Environment:
+    """The environment of the pairs whose bit is set in ``mask``, built by name."""
     lists: dict[str, list[str]] = {attr: [] for attr in KIND_FIELDS.values()}
-    for bit, (kind, name) in enumerate(pairs):
-        if mask & (1 << bit):
-            lists[KIND_FIELDS[kind]].append(name)
+    for attr, name in pairs:
+        if mask & 1:
+            lists[attr].append(name)
+        mask >>= 1
     return Environment(**lists)
 
 
@@ -43,7 +44,7 @@ def brute_force_minimal_env(corpus: Corpus, item: Item, env: Environment) -> Env
 
     def verifies(mask: int) -> bool:
         if mask not in verdict:
-            verdict[mask] = corpus.accepts(item, env_from_mask(env, pairs, mask))
+            verdict[mask] = corpus.accepts(item, env_from_mask(pairs, mask))
         return verdict[mask]
 
     best: tuple[int, ...] | None = None
@@ -59,7 +60,87 @@ def brute_force_minimal_env(corpus: Corpus, item: Item, env: Environment) -> Env
             best = key
             best_mask = mask
     assert best_mask is not None, "item should verify under the full environment"
-    return env_from_mask(env, pairs, best_mask)
+    return env_from_mask(pairs, best_mask)
+
+
+class NaiveEnv:
+    """Reference model of ``Environment``: one name tuple per kind, every
+    operation a scan of those tuples."""
+
+    def __init__(self, lists: dict[ItemKind, tuple[str, ...]]):
+        self.lists = {kind: tuple(lists.get(kind, ())) for kind in ItemKind}
+
+    def names(self, kind: ItemKind) -> tuple[str, ...]:
+        return self.lists[kind]
+
+    def all_names(self) -> tuple[str, ...]:
+        return tuple(name for kind in ItemKind for name in self.lists[kind])
+
+    def contains(self, kind: ItemKind, name: str) -> bool:
+        return name in self.lists[kind]
+
+    def size(self) -> int:
+        return sum(len(names) for names in self.lists.values())
+
+    def restrict(self, keep) -> "NaiveEnv":
+        return NaiveEnv({k: tuple(n for n in names if n in keep) for k, names in self.lists.items()})
+
+    def replace_kind(self, kind: ItemKind, names) -> "NaiveEnv":
+        return NaiveEnv({**self.lists, kind: tuple(names)})
+
+    def is_subenv_of(self, other: "NaiveEnv") -> bool:
+        return all(set(self.lists[k]) <= set(other.lists[k]) for k in ItemKind)
+
+    def build(self) -> Environment:
+        """The same lists as an environment built by name."""
+        return Environment(**{KIND_FIELDS[k]: names for k, names in self.lists.items()})
+
+
+def naive_check(corpus: Corpus, item: Item, env: NaiveEnv) -> tuple[RejectReason | None, list[str]]:
+    """The checker's rules, scanning name lists: the first failing check and
+    the names resolved, in resolution order.  Reservations and hints are
+    tried in corpus order, whatever order ``env`` lists them in."""
+    symbol_kinds = (ItemKind.DEFINITION, ItemKind.THEOREM)
+    resolved: list[str] = []
+
+    def note(name: str) -> None:
+        if name not in resolved:
+            resolved.append(name)
+
+    def resolves(name: str) -> bool:
+        target = corpus.get(name)
+        return target is not None and target.kind in symbol_kinds and env.contains(target.kind, name)
+
+    for ref in item.statement_symbols + item.body_symbols:
+        target = corpus.get(ref)
+        if target is not None and target.kind is ItemKind.NOTATION:
+            if not env.contains(ItemKind.NOTATION, ref):
+                return RejectReason.MISSING_NOTATION, resolved
+        elif not resolves(ref):
+            return RejectReason.UNRESOLVED_SYMBOL, resolved
+        note(ref)
+    for ref in item.by_refs:
+        if not resolves(ref):
+            return RejectReason.BAD_JUSTIFICATION, resolved
+        note(ref)
+    reservations = sorted(env.names(ItemKind.RESERVATION), key=corpus.index_of)
+    for var in item.free_vars:
+        covering = [r for r in reservations if var in corpus.item(r).reserved_vars]
+        typed = [r for r in covering if resolves(corpus.item(r).statement_symbols[0])]
+        if not typed:
+            reason = RejectReason.UNRESOLVED_SYMBOL if covering else RejectReason.MISSING_RESERVATION
+            return reason, resolved
+        note(typed[0])
+        note(corpus.item(typed[0]).statement_symbols[0])
+    if item.by_auto:
+        stmt = set(item.statement_symbols)
+        hints = sorted(env.names(ItemKind.HINT), key=corpus.index_of)
+        applicable = [h for h in hints if stmt & set(corpus.item(h).statement_symbols)]
+        if not applicable:
+            return RejectReason.NO_APPLICABLE_HINT, resolved
+        for h in applicable:
+            note(h)
+    return None, resolved
 
 
 def reachable_pairs_bruteforce(nodes, edges) -> set[tuple[str, str]]:

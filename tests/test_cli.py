@@ -276,6 +276,26 @@ def test_nonpositive_samples_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_gen_items_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--items", "-1", "-o", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "--items" in capsys.readouterr().err
+
+
+def test_zero_gen_per_file_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--items", "3", "--per-file", "0", "-o", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "--per-file" in capsys.readouterr().err
+
+
+def test_zero_gen_items_writes_an_empty_corpus(tmp_path, capsys):
+    code, _, _ = run(["gen", "--items", "0", "-o", str(tmp_path / "c")], capsys)
+    assert code == 0
+    assert not list((tmp_path / "c").glob("*.art"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

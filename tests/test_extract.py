@@ -149,6 +149,21 @@ def test_oracle_call_count_bound_on_fixtures(five_file_corpus):
             assert result.oracle_calls <= bound, (micro.item.name, result.oracle_calls, bound)
 
 
+@pytest.mark.parametrize(
+    "items, seed, seeded_calls, unseeded_calls, unseeded_removed",
+    [(60, 3, 195, 947, 1641), (150, 11, 455, 3048, 10893)],
+)
+def test_exact_minimization_effort(items, seed, seeded_calls, unseeded_calls, unseeded_removed):
+    """Pinned oracle-call and removal totals: any change to which trials the
+    shrink makes, or in which order, moves them."""
+    corpus = _generated(items=items, seed=seed)
+    seeded = extract_corpus(corpus, mode="both").minimization
+    unseeded = extract_corpus(corpus, mode="minimize").minimization
+    assert sum(r.oracle_calls for r in seeded) == seeded_calls
+    assert sum(r.oracle_calls for r in unseeded) == unseeded_calls
+    assert sum(sum(r.removed.values()) for r in unseeded) == unseeded_removed
+
+
 # trace_extract ---------------------------------------------------------------
 
 
