@@ -33,7 +33,6 @@ from .corpus import (
     bit_positions,
 )
 from .errors import CorpusMismatchError, NotVerifiableError, ParseError
-from .graph import _merge_edges
 
 # Kinds are trimmed in this fixed order.
 KIND_MINIMIZATION_ORDER = (
@@ -344,3 +343,29 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
     return _merge_edges(edges)
+
+
+def _merge_edges(edges: Iterable[DepEdge]) -> list[DepEdge]:
+    """Collapse duplicate (src, dst) records into one edge, first-seen order.
+
+    Explicit wins over implicit and transparent wins over opaque, so the
+    merged edge keeps every way in which the source can see the target.
+    """
+    merged: dict[tuple[str, str], DepEdge] = {}
+    for edge in edges:
+        key = edge.pair()
+        prev = merged.get(key)
+        if prev is None:
+            merged[key] = edge
+        elif prev != edge:
+            merged[key] = DepEdge(
+                edge.src,
+                edge.dst,
+                Visibility.EXPLICIT
+                if Visibility.EXPLICIT in (prev.visibility, edge.visibility)
+                else Visibility.IMPLICIT,
+                Opacity.TRANSPARENT
+                if Opacity.TRANSPARENT in (prev.opacity, edge.opacity)
+                else Opacity.OPAQUE,
+            )
+    return list(merged.values())

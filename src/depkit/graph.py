@@ -1,12 +1,17 @@
 """Dependency DAGs over items or files, with closure and metric queries.
 
+A graph is stored as bit rows over node positions: per node, the nodes it
+directly depends on, and which of those edges are transparent and which
+explicit.  The edge list is derived from the rows when first read.
 Graphs are immutable after construction.  Nodes keep corpus order, which
-is a topological witness (edges always point at earlier nodes), so
-transitive closure reduces to one pass of bitset unions.  Three
-reachability relations are kept: over all edges, over transparent edges
-only, and over explicit edges only; the latter two derive the attributes
-of closure-only edges (an indirect dependency is transparent or explicit
-exactly when some witnessing path is all-transparent or all-explicit).
+is a topological witness (edges always point at earlier nodes), so every
+closure is one pass of bit-row unions (``_closure``): over the rows for
+reachability, over the transposed rows, last node first, for reverse
+reachability, and over the transparent and the explicit rows for the
+attributes of closure-only edges (an indirect dependency is transparent or
+explicit exactly when some witnessing path is all-transparent or
+all-explicit).  Closures are bitsets at every graph size, n*n/8 bytes at
+most; a rebuild plan needs the reverse bitsets in any case.
 """
 
 from __future__ import annotations
@@ -16,22 +21,17 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from statistics import median
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility
+from .corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, bit_positions
 from .errors import CycleDetectedError, UnknownItemError
 
 
 class Granularity(str, Enum):
     ITEM = "item"
     FILE = "file"
-
-
-# Reachability bitsets take n*n/8 bytes (50 MB at 20k nodes); above this
-# node count the statistics fall back to counting by per-node DFS, which
-# needs O(n) memory at a time.
-BITSET_NODE_LIMIT = 20_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +90,13 @@ class GraphStats:
 class DepGraph:
     """Immutable DAG over item or file names; queries are read-only.
 
-    Reachability results are cached lazily; recomputing them is idempotent,
-    so concurrent readers need no locking.
+    Node ``i`` holds three bit rows over node positions: ``deps[i]`` has bit
+    ``j`` set when node ``i`` depends on node ``j``, and its subsets
+    ``transparent[i]`` and ``explicit[i]`` when that edge is transparent,
+    and explicit.  Duplicate edge records OR into the rows, which is the
+    merge rule: explicit wins over implicit and transparent over opaque.
+    ``edges`` and the closures are derived from the rows and cached lazily;
+    recomputing them is idempotent, so concurrent readers need no locking.
     """
 
     def __init__(
@@ -112,27 +117,29 @@ class DepGraph:
         if len(self._index) != len(self.nodes):
             raise ValueError("duplicate node names")
 
-        merged = _merge_edges(edges)
-        for edge in merged:
-            for end in edge.pair():
-                if end not in self._index:
-                    raise UnknownItemError(end)
-            si, di = self._index[edge.src], self._index[edge.dst]
+        deps, transparent, explicit = ([0] * len(self.nodes) for _ in range(3))
+        for edge in edges:
+            si, di = self.index_of(edge.src), self.index_of(edge.dst)
             if si <= di:
                 raise CycleDetectedError(
                     f"edge {edge.src} -> {edge.dst} does not point at an earlier node; "
                     "corpus order is not a topological witness"
                 )
-        self.edges: tuple[DepEdge, ...] = tuple(
-            sorted(merged, key=lambda e: (self._index[e.src], self._index[e.dst]))
-        )
-        self._fwd: list[list[int]] = [[] for _ in self.nodes]
-        for edge in self.edges:
-            self._fwd[self._index[edge.src]].append(self._index[edge.dst])
+            bit = 1 << di
+            deps[si] |= bit
+            if edge.opacity is Opacity.TRANSPARENT:
+                transparent[si] |= bit
+            if edge.visibility is Visibility.EXPLICIT:
+                explicit[si] |= bit
+        self._set_rows(deps, transparent, explicit)
+
+    def _set_rows(self, deps: list[int], transparent: list[int], explicit: list[int]) -> None:
+        self.deps: tuple[int, ...] = tuple(deps)
+        self.transparent: tuple[int, ...] = tuple(transparent)
+        self.explicit: tuple[int, ...] = tuple(explicit)
+        self._edges: tuple[DepEdge, ...] | None = None
         self._reach: list[int] | None = None
         self._rev_reach: list[int] | None = None
-        self._reach_transparent: list[int] | None = None
-        self._reach_explicit: list[int] | None = None
         self._file_scope_bits: tuple[list[int], list[int], list[int]] | None = None
 
     def __contains__(self, name: str) -> bool:
@@ -143,69 +150,35 @@ class DepGraph:
             raise UnknownItemError(name)
         return self._index[name]
 
-    def _closure_bits(self, keep) -> list[int]:
-        fwd: list[list[int]] = [[] for _ in self.nodes]
-        for edge in self.edges:
-            if keep(edge):
-                fwd[self._index[edge.src]].append(self._index[edge.dst])
-        reach = [0] * len(self.nodes)
-        for i in range(len(self.nodes)):
-            bits = 0
-            for j in fwd[i]:
-                bits |= (1 << j) | reach[j]
-            reach[i] = bits
-        return reach
+    @property
+    def edges(self) -> tuple[DepEdge, ...]:
+        """The direct edges, ordered by (source, target) node position."""
+        if self._edges is None:
+            edges: list[DepEdge] = []
+            for src, row, trans, expl in zip(self.nodes, self.deps, self.transparent, self.explicit):
+                trans_at, expl_at = set(bit_positions(trans)), set(bit_positions(expl))
+                edges.extend(
+                    DepEdge(
+                        src,
+                        self.nodes[j],
+                        Visibility.EXPLICIT if j in expl_at else Visibility.IMPLICIT,
+                        Opacity.TRANSPARENT if j in trans_at else Opacity.OPAQUE,
+                    )
+                    for j in bit_positions(row)
+                )
+            self._edges = tuple(edges)
+        return self._edges
 
     def reach(self) -> list[int]:
         """Per-node bitsets of transitively reachable (depended-on) nodes."""
         if self._reach is None:
-            self._reach = self._closure_bits(lambda e: True)
+            self._reach = _closure(list(self.deps), range(len(self.nodes)))
         return self._reach
 
-    def _attr_reach(self) -> tuple[list[int], list[int]]:
-        if self._reach_transparent is None:
-            self._reach_transparent = self._closure_bits(
-                lambda e: e.opacity is Opacity.TRANSPARENT
-            )
-            self._reach_explicit = self._closure_bits(
-                lambda e: e.visibility is Visibility.EXPLICIT
-            )
-        return self._reach_transparent, self._reach_explicit
-
-    def closure_counts(self, method: str = "auto") -> tuple[int, list[int]]:
-        """Transitive edge total plus per-node reverse-dependent counts.
-
-        ``method`` picks between the bitset pass and the memory-light
-        per-node DFS; ``auto`` switches at ``BITSET_NODE_LIMIT`` nodes.
-        Both produce identical numbers.
-        """
-        if method not in ("auto", "bitset", "dfs"):
-            raise ValueError(f"unknown counting method {method!r}")
-        if method == "auto":
-            method = "bitset" if len(self.nodes) <= BITSET_NODE_LIMIT else "dfs"
-        counts = [0] * len(self.nodes)
-        if method == "bitset":
-            tdeps = 0
-            for bits in self.reach():
-                tdeps += bits.bit_count()
-                while bits:
-                    low = bits & -bits
-                    counts[low.bit_length() - 1] += 1
-                    bits ^= low
-            return tdeps, counts
-        tdeps = 0
-        for i in range(len(self.nodes)):
-            seen = set()
-            stack = list(self._fwd[i])
-            while stack:
-                j = stack.pop()
-                if j in seen:
-                    continue
-                seen.add(j)
-                counts[j] += 1
-                stack.extend(self._fwd[j])
-            tdeps += len(seen)
-        return tdeps, counts
+    def closure_counts(self) -> tuple[int, list[int]]:
+        """Transitive edge total plus per-node reverse-dependent counts."""
+        counts = [bits.bit_count() for bits in self.reverse_reach()]
+        return sum(counts), counts
 
     def reverse_counts(self) -> list[int]:
         """For each node, how many nodes transitively depend on it."""
@@ -214,13 +187,11 @@ class DepGraph:
     def reverse_reach(self) -> list[int]:
         """Per-node bitsets of transitive reverse dependents."""
         if self._rev_reach is None:
-            rev = [0] * len(self.nodes)
-            for i, bits in enumerate(self.reach()):
-                while bits:
-                    low = bits & -bits
-                    rev[low.bit_length() - 1] |= 1 << i
-                    bits ^= low
-            self._rev_reach = rev
+            users = [0] * len(self.nodes)
+            for i, row in enumerate(self.deps):
+                for j in bit_positions(row):
+                    users[j] |= 1 << i
+            self._rev_reach = _closure(users, reversed(range(len(self.nodes))))
         return self._rev_reach
 
     def _file_scopes(self) -> tuple[list[int], list[int], list[int]]:
@@ -239,46 +210,30 @@ class DepGraph:
             dependents = []
             for bits in file_g.reverse_reach():
                 items = 0
-                while bits:
-                    low = bits & -bits
-                    items |= own[low.bit_length() - 1]
-                    bits ^= low
+                for f in bit_positions(bits):
+                    items |= own[f]
                 dependents.append(items)
             self._file_scope_bits = (file_of, own, dependents)
         return self._file_scope_bits
 
 
-def _merge_edges(edges: Iterable[DepEdge]) -> list[DepEdge]:
-    """Collapse duplicate (src, dst) records into one edge, first-seen order.
-
-    Explicit wins over implicit and transparent wins over opaque, so the
-    merged edge keeps every way in which the source can see the target.
-    """
-    merged: dict[tuple[str, str], DepEdge] = {}
-    for edge in edges:
-        key = edge.pair()
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = edge
-        elif prev != edge:
-            merged[key] = DepEdge(
-                edge.src,
-                edge.dst,
-                Visibility.EXPLICIT
-                if Visibility.EXPLICIT in (prev.visibility, edge.visibility)
-                else Visibility.IMPLICIT,
-                Opacity.TRANSPARENT
-                if Opacity.TRANSPARENT in (prev.opacity, edge.opacity)
-                else Opacity.OPAQUE,
-            )
-    return list(merged.values())
+def _closure(rows: list[int], order: Iterable[int]) -> list[int]:
+    """Close bit rows in place: row ``i`` becomes itself ORed with the closed
+    rows of the positions it points at.  ``order`` visits every position
+    after the positions its row points at."""
+    for i in order:
+        bits = rows[i]
+        for j in bit_positions(bits):
+            bits |= rows[j]
+        rows[i] = bits
+    return rows
 
 
 def _project_files(
     nodes: Sequence[str], files: dict[str, str], edges: Iterable[DepEdge]
 ) -> tuple[list[str], list[DepEdge]]:
     """File nodes in first-item order, and every cross-file item edge lifted
-    to its pair of files (``DepGraph`` merges the duplicates)."""
+    to its pair of files (``DepGraph`` ORs duplicates into one edge)."""
     lifted = []
     for edge in edges:
         for end in edge.pair():
@@ -321,25 +276,24 @@ def build_graph(
 def build_graph_from_edges(edges: Iterable[DepEdge]) -> DepGraph:
     """Item graph when only edge records are available.
 
-    Node order is recovered by a deterministic topological sort (ties by
-    name), so statistics that need the full node set should prefer
-    ``build_graph`` with the corpus.
+    Node order is recovered by a deterministic topological sort: by level
+    (0 without dependencies, else one more than the highest level of a
+    dependency), then by name.  Statistics that need the full node set
+    should prefer ``build_graph`` with the corpus.
     """
     edges = list(edges)
-    names = sorted({end for edge in edges for end in edge.pair()})
-    deps: dict[str, set[str]] = {name: set() for name in names}
+    sorter: TopologicalSorter = TopologicalSorter()
     for edge in edges:
-        deps[edge.src].add(edge.dst)
+        sorter.add(edge.src, edge.dst)
+    try:
+        sorter.prepare()
+    except CycleError:
+        raise CycleDetectedError("edge records contain a dependency cycle") from None
     order: list[str] = []
-    placed: set[str] = set()
-    remaining = set(names)
-    while remaining:
-        ready = sorted(n for n in remaining if deps[n] <= placed)
-        if not ready:
-            raise CycleDetectedError("edge records contain a dependency cycle")
-        order.extend(ready)
-        placed.update(ready)
-        remaining.difference_update(ready)
+    while sorter.is_active():
+        level = sorted(sorter.get_ready())
+        order.extend(level)
+        sorter.done(*level)
     return DepGraph(order, edges, Granularity.ITEM)
 
 
@@ -350,36 +304,24 @@ def transitive_closure(g: DepGraph) -> DepGraph:
     (or explicit) exactly when some witnessing path uses only transparent
     (only explicit) edges.
     """
-    direct = {edge.pair(): edge for edge in g.edges}
-    reach = g.reach()
-    trans, expl = g._attr_reach()
-    closure: list[DepEdge] = []
-    for i, src in enumerate(g.nodes):
-        bits = reach[i]
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            bits ^= low
-            dst = g.nodes[j]
-            edge = direct.get((src, dst))
-            if edge is None:
-                edge = DepEdge(
-                    src,
-                    dst,
-                    Visibility.EXPLICIT if expl[i] & (1 << j) else Visibility.IMPLICIT,
-                    Opacity.TRANSPARENT if trans[i] & (1 << j) else Opacity.OPAQUE,
-                )
-            closure.append(edge)
-    return DepGraph(
-        g.nodes, closure, g.granularity, kinds=g.kinds, files=g.files, opacities=g.opacities
-    )
+
+    def attribute(rows: Sequence[int]) -> list[int]:
+        # Pairs reachable over edges with the attribute, minus the direct
+        # edges, plus the direct edges that have it.
+        closed = _closure(list(rows), range(len(g.nodes)))
+        return [c & ~d | r for c, d, r in zip(closed, g.deps, rows)]
+
+    closure = DepGraph(g.nodes, (), g.granularity, kinds=g.kinds, files=g.files, opacities=g.opacities)
+    closure._set_rows(g.reach(), attribute(g.transparent), attribute(g.explicit))
+    return closure
 
 
 def stats(g: DepGraph) -> GraphStats:
     """Graph statistics from per-node reachability, closure unmaterialized."""
     tdeps, reverse_counts = g.closure_counts()
+    deps = sum(row.bit_count() for row in g.deps)
     return GraphStats.from_counts(
-        items=len(g.nodes), tdeps=tdeps, deps=len(g.edges), reverse_counts=reverse_counts
+        items=len(g.nodes), tdeps=tdeps, deps=deps, reverse_counts=reverse_counts
     )
 
 
@@ -408,13 +350,7 @@ def reverse_cumulative(g: DepGraph) -> list[tuple[int, int]]:
 def load_set(g: DepGraph, target: str) -> list[str]:
     """The target and everything it transitively needs, load order first."""
     i = g.index_of(target)
-    bits = g.reach()[i] | (1 << i)
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(g.nodes[low.bit_length() - 1])
-        bits ^= low
-    return out
+    return [g.nodes[j] for j in bit_positions(g.reach()[i] | (1 << i))]
 
 
 # Exports ---------------------------------------------------------------------

@@ -18,8 +18,8 @@ from statistics import median
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import Corpus, Opacity
-from .errors import UnknownItemError
+from .corpus import Corpus, Opacity, bit_positions
+from .errors import DepkitError, UnknownItemError
 from .extract import Microarticle, minimize_env
 from .graph import DepGraph, Granularity
 
@@ -108,12 +108,7 @@ def plan(
 
 
 def _names(g: DepGraph, bits: int) -> tuple[str, ...]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(g.nodes[i] for i in sorted(out))
+    return tuple(g.nodes[i] for i in bit_positions(bits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +173,7 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42, jobs: int = 1)
     thread.
     """
     if not g.nodes:
-        raise ValueError("speedup_report needs a nonempty graph")
+        raise DepkitError("speedup needs a graph with at least one item")
     if samples <= 0:
         raise ValueError("samples must be positive")
     if samples == len(g.nodes):

@@ -162,6 +162,27 @@ def reachable_pairs_bruteforce(nodes, edges) -> set[tuple[str, str]]:
     return pairs
 
 
+def topological_order_by_rounds(edges) -> list[str]:
+    """Node order of ``build_graph_from_edges``, by rounds: each round takes
+    every remaining node whose dependencies are all placed, sorted by name.
+    Quadratic or worse on deep graphs; raises ``ValueError`` on a cycle."""
+    names = sorted({end for edge in edges for end in edge.pair()})
+    deps: dict[str, set[str]] = {name: set() for name in names}
+    for edge in edges:
+        deps[edge.src].add(edge.dst)
+    order: list[str] = []
+    placed: set[str] = set()
+    remaining = set(names)
+    while remaining:
+        ready = sorted(n for n in remaining if deps[n] <= placed)
+        if not ready:
+            raise ValueError("dependency cycle")
+        order.extend(ready)
+        placed.update(ready)
+        remaining.difference_update(ready)
+    return order
+
+
 def tally_training_counts(corpus: Corpus, deps_by_item: dict, upto: int):
     """Recount naive Bayes statistics the slow, obvious way."""
     prior: Counter = Counter()

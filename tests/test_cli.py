@@ -296,6 +296,18 @@ def test_zero_gen_items_writes_an_empty_corpus(tmp_path, capsys):
     assert not list((tmp_path / "c").glob("*.art"))
 
 
+def test_speedup_on_empty_corpus_exits_one_with_one_line(tmp_path, capsys):
+    run(["gen", "--items", "0", "-o", str(tmp_path / "c0")], capsys)
+    deps = tmp_path / "empty.jsonl"
+    deps.write_text("")
+    code, out, err = run(
+        ["speedup", str(tmp_path / "c0"), "--deps", str(deps), "--samples", "3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "depkit: error: speedup needs a graph with at least one item\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

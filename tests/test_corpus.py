@@ -14,6 +14,7 @@ from depkit.corpus import (
     Opacity,
     RejectReason,
     Visibility,
+    bit_positions,
     parse_corpus,
     parse_source,
     render_file,
@@ -370,3 +371,18 @@ def test_render_file_regroups_blocks():
     text = "defblock { def p := lit; def q : p := lit; }\ndef r : q := lit;\n"
     items = parse_source(text, "blocks.art")
     assert render_file(items) == text
+
+
+# Bit iteration ---------------------------------------------------------------
+
+
+def test_bit_positions_matches_naive_loop():
+    """Both the sparse and the dense path, and masks at the switch between them."""
+    rng = random.Random(8)
+    cases = [0, (1 << 63) | 1, (1 << 63) | 3, (1 << 95) | 7]
+    cases += [1 << i for i in (0, 1, 31, 32, 63, 64, 1000, 4095)]
+    for length in (1, 7, 64, 300, 3000):
+        for density in (0.001, 0.01, 1 / 32, 0.05, 0.2, 0.5, 0.9, 1.0):
+            cases.append(sum(1 << i for i in range(length) if rng.random() < density))
+    for bits in cases:
+        assert bit_positions(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]

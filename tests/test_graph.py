@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from depkit.corpus import Corpus, DepEdge, Opacity, Visibility, parse_source
 from depkit.errors import CycleDetectedError, UnknownItemError
 from depkit.extract import edge_record, extract_corpus, read_edges_jsonl, trace_extract
-from depkit.gen import generate_corpus
+from depkit.gen import FAMILIES, generate_corpus
 from depkit.graph import (
     DepGraph,
     Granularity,
@@ -28,7 +29,7 @@ from depkit.graph import (
 )
 from depkit.normalize import normalize_corpus
 
-from _oracles import reachable_pairs_bruteforce
+from _oracles import reachable_pairs_bruteforce, topological_order_by_rounds
 from conftest import corpus_from
 
 
@@ -125,8 +126,22 @@ def test_forward_edge_rejected(redundant_hint_corpus):
 def test_build_graph_from_edges_topologically_sorts():
     g = build_graph_from_edges([_edge("c", "b"), _edge("b", "a")])
     assert g.nodes == ("a", "b", "c")
-    with pytest.raises(CycleDetectedError):
-        build_graph_from_edges([_edge("a", "b"), _edge("b", "a")])
+    for cycle in ([_edge("a", "b"), _edge("b", "a")], [_edge("a", "a")]):
+        with pytest.raises(CycleDetectedError):
+            build_graph_from_edges(cycle)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_graph_from_edges_orders_like_round_based_sort(family):
+    rng = random.Random(FAMILIES.index(family))
+    for seed in (5, 6):
+        files = generate_corpus(items=60, seed=seed, family=family, per_file=10)
+        corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+        edges = trace_extract(corpus)
+        for _ in range(3):
+            expected = topological_order_by_rounds(edges)
+            assert build_graph_from_edges(edges).nodes == tuple(expected)
+            rng.shuffle(edges)
 
 
 # transitive_closure ----------------------------------------------------------
@@ -255,16 +270,74 @@ def test_kind_table_from_counts_partition_deps(five_file_corpus):
     assert sum(row["to"] for row in table.values()) == len(g.edges)
 
 
-def test_closure_counts_dfs_fallback_matches_bitsets():
-    for seed in (3, 9):
-        files = generate_corpus(items=40, seed=seed, family="mixed")
-        raw = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
-        corpus, _ = normalize_corpus(raw)
-        g = build_graph(corpus, trace_extract(corpus))
-        assert g.closure_counts("bitset") == g.closure_counts("dfs")
-        assert g.closure_counts("auto") == g.closure_counts("bitset")
-    with pytest.raises(ValueError):
-        g.closure_counts("quantum")
+def _generated_graph(family: str, seed: int, granularity: Granularity):
+    """A generated corpus's graph, with its direct edges and their attributes
+    worked out from the extracted records without ``DepGraph``: per (src,
+    dst) pair, whether some record of it is explicit and some transparent."""
+    files = generate_corpus(items=48, seed=seed, family=family, per_file=5)
+    corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+    records = trace_extract(corpus)
+    home = {it.name: it.source_file for it in corpus.items}
+    direct: dict[tuple[str, str], tuple[bool, bool]] = {}
+    for edge in records:
+        src, dst = edge.pair()
+        if granularity is Granularity.FILE:
+            src, dst = home[src], home[dst]
+            if src == dst:
+                continue
+        explicit, transparent = direct.get((src, dst), (False, False))
+        direct[(src, dst)] = (
+            explicit or edge.visibility is Visibility.EXPLICIT,
+            transparent or edge.opacity is Opacity.TRANSPARENT,
+        )
+    return build_graph(corpus, records, granularity), direct
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closure_queries_match_brute_force(family, granularity):
+    for seed in (1, 2):
+        g, direct = _generated_graph(family, seed, granularity)
+        position = {name: i for i, name in enumerate(g.nodes)}
+        assert [(e.src, e.dst) for e in g.edges] == sorted(
+            direct, key=lambda pair: (position[pair[0]], position[pair[1]])
+        )
+        assert {
+            e.pair(): (e.visibility is Visibility.EXPLICIT, e.opacity is Opacity.TRANSPARENT)
+            for e in g.edges
+        } == direct
+        pairs = reachable_pairs_bruteforce(g.nodes, direct)
+        forward = [{position[b] for a, b in pairs if a == name} for name in g.nodes]
+        backward = [{position[a] for a, b in pairs if b == name} for name in g.nodes]
+        assert [{j for j in range(len(g.nodes)) if bits >> j & 1} for bits in g.reach()] == forward
+        assert [
+            {j for j in range(len(g.nodes)) if bits >> j & 1} for bits in g.reverse_reach()
+        ] == backward
+        assert g.closure_counts() == (len(pairs), [len(users) for users in backward])
+        assert stats(g).deps == len(direct)
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closure_edge_attributes_match_brute_force(family, granularity):
+    """A closure-only edge is transparent (explicit) iff a path of transparent
+    (explicit) edges joins its ends; a direct edge keeps its attributes."""
+    for seed in (3, 4):
+        g, direct = _generated_graph(family, seed, granularity)
+        explicit_pairs = reachable_pairs_bruteforce(g.nodes, [p for p, a in direct.items() if a[0]])
+        transparent_pairs = reachable_pairs_bruteforce(
+            g.nodes, [p for p, a in direct.items() if a[1]]
+        )
+        closed = transitive_closure(g).edges
+        assert {e.pair() for e in closed} == reachable_pairs_bruteforce(g.nodes, direct)
+        for edge in closed:
+            expected = direct.get(
+                edge.pair(), (edge.pair() in explicit_pairs, edge.pair() in transparent_pairs)
+            )
+            assert (
+                edge.visibility is Visibility.EXPLICIT,
+                edge.opacity is Opacity.TRANSPARENT,
+            ) == expected, edge
 
 
 # reverse_cumulative ----------------------------------------------------------

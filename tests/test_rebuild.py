@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from depkit.corpus import Corpus, Opacity, parse_source
+from depkit.corpus import Corpus, ItemKind, Opacity, parse_source
 from depkit.errors import UnknownItemError
-from depkit.extract import trace_extract
-from depkit.gen import generate_corpus
+from depkit.extract import extract_corpus, trace_extract
+from depkit.gen import FAMILIES, generate_corpus
 from depkit.graph import Granularity, build_graph, stats
 from depkit.normalize import normalize_corpus
 from depkit.rebuild import (
@@ -153,6 +155,52 @@ def test_file_plans_match_brute_force_file_closure():
                     assert p.skipped_opaque == frozenset(
                         n for n in g.nodes if files_of[n] in skipped
                     )
+
+
+def _verdicts(corpus: Corpus) -> dict[str, bool]:
+    return {
+        item.name: corpus.accepts(item, corpus.candidate_environment(i))
+        for i, item in enumerate(corpus.items)
+    }
+
+
+def _statement_edit(corpus: Corpus, rng: random.Random) -> tuple[str, Corpus]:
+    """One random statement edit: delete an item, or give a hint or a
+    reservation other symbols (defined earlier, later, or nowhere)."""
+    items = list(corpus.items)
+    symbols = [it.name for it in items if it.kind in (ItemKind.DEFINITION, ItemKind.THEOREM)]
+    symbols.append("nowhere")
+    editable = [i for i, it in enumerate(items) if it.kind in (ItemKind.HINT, ItemKind.RESERVATION)]
+    if not editable or rng.random() < 0.4:
+        i = rng.randrange(len(items))
+        return items[i].name, Corpus(items[:i] + items[i + 1 :])
+    i = rng.choice(editable)
+    count = 1 if items[i].kind is ItemKind.RESERVATION else rng.randint(1, 2)
+    items[i] = replace(items[i], statement_symbols=tuple(rng.sample(symbols, count)))
+    return items[i].name, Corpus(items)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_item_plans_cover_every_verdict_an_edit_changes(family):
+    """Rebuild soundness: recheck every item after a random statement edit;
+    each item whose verdict flips, or that is gone, is in the item plan,
+    over traced and over minimized edges, with and without opacity."""
+    rng = random.Random(FAMILIES.index(family))
+    flipped_total = 0
+    for seed in (61, 62, 63):
+        corpus, traced = _generated(items=40, seed=seed, family=family)
+        minimized = build_graph(corpus, extract_corpus(corpus, mode="minimize").min_edges)
+        before = _verdicts(corpus)
+        for _ in range(25):
+            name, edited = _statement_edit(corpus, rng)
+            after = _verdicts(edited)
+            flipped = {n for n, ok in before.items() if after.get(n) is not ok}
+            flipped_total += len(flipped - {name})
+            for g in (traced, minimized):
+                for honor in (False, True):
+                    p = plan(g, ChangeSet.single(name), Granularity.ITEM, honor)
+                    assert flipped <= set(p.to_recheck), (name, flipped - set(p.to_recheck))
+    assert flipped_total > 0
 
 
 # execute ---------------------------------------------------------------------
