@@ -154,7 +154,7 @@ def _cmd_speedup(args) -> int:
     corpus = parse_corpus(args.dir)
     edges = read_edges_jsonl(args.deps, method=args.method)
     g = build_graph(corpus, edges, Granularity.ITEM)
-    report = speedup_report(g, samples=args.samples, rng_seed=args.seed, jobs=args.jobs)
+    report = speedup_report(g, samples=args.samples, rng_seed=args.seed)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

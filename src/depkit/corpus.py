@@ -451,9 +451,7 @@ class _Parser:
         if tok in KEYWORDS or not _IDENT_RE.fullmatch(tok):
             self.pos -= 1
             raise self.error(f"expected {what}, found {tok!r}")
-        if tok.startswith(FRESH_PREFIX) and not re.fullmatch(
-            rf"{FRESH_PREFIX}\d+_{re.escape(self.tag)}", tok
-        ):
+        if tok.startswith(FRESH_PREFIX) and _fresh_label_index(tok, self.tag) is None:
             self.pos -= 1
             raise self.error(
                 f"identifier {tok!r} uses the reserved {FRESH_PREFIX!r} label namespace"
@@ -649,6 +647,13 @@ def _dedup(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
+def _fresh_label_index(name: str, tag: str) -> int | None:
+    """The counter of a fresh label ``__n<digits>_<tag>``, else None."""
+    digits = name[len(FRESH_PREFIX) : len(name) - len(tag) - 1]
+    ok = name.startswith(FRESH_PREFIX) and name.endswith("_" + tag) and digits.isdecimal()
+    return int(digits) if ok else None
+
+
 def _assign_anonymous_names(items: list[Item], source_file: str) -> list[Item]:
     """Give anonymous items deterministic names in the reserved namespace.
 
@@ -656,8 +661,7 @@ def _assign_anonymous_names(items: list[Item], source_file: str) -> list[Item]:
     counter skips indexes already present in the file.
     """
     tag = file_tag(source_file)
-    pattern = re.compile(rf"{FRESH_PREFIX}(\d+)_{re.escape(tag)}\Z")
-    used = {int(m.group(1)) for it in items if (m := pattern.match(it.name))}
+    used = {_fresh_label_index(it.name, tag) for it in items} - {None}
     counter = 0
     out: list[Item] = []
     for item in items:

@@ -317,14 +317,14 @@ def write_edges_jsonl(path: str | Path, result: ExtractionResult) -> None:
 def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     """Load edges back, optionally filtered by extraction method.
 
-    With ``method="any"`` records from both methods are merged and
-    duplicate (from, to) pairs collapse to one edge in first-seen order;
-    explicit visibility wins over implicit and transparent opacity over
-    opaque.  A malformed record raises ``ParseError`` naming its line.
+    Each record's explicit and transparent flags are ORed into its (from,
+    to) pair while reading, so explicit wins over implicit and transparent
+    over opaque, and one ``DepEdge`` is built per pair, in first-seen
+    order.  A malformed record raises ``ParseError`` naming its line.
     """
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
-    edges: list[DepEdge] = []
+    flags: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
@@ -332,40 +332,14 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
             rec = json.loads(line)
             if method != "any" and rec["method"] != method:
                 continue
-            edges.append(
-                DepEdge(
-                    src=rec["from"],
-                    dst=rec["to"],
-                    visibility=Visibility(rec["vis"]),
-                    opacity=Opacity(rec["opacity"]),
-                )
-            )
+            src, dst = rec["from"], rec["to"]
+            if not (isinstance(src, str) and isinstance(dst, str)):
+                raise TypeError("'from' and 'to' must be strings")
+            explicit = Visibility(rec["vis"]) is Visibility.EXPLICIT
+            transparent = Opacity(rec["opacity"]) is Opacity.TRANSPARENT
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
-    return _merge_edges(edges)
-
-
-def _merge_edges(edges: Iterable[DepEdge]) -> list[DepEdge]:
-    """Collapse duplicate (src, dst) records into one edge, first-seen order.
-
-    Explicit wins over implicit and transparent wins over opaque, so the
-    merged edge keeps every way in which the source can see the target.
-    """
-    merged: dict[tuple[str, str], DepEdge] = {}
-    for edge in edges:
-        key = edge.pair()
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = edge
-        elif prev != edge:
-            merged[key] = DepEdge(
-                edge.src,
-                edge.dst,
-                Visibility.EXPLICIT
-                if Visibility.EXPLICIT in (prev.visibility, edge.visibility)
-                else Visibility.IMPLICIT,
-                Opacity.TRANSPARENT
-                if Opacity.TRANSPARENT in (prev.opacity, edge.opacity)
-                else Opacity.OPAQUE,
-            )
-    return list(merged.values())
+        flags[src, dst] = flags.get((src, dst), 0) | explicit | transparent << 1
+    vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
+    opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
+    return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]

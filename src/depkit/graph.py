@@ -2,16 +2,18 @@
 
 A graph is stored as bit rows over node positions: per node, the nodes it
 directly depends on, and which of those edges are transparent and which
-explicit.  The edge list is derived from the rows when first read.
-Graphs are immutable after construction.  Nodes keep corpus order, which
-is a topological witness (edges always point at earlier nodes), so every
-closure is one pass of bit-row unions (``_closure``): over the rows for
-reachability, over the transposed rows, last node first, for reverse
-reachability, and over the transparent and the explicit rows for the
-attributes of closure-only edges (an indirect dependency is transparent or
-explicit exactly when some witnessing path is all-transparent or
-all-explicit).  Closures are bitsets at every graph size, n*n/8 bytes at
-most; a rebuild plan needs the reverse bitsets in any case.
+explicit.  ``DepGraph`` ORs edge records into the rows; a transitive closure
+and a file projection (per file, the OR of its items' rows, mapped to file
+bits) are built from rows by the same constructor.  The edge list is derived
+from the rows when first read.  Graphs are immutable after construction.
+Nodes keep corpus order, which is a topological witness (edges always point
+at earlier nodes), so every closure is one pass of bit-row unions
+(``_closure``): over the rows for reachability, over the transposed rows,
+last node first, for reverse reachability, and over the transparent and the
+explicit rows for the attributes of closure-only edges (an indirect
+dependency is transparent or explicit exactly when some witnessing path is
+all-transparent or all-explicit).  Closures are bitsets at every graph size,
+n*n/8 bytes at most; a rebuild plan needs the reverse bitsets in any case.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from statistics import median
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, bit_positions
-from .errors import CycleDetectedError, UnknownItemError
+from .errors import CycleDetectedError, DepkitError, UnknownItemError
 
 
 class Granularity(str, Enum):
@@ -108,18 +110,17 @@ class DepGraph:
         files: dict[str, str] | None = None,
         opacities: dict[str, Opacity] | None = None,
     ):
-        self.granularity = granularity
-        self.nodes: tuple[str, ...] = tuple(nodes)
-        self.kinds = dict(kinds or {})
-        self.files = dict(files or {})
-        self.opacities = dict(opacities or {})
-        self._index = {name: i for i, name in enumerate(self.nodes)}
-        if len(self._index) != len(self.nodes):
+        nodes = tuple(nodes)
+        index = {name: i for i, name in enumerate(nodes)}
+        if len(index) != len(nodes):
             raise ValueError("duplicate node names")
 
-        deps, transparent, explicit = ([0] * len(self.nodes) for _ in range(3))
+        deps, transparent, explicit = rows = [[0] * len(nodes) for _ in range(3)]
         for edge in edges:
-            si, di = self.index_of(edge.src), self.index_of(edge.dst)
+            try:
+                si, di = index[edge.src], index[edge.dst]
+            except KeyError as err:
+                raise UnknownItemError(err.args[0]) from None
             if si <= di:
                 raise CycleDetectedError(
                     f"edge {edge.src} -> {edge.dst} does not point at an earlier node; "
@@ -131,16 +132,25 @@ class DepGraph:
                 transparent[si] |= bit
             if edge.visibility is Visibility.EXPLICIT:
                 explicit[si] |= bit
-        self._set_rows(deps, transparent, explicit)
+        self._init_rows(nodes, index, rows, granularity, kinds, files, opacities)
 
-    def _set_rows(self, deps: list[int], transparent: list[int], explicit: list[int]) -> None:
-        self.deps: tuple[int, ...] = tuple(deps)
-        self.transparent: tuple[int, ...] = tuple(transparent)
-        self.explicit: tuple[int, ...] = tuple(explicit)
+    def _init_rows(
+        self, nodes, index, rows, granularity, kinds=None, files=None, opacities=None
+    ) -> DepGraph:
+        """The one constructor from bit rows (``deps``, ``transparent``, ``explicit``);
+        ``index`` maps each of the distinct ``nodes`` to its position."""
+        self.granularity = granularity
+        self.nodes: tuple[str, ...] = nodes
+        self._index = index
+        self.kinds = dict(kinds or {})
+        self.files = dict(files or {})
+        self.opacities = dict(opacities or {})
+        self.deps, self.transparent, self.explicit = (tuple(row) for row in rows)
         self._edges: tuple[DepEdge, ...] | None = None
         self._reach: list[int] | None = None
         self._rev_reach: list[int] | None = None
         self._file_scope_bits: tuple[list[int], list[int], list[int]] | None = None
+        return self
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -194,6 +204,41 @@ class DepGraph:
             self._rev_reach = _closure(users, reversed(range(len(self.nodes))))
         return self._rev_reach
 
+    def _file_projection(self) -> tuple[DepGraph, list[int], list[int]]:
+        """The file graph (files in first-item order), each node's file
+        position, and each file's item mask.  For each of the three rows, a
+        file's row is the OR of its items' rows, with the file's own items
+        masked out and every other item bit mapped to the bit of its file."""
+        if not self.files.keys() >= set(self.nodes):
+            raise DepkitError("file granularity needs a file map that covers every item")
+        file_names = [self.files[name] for name in self.nodes]
+        file_index = {file: f for f, file in enumerate(dict.fromkeys(file_names))}
+        file_of = [file_index[file] for file in file_names]
+        own = [0] * len(file_index)
+        for i, f in enumerate(file_of):
+            own[f] |= 1 << i
+
+        def project(rows: Sequence[int]) -> list[int]:
+            merged = [0] * len(own)
+            for f, row in zip(file_of, rows):
+                merged[f] |= row
+            out = []
+            for f, bits in enumerate(merged):
+                file_bits = 0
+                for j in bit_positions(bits & ~own[f]):
+                    file_bits |= 1 << file_of[j]
+                out.append(file_bits)
+            return out
+
+        deps = project(self.deps)
+        if any(bits >> f for f, bits in enumerate(deps)):
+            raise CycleDetectedError("file order is not a topological witness")
+        rows = (deps, project(self.transparent), project(self.explicit))
+        file_g = DepGraph.__new__(DepGraph)._init_rows(
+            tuple(file_index), file_index, rows, Granularity.FILE
+        )
+        return file_g, file_of, own
+
     def _file_scopes(self) -> tuple[list[int], list[int], list[int]]:
         """Item bitsets for whole-file invalidation, built once per graph.
 
@@ -202,11 +247,7 @@ class DepGraph:
         the items of every file that transitively depends on it.
         """
         if self._file_scope_bits is None:
-            file_g = DepGraph(*_project_files(self.nodes, self.files, self.edges), Granularity.FILE)
-            file_of = [file_g._index[self.files[name]] for name in self.nodes]
-            own = [0] * len(file_g.nodes)
-            for i, f in enumerate(file_of):
-                own[f] |= 1 << i
+            file_g, file_of, own = self._file_projection()
             dependents = []
             for bits in file_g.reverse_reach():
                 items = 0
@@ -229,30 +270,6 @@ def _closure(rows: list[int], order: Iterable[int]) -> list[int]:
     return rows
 
 
-def _project_files(
-    nodes: Sequence[str], files: dict[str, str], edges: Iterable[DepEdge]
-) -> tuple[list[str], list[DepEdge]]:
-    """File nodes in first-item order, and every cross-file item edge lifted
-    to its pair of files (``DepGraph`` ORs duplicates into one edge)."""
-    lifted = []
-    for edge in edges:
-        for end in edge.pair():
-            if end not in files:
-                raise UnknownItemError(end)
-        src_file, dst_file = files[edge.src], files[edge.dst]
-        if src_file != dst_file:
-            lifted.append(DepEdge(src_file, dst_file, edge.visibility, edge.opacity))
-    return list(dict.fromkeys(files[name] for name in nodes)), lifted
-
-
-def _nodes_from_corpus(corpus: Corpus):
-    nodes = [item.name for item in corpus.items]
-    kinds = {item.name: item.kind for item in corpus.items}
-    files = {item.name: item.source_file for item in corpus.items}
-    opacities = {item.name: item.opacity for item in corpus.items}
-    return nodes, kinds, files, opacities
-
-
 def build_graph(
     corpus: Corpus,
     edges: Iterable[DepEdge],
@@ -260,17 +277,23 @@ def build_graph(
 ) -> DepGraph:
     """Item-level graph as-is, or the projection onto source files.
 
-    At file granularity an edge A -> B appears whenever any item of A
-    depends on any item of B; edges inside one file are dropped.  The
-    projected edge is transparent or explicit when any contributing item
-    edge is.
+    At file granularity the item graph is built first, so its checks hold
+    for every record, and then projected: an edge A -> B appears whenever
+    any item of A depends on any item of B, edges inside one file are
+    dropped, and the projected edge is transparent or explicit when any
+    contributing item edge is.
     """
-    nodes, kinds, files, opacities = _nodes_from_corpus(corpus)
-    granularity = Granularity(granularity)
-    if granularity is Granularity.ITEM:
-        return DepGraph(nodes, edges, granularity, kinds=kinds, files=files, opacities=opacities)
-
-    return DepGraph(*_project_files(nodes, files, edges), granularity)
+    g = DepGraph(
+        [item.name for item in corpus.items],
+        edges,
+        Granularity.ITEM,
+        kinds={item.name: item.kind for item in corpus.items},
+        files={item.name: item.source_file for item in corpus.items},
+        opacities={item.name: item.opacity for item in corpus.items},
+    )
+    if Granularity(granularity) is Granularity.ITEM:
+        return g
+    return g._file_projection()[0]
 
 
 def build_graph_from_edges(edges: Iterable[DepEdge]) -> DepGraph:
@@ -311,9 +334,10 @@ def transitive_closure(g: DepGraph) -> DepGraph:
         closed = _closure(list(rows), range(len(g.nodes)))
         return [c & ~d | r for c, d, r in zip(closed, g.deps, rows)]
 
-    closure = DepGraph(g.nodes, (), g.granularity, kinds=g.kinds, files=g.files, opacities=g.opacities)
-    closure._set_rows(g.reach(), attribute(g.transparent), attribute(g.explicit))
-    return closure
+    rows = (g.reach(), attribute(g.transparent), attribute(g.explicit))
+    return DepGraph.__new__(DepGraph)._init_rows(
+        g.nodes, g._index, rows, g.granularity, g.kinds, g.files, g.opacities
+    )
 
 
 def stats(g: DepGraph) -> GraphStats:

@@ -90,6 +90,18 @@ class BayesModel:
         )
 
 
+def _check_dependencies(corpus: Corpus, deps_by_item: dict[str, tuple[str, ...]]) -> None:
+    """Both ends of every dependency must be corpus items, the target the earlier one."""
+    bad = [
+        f"{src} -> {dst}"
+        for src, targets in deps_by_item.items()
+        for dst in targets
+        if src not in corpus or dst not in corpus or corpus.index_of(dst) >= corpus.index_of(src)
+    ]
+    if bad:
+        raise CorpusMismatchError(f"dependencies do not match the corpus: {bad[:3]}")
+
+
 def train(
     corpus: Corpus,
     deps_by_item: dict[str, tuple[str, ...]],
@@ -99,13 +111,11 @@ def train(
 
     ``deps_by_item`` maps item names to dependency targets (as produced by
     ``dependency_map``, which is also where implicit edges can be filtered
-    out); names outside the corpus are a mismatch error.
+    out); names outside the corpus and later targets are a mismatch error.
     """
     if upto > len(corpus.items):
         raise CorpusMismatchError(f"training horizon {upto} exceeds corpus size {len(corpus.items)}")
-    unknown = set(deps_by_item) - {item.name for item in corpus.items}
-    if unknown:
-        raise CorpusMismatchError(f"dependencies reference unknown items: {sorted(unknown)[:3]}")
+    _check_dependencies(corpus, deps_by_item)
     model = BayesModel()
     for item in corpus.items[:upto]:
         model.update(features_of(item).counts(), deps_by_item.get(item.name, ()))
@@ -176,9 +186,7 @@ def evaluate_chrono(
     same candidates is reported alongside when ``baseline_seed`` is given.
     """
     deps_by_item = dependency_map(edges, explicit_only=explicit_only)
-    unknown = set(deps_by_item) - {item.name for item in corpus.items}
-    if unknown:
-        raise CorpusMismatchError(f"dependencies reference unknown items: {sorted(unknown)[:3]}")
+    _check_dependencies(corpus, deps_by_item)
 
     ks = sorted(set(int(k) for k in k_values))
     recall_sums = {k: 0.0 for k in ks}
@@ -240,6 +248,7 @@ def export_problems(
     their kinds; with k = 0 only the conjecture line is written.
     """
     deps_by_item = dependency_map(edges, explicit_only=explicit_only)
+    _check_dependencies(corpus, deps_by_item)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -83,11 +83,12 @@ def split_reservations(items: Sequence[Item]) -> list[Item]:
 
 def normalize_items(items: Sequence[Item]) -> tuple[list[Item], dict[str, RewriteReport]]:
     """Run the three rewrites and report per-file counts and fresh labels."""
-    reports: dict[str, RewriteReport] = {}
+    by_file: dict[str, list[Item]] = {}
     for item in items:
-        reports.setdefault(item.source_file, RewriteReport())
+        by_file.setdefault(item.source_file, []).append(item)
+    reports = {rel: RewriteReport() for rel in by_file}
     for rel, report in reports.items():
-        in_file = [it for it in items if it.source_file == rel]
+        in_file = by_file[rel]
         report.blocks_split = len({it.block_id for it in in_file if it.block_id is not None})
         report.links_rewritten = sum(1 for it in in_file if it.linked)
         report.reservations_split = sum(

@@ -65,7 +65,8 @@ def plan(
     granularity: Granularity = Granularity.ITEM,
     honor_opacity: bool = False,
 ) -> RebuildPlan:
-    """Topologically ordered re-check list for one set of edits."""
+    """Topologically ordered re-check list for one set of edits; a file
+    plan needs the graph's file map, else ``DepkitError``."""
     if g.granularity is not Granularity.ITEM:
         raise ValueError("plan requires the item-granularity graph")
     granularity = Granularity(granularity)
@@ -161,16 +162,13 @@ def execute(plan_: RebuildPlan, corpus: Corpus, reminimize: bool = False) -> Exe
     )
 
 
-def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42, jobs: int = 1) -> dict:
+def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
     """Plan costs for random single-item edits at both granularities.
 
     Draws ``samples`` items uniformly (with replacement, seeded); when
     ``samples`` equals the node count every node is used exactly once
     instead (exhaustive mode).  All edits are statement-level, the
-    worst case for invalidation.  ``jobs`` is accepted and never changes
-    anything: plans run serially, because planning is pure Python that
-    holds the interpreter lock, and a thread pool measured slower than one
-    thread.
+    worst case for invalidation.
     """
     if not g.nodes:
         raise DepkitError("speedup needs a graph with at least one item")

@@ -351,6 +351,39 @@ def test_deps_record_without_vis_exits_one_with_position(tmp_path, capsys):
     assert f"{deps}:2:" in err and "vis" in err
 
 
+@pytest.mark.parametrize("end", [{"from": ["t"]}, {"from": 1}, {"to": None}])
+def test_deps_record_with_non_string_end_exits_one_with_position(tmp_path, capsys, end):
+    deps, lines = _deps_lines(tmp_path, capsys)
+    lines[1] = json.dumps({**json.loads(lines[1]), **end})
+    deps.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["stats", str(deps)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"depkit: error: {deps}:2: malformed edge record") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,line,end,name",
+    [
+        ("eval", 2, "to", "ghost"),  # unknown target
+        ("eval", 2, "to", "t"),  # a target that is not earlier than its source
+        ("export", 0, "from", "ghost"),  # unknown source
+        ("export", 2, "to", "ghost"),
+    ],
+)
+def test_learn_rejects_deps_that_do_not_match_the_corpus(
+    tmp_path, capsys, command, line, end, name
+):
+    deps, lines = _deps_lines(tmp_path, capsys)
+    lines[line] = json.dumps({**json.loads(lines[line]), end: name})
+    deps.write_text("\n".join(lines) + "\n")
+    problems = tmp_path / "problems"
+    argv = ["learn", command, str(FIXTURES / "redundant_hint"), "--deps", str(deps)]
+    code, out, err = run(argv + (["-o", str(problems)] if command == "export" else []), capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("depkit: error: dependencies do not match the corpus") and name in err
+    assert not problems.exists()
+
+
 def test_non_utf8_source_exits_one_with_path(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

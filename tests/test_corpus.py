@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from depkit.corpus import (
     Corpus,
@@ -14,6 +17,7 @@ from depkit.corpus import (
     Opacity,
     RejectReason,
     Visibility,
+    _fresh_label_index,
     bit_positions,
     parse_corpus,
     parse_source,
@@ -156,6 +160,35 @@ def test_anonymous_names_skip_existing_labels():
     items = parse_source(src, "fresh.art")
     assert items[0].name == "__n0_fresh" and not items[0].anonymous
     assert items[1].name == "__n1_fresh" and items[1].anonymous
+
+
+def test_fresh_labels_of_a_tag_with_digits_and_underscores():
+    """``sec_2/part_10.art`` has the tag ``sec_2_part_10``: a fresh label
+    is ``__n``, decimal digits, ``_`` and that whole tag, nothing else."""
+    src = "thm __n7_sec_2_part_10 : ;\nthm : ;\nthm __n0_sec_2_part_10 : ;\n"
+    items = parse_source(src, "sec_2/part_10.art")
+    assert [it.name for it in items] == [
+        "__n7_sec_2_part_10", "__n1_sec_2_part_10", "__n0_sec_2_part_10"
+    ]
+    for bad in (
+        "__n7_sec_2_part_1",
+        "__n7_2_part_10",
+        "__n_sec_2_part_10",
+        "__n7x_sec_2_part_10",
+        "__n7__sec_2_part_10",
+        "__nsec_2_part_10",
+    ):
+        with pytest.raises(ParseError):
+            parse_source(f"def {bad} := lit;", "sec_2/part_10.art")
+
+
+@given(
+    name=st.text(alphabet="_n0123456789a\u0663", max_size=12),
+    tag=st.text(alphabet="_n0123456789a", max_size=5),
+)
+def test_fresh_label_index_matches_the_label_regex(name, tag):
+    match = re.fullmatch(rf"__n(\d+)_{re.escape(tag)}", name)
+    assert _fresh_label_index(name, tag) == (int(match.group(1)) if match else None)
 
 
 # Checker ---------------------------------------------------------------------

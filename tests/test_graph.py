@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from depkit import extract
 from depkit.corpus import Corpus, DepEdge, Opacity, Visibility, parse_source
 from depkit.errors import CycleDetectedError, UnknownItemError
 from depkit.extract import edge_record, extract_corpus, read_edges_jsonl, trace_extract
@@ -119,8 +120,33 @@ def test_unknown_item_rejected(redundant_hint_corpus):
 
 
 def test_forward_edge_rejected(redundant_hint_corpus):
-    with pytest.raises(CycleDetectedError):
-        build_graph(redundant_hint_corpus, [_edge("f", "t")])
+    """A forward edge or a self-edge, at file granularity too, although both
+    ends lie in one file."""
+    for granularity in Granularity:
+        for edge in (_edge("f", "t"), _edge("t", "t")):
+            with pytest.raises(CycleDetectedError):
+                build_graph(redundant_hint_corpus, [edge], granularity)
+
+
+def test_read_edges_builds_one_edge_per_distinct_pair(tmp_path, monkeypatch):
+    records = [
+        _edge("c", "a", Visibility.IMPLICIT, Opacity.OPAQUE),
+        _edge("b", "a"),
+        _edge("c", "a", Visibility.IMPLICIT),
+        _edge("c", "b"),
+        _edge("c", "a", opa=Opacity.OPAQUE),
+    ]
+    path = tmp_path / "deps.jsonl"
+    path.write_text("".join(edge_record(e, m) + "\n" for m in ("trace", "min") for e in records))
+    built = []
+
+    def counting_edge(*args):
+        built.append(args)
+        return DepEdge(*args)
+
+    monkeypatch.setattr(extract, "DepEdge", counting_edge)
+    assert read_edges_jsonl(path) == [_edge("c", "a"), _edge("b", "a"), _edge("c", "b")]
+    assert len(built) == 3
 
 
 def test_build_graph_from_edges_topologically_sorts():

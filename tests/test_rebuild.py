@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from depkit.corpus import Corpus, ItemKind, Opacity, parse_source
-from depkit.errors import UnknownItemError
+from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
+from depkit.errors import CycleDetectedError, DepkitError, UnknownItemError
 from depkit.extract import extract_corpus, trace_extract
 from depkit.gen import FAMILIES, generate_corpus
-from depkit.graph import Granularity, build_graph, stats
+from depkit.graph import DepGraph, Granularity, build_graph, build_graph_from_edges, stats
 from depkit.normalize import normalize_corpus
 from depkit.rebuild import (
     ChangeKind,
@@ -31,6 +31,10 @@ def _generated(items: int, seed: int, family: str = "mixed", per_file: int = 10)
     raw = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
     corpus, _ = normalize_corpus(raw)
     return corpus, build_graph(corpus, trace_extract(corpus))
+
+
+def _dep(src: str, dst: str) -> DepEdge:
+    return DepEdge(src, dst, Visibility.EXPLICIT, Opacity.TRANSPARENT)
 
 
 # plan ------------------------------------------------------------------------
@@ -255,6 +259,40 @@ def test_execute_with_reminimize(five_file_corpus):
     g = build_graph(corpus, trace_extract(corpus))
     p = plan(g, ChangeSet.single("nat"))
     assert execute(p, corpus, reminimize=True).failed == ()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph_from_edges(trace_extract(corpus_from("def a := lit;\nthm t : uses a by a;\n"))),
+        DepGraph(["a", "t"], [], Granularity.ITEM),
+    ],
+    ids=["from-edges", "no-edges"],
+)
+def test_file_plans_need_the_file_map(g):
+    with pytest.raises(DepkitError, match="file map"):
+        plan(g, ChangeSet.single("a"), Granularity.FILE)
+    with pytest.raises(DepkitError, match="file map"):
+        speedup_report(g, samples=2)
+
+
+def test_file_plans_reject_files_out_of_topological_order():
+    """Interleaved files whose items depend on each other both ways."""
+    files = {"a": "f1.art", "b": "f2.art", "c": "f1.art"}
+    g = DepGraph(["a", "b", "c"], [_dep("b", "a"), _dep("c", "b")], Granularity.ITEM, files=files)
+    with pytest.raises(CycleDetectedError):
+        plan(g, ChangeSet.single("a"), Granularity.FILE)
+
+
+def test_file_projection_and_file_plans_never_read_edges(five_file_corpus, monkeypatch):
+    """Both are built from the item graph's bit rows."""
+    corpus, _ = normalize_corpus(five_file_corpus)
+    edges = trace_extract(corpus)
+    g = build_graph(corpus, edges)
+    monkeypatch.setattr(DepGraph, "edges", property(lambda self: pytest.fail("read .edges")))
+    build_graph(corpus, edges, Granularity.FILE)
+    for item in corpus.items:
+        plan(g, ChangeSet.single(item.name), Granularity.FILE)
 
 
 # speedup_report --------------------------------------------------------------
