@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -215,6 +216,23 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_finite_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _cutoffs(text: str) -> list[int]:
     """Comma-separated positive integers, as in ``--k 1,10,50``."""
     return [_positive_int(part) for part in text.split(",") if part]
@@ -313,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--deps", required=True)
     q.add_argument("--k", type=_cutoffs, default="1,10,50", help="comma-separated cutoffs")
     q.add_argument("--seed", type=int, default=42, help="random baseline seed")
-    q.add_argument("--alpha", type=float, default=1.0)
-    q.add_argument("--weight", type=float, default=1.0)
+    q.add_argument("--alpha", type=_positive_finite_float, default=1.0)
+    q.add_argument("--weight", type=_finite_float, default=1.0)
     q.add_argument("--explicit-only", action="store_true")
     _add_method(q)
     q.set_defaults(func=_cmd_learn_eval)
@@ -324,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--deps", required=True)
     q.add_argument("--k", type=_positive_int, default=10)
     q.add_argument("-o", "--output", required=True)
-    q.add_argument("--alpha", type=float, default=1.0)
-    q.add_argument("--weight", type=float, default=1.0)
+    q.add_argument("--alpha", type=_positive_finite_float, default=1.0)
+    q.add_argument("--weight", type=_finite_float, default=1.0)
     q.add_argument("--explicit-only", action="store_true")
     _add_method(q)
     q.set_defaults(func=_cmd_learn_export)

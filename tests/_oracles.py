@@ -2,15 +2,21 @@
 
 Everything here is deliberately naive: full subset enumeration for minimal
 environments, plain DFS for reachability, straightforward recounting for
-model training.  The oracles never share code paths with the functions
-they check.
+model training, scoring every candidate and sorting for premise ranking.
+The oracles never share code paths with the functions they check; the
+ranking oracles share only training, the feature and dependency maps and
+``score_premise``, whose floats the sparse ranking must reproduce bit for
+bit.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from pathlib import Path
 
 from depkit.corpus import Corpus, Environment, Item, ItemKind, KIND_FIELDS, RejectReason
+from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
 
 
 def env_candidates(env: Environment) -> list[tuple[str, str]]:
@@ -200,3 +206,97 @@ def tally_training_counts(corpus: Corpus, deps_by_item: dict, upto: int):
             for premise in deps:
                 cooc[(feature, premise)] += count
     return dict(prior), dict(cooc), vocab
+
+
+def rank_by_full_sort(
+    model: BayesModel, conjecture: str, features: Counter, candidates, corpus: Corpus,
+    alpha: float = 1.0, weight: float = 1.0,
+) -> RankedPremises:
+    """Score every candidate, then sort by score, ties by earlier corpus order."""
+    scored = [
+        (score_premise(model, name, features, alpha, weight), corpus.index_of(name), name)
+        for name in candidates
+    ]
+    scored.sort(key=lambda entry: (-entry[0], entry[1]))
+    return RankedPremises(
+        conjecture=conjecture,
+        ranking=tuple((name, score) for score, _, name in scored),
+    )
+
+
+def evaluate_chrono_by_full_sort(
+    corpus: Corpus, edges, k_values, alpha: float = 1.0, weight: float = 1.0,
+    explicit_only: bool = False, baseline_seed: int | None = None,
+) -> dict:
+    """``evaluate_chrono`` with every theorem ranked by ``rank_by_full_sort``."""
+    deps_by_item = dependency_map(edges, explicit_only=explicit_only)
+    ks = sorted(set(int(k) for k in k_values))
+    recall_sums = {k: 0.0 for k in ks}
+    baseline_sums = {k: 0.0 for k in ks} if baseline_seed is not None else None
+    rng = random.Random(baseline_seed) if baseline_seed is not None else None
+    rank_positions: list[int] = []
+    evaluated = 0
+
+    model = BayesModel()
+    names: list[str] = []
+    for item in corpus.items:
+        true_deps = set(deps_by_item.get(item.name, ()))
+        if item.kind is ItemKind.THEOREM and true_deps:
+            ranked = rank_by_full_sort(
+                model, item.name, features_of(item).counts(), names, corpus, alpha, weight
+            ).names()
+            position = {name: pos for pos, name in enumerate(ranked, start=1)}
+            for k in ks:
+                top = set(ranked[:k])
+                recall_sums[k] += len(top & true_deps) / len(true_deps)
+            rank_positions.extend(position[name] for name in true_deps)
+            if rng is not None:
+                shuffled = list(names)
+                rng.shuffle(shuffled)
+                for k in ks:
+                    top = set(shuffled[:k])
+                    baseline_sums[k] += len(top & true_deps) / len(true_deps)
+            evaluated += 1
+        model.update(features_of(item).counts(), deps_by_item.get(item.name, ()))
+        names.append(item.name)
+
+    result = {
+        "evaluated": evaluated,
+        "recall_at_k": {k: (recall_sums[k] / evaluated if evaluated else 0.0) for k in ks},
+        "mean_rank": (sum(rank_positions) / len(rank_positions)) if rank_positions else 0.0,
+    }
+    if baseline_sums is not None:
+        result["baseline_recall_at_k"] = {
+            k: (baseline_sums[k] / evaluated if evaluated else 0.0) for k in ks
+        }
+        result["baseline_seed"] = baseline_seed
+    return result
+
+
+def export_problems_by_full_sort(
+    corpus: Corpus, edges, k: int, out_dir, alpha: float = 1.0, weight: float = 1.0,
+    explicit_only: bool = False,
+) -> list[Path]:
+    """``export_problems`` with every theorem ranked by ``rank_by_full_sort``."""
+    deps_by_item = dependency_map(edges, explicit_only=explicit_only)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+
+    model = BayesModel()
+    names: list[str] = []
+    for item in corpus.items:
+        if item.kind is ItemKind.THEOREM:
+            ranked = rank_by_full_sort(
+                model, item.name, features_of(item).counts(), names, corpus, alpha, weight
+            ).names()
+            lines = [f"conjecture {item.name}"]
+            lines.extend(
+                f"premise {name} {corpus.item(name).kind.value}" for name in ranked[:k]
+            )
+            path = out_dir / f"{item.name}.prb"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            written.append(path)
+        model.update(features_of(item).counts(), deps_by_item.get(item.name, ()))
+        names.append(item.name)
+    return written

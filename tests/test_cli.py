@@ -321,6 +321,22 @@ def test_bad_cutoff_exits_two(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize(
+    "option",
+    ["--alpha=0", "--alpha=-1", "--alpha=nan", "--alpha=inf", "--alpha=x",
+     "--weight=nan", "--weight=inf", "--weight=-inf"],
+)
+def test_alpha_or_weight_that_give_no_order_exit_two(capsys, command, option):
+    argv = ["learn", command, "corpus", "--deps", "d.jsonl", option]
+    if command == "export":
+        argv += ["-o", "out"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option.split("=")[0] in capsys.readouterr().err
+
+
 def _deps_lines(tmp_path, capsys) -> tuple:
     deps = tmp_path / "d.jsonl"
     run(["extract", str(FIXTURES / "redundant_hint"), "-o", str(deps)], capsys)

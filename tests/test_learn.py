@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from depkit.corpus import Corpus, parse_source
+from depkit.corpus import Corpus, ItemKind, parse_source
 from depkit.errors import CorpusMismatchError
 from depkit.extract import trace_extract
-from depkit.gen import generate_corpus
+from depkit.gen import FAMILIES, generate_corpus
 from depkit.learn import (
     BayesModel,
+    _Ranker,
     dependency_map,
     evaluate_chrono,
     export_problems,
@@ -25,12 +27,17 @@ from depkit.learn import (
 )
 from depkit.normalize import normalize_corpus
 
-from _oracles import tally_training_counts
+from _oracles import (
+    evaluate_chrono_by_full_sort,
+    export_problems_by_full_sort,
+    rank_by_full_sort,
+    tally_training_counts,
+)
 from conftest import corpus_from
 
 
-def _symbol_corpus(items=1000, seed=42) -> tuple[Corpus, list]:
-    files = generate_corpus(items=items, seed=seed, family="symbols")
+def _generated_corpus(items=1000, seed=42, family="symbols") -> tuple[Corpus, list]:
+    files = generate_corpus(items=items, seed=seed, family=family)
     corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
     return corpus, trace_extract(corpus)
 
@@ -84,6 +91,50 @@ def test_train_is_incrementally_consistent(five_file_corpus):
         assert stepped.horizon == direct.horizon
 
 
+def test_ranking_indexes_match_a_rebuild(five_file_corpus):
+    """The model's inverted index and the ranker's prior buckets equal ones
+    rebuilt from ``cooccurrence`` and ``prior``, after ``train``, ``scaled``
+    and every stepwise ``update``, including one that lists a premise twice."""
+    corpus, _ = normalize_corpus(five_file_corpus)
+    deps = dependency_map(trace_extract(corpus))
+
+    def inverted(model):
+        out: dict[str, set[str]] = {}
+        for feature, premise in model.cooccurrence:
+            out.setdefault(feature, set()).add(premise)
+        return out
+
+    def buckets(model, names):
+        out: dict[int, list[int]] = {}
+        for name in names:
+            out.setdefault(model.prior.get(name, 0), []).append(corpus.index_of(name))
+        return {prior: sorted(positions) for prior, positions in out.items()}
+
+    def check(ranker, names):
+        assert ranker.model.premises == inverted(ranker.model)
+        assert ranker.buckets == buckets(ranker.model, names)
+        assert ranker.prior_of == {
+            position: prior for prior, positions in ranker.buckets.items() for position in positions
+        }
+
+    trained = train(corpus, deps, upto=len(corpus.items))
+    assert trained.premises and trained.premises == inverted(trained)
+    assert trained.scaled(3).premises == inverted(trained)
+
+    ranker = _Ranker(BayesModel(), corpus, 1.0, 1.0)
+    names: list[str] = []
+    for item in corpus.items:
+        ranker.update(features_of(item).counts(), deps.get(item.name, ()))
+        ranker.add(item.name)
+        names.append(item.name)
+        check(ranker, names)
+    first, second = names[:2]
+    before = ranker.model.prior.get(first, 0)
+    ranker.update(Counter({"fresh": 2}), [first, second, first])
+    assert ranker.model.prior[first] == before + 2
+    check(ranker, names)
+
+
 def test_explicit_only_filter_drops_hint_edges(redundant_hint_corpus):
     edges = trace_extract(redundant_hint_corpus)
     full = dependency_map(edges)
@@ -126,7 +177,7 @@ def test_rank_ties_break_by_corpus_order():
 
 
 def test_rank_is_permutation_invariant():
-    corpus, edges = _symbol_corpus(items=60, seed=9)
+    corpus, edges = _generated_corpus(items=60, seed=9)
     deps = dependency_map(edges)
     model = train(corpus, deps, upto=len(corpus.items))
     names = [it.name for it in corpus.items[:40]]
@@ -138,7 +189,7 @@ def test_rank_is_permutation_invariant():
 
 @given(st.integers(min_value=2, max_value=50))
 def test_rank_argsort_invariant_under_count_scaling(factor):
-    corpus, edges = _symbol_corpus(items=80, seed=4)
+    corpus, edges = _generated_corpus(items=80, seed=4)
     deps = dependency_map(edges)
     model = train(corpus, deps, upto=len(corpus.items))
     names = [it.name for it in corpus.items[:50]]
@@ -153,6 +204,94 @@ def test_rank_argsort_invariant_under_count_scaling(factor):
     shift = math.log(factor) * (1 + sum(features.values()) - sum(features.values()))
     for (_, s_base), (_, s_scaled) in zip(base.ranking, scaled.ranking):
         assert s_scaled - s_base == pytest.approx(math.log(factor), abs=1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sparse_ranking_matches_the_full_sort(family):
+    """For every theorem, the ranker's top k and the position of every true
+    dependency equal those of scoring and sorting every candidate, with the
+    conjecture's features and with none, for both dependency filters and
+    several pseudo-counts and weights (``symbols`` corpora are rich in ties)."""
+    corpus, edges = _generated_corpus(items=70, seed=11, family=family)
+    checked = 0
+    for explicit_only in (False, True):
+        deps = dependency_map(edges, explicit_only=explicit_only)
+        for alpha, weight in product((1.0, 0.5), (1.0, 2.0, 0.0)):
+            ranker = _Ranker(BayesModel(), corpus, alpha, weight)
+            names: list[str] = []
+            for item in corpus.items:
+                features = features_of(item).counts()
+                if item.kind is ItemKind.THEOREM:
+                    true_deps = deps.get(item.name, ())
+                    for conjecture in (features, Counter()):
+                        expected = rank_by_full_sort(
+                            ranker.model, item.name, conjecture, names, corpus, alpha, weight
+                        )
+                        n = len(names)
+                        for k in (1, 10, 50, n, n + 5):
+                            top = [
+                                (corpus.items[position].name, -key)
+                                for key, position in islice(ranker.order(conjecture), k)
+                            ]
+                            assert top == list(expected.ranking[:k]), (item.name, k)
+                        order = expected.names()
+                        assert ranker.positions(conjecture, true_deps) == [
+                            order.index(dep) + 1 for dep in true_deps
+                        ], item.name
+                        checked += len(true_deps)
+                ranker.update(features, deps.get(item.name, ()))
+                ranker.add(item.name)
+                names.append(item.name)
+            # the public ranking, over candidates that leave out trained premises
+            for item in corpus.items[::7]:
+                features = features_of(item).counts()
+                args = (ranker.model, item.name, features, names[::2], corpus, alpha, weight)
+                assert rank(*args) == rank_by_full_sort(*args)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chrono_and_export_equal_the_full_sort_loops(tmp_path, seed):
+    """Evaluation results and problem files equal those of the loops that
+    score and sort every candidate, on mixed corpora of 200-300 items."""
+    corpus, edges = _generated_corpus(items=150 + 50 * seed, seed=seed, family="mixed")
+    for alpha, weight, explicit_only in ((1.0, 1.0, False), (0.5, 2.0, True)):
+        options = dict(alpha=alpha, weight=weight, explicit_only=explicit_only)
+        result = evaluate_chrono(corpus, edges, [1, 10, 50], baseline_seed=seed, **options)
+        assert result["evaluated"] > 0
+        assert result == evaluate_chrono_by_full_sort(
+            corpus, edges, [1, 10, 50], baseline_seed=seed, **options
+        )
+        out, ref = tmp_path / f"sparse{alpha}", tmp_path / f"full{alpha}"
+        paths = export_problems(corpus, edges, 10, out, **options)
+        expected = export_problems_by_full_sort(corpus, edges, 10, ref, **options)
+        assert [p.name for p in paths] == [p.name for p in expected]
+        for path, ref_path in zip(paths, expected):
+            assert path.read_bytes() == ref_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, weight",
+    [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)],
+)
+def test_rankings_reject_alpha_or_weight_that_give_no_order(tmp_path, alpha, weight):
+    corpus, edges = _generated_corpus(items=20, seed=1)
+    with pytest.raises(ValueError):
+        evaluate_chrono(corpus, edges, [1], alpha=alpha, weight=weight)
+    with pytest.raises(ValueError):
+        export_problems(corpus, edges, 1, tmp_path / "out", alpha=alpha, weight=weight)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError):
+        rank(BayesModel(), "q", Counter(), [corpus.items[0].name], corpus, alpha, weight)
+
+
+def test_negative_cutoffs_are_rejected(tmp_path):
+    corpus, edges = _generated_corpus(items=20, seed=1)
+    with pytest.raises(ValueError):
+        evaluate_chrono(corpus, edges, [10, -1])
+    with pytest.raises(ValueError):
+        export_problems(corpus, edges, -1, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # evaluate_chrono -------------------------------------------------------------
@@ -194,20 +333,20 @@ def test_chrono_symbol_matched_corpus_reaches_full_recall_at_1():
 
 
 def test_chrono_k_at_least_corpus_size_gives_full_recall():
-    corpus, edges = _symbol_corpus(items=40, seed=3)
+    corpus, edges = _generated_corpus(items=40, seed=3)
     result = evaluate_chrono(corpus, edges, [len(corpus.items)])
     assert result["recall_at_k"][len(corpus.items)] == pytest.approx(1.0)
 
 
 def test_chrono_learner_beats_seeded_random_baseline():
-    corpus, edges = _symbol_corpus(items=300, seed=8)
+    corpus, edges = _generated_corpus(items=300, seed=8)
     result = evaluate_chrono(corpus, edges, [10], baseline_seed=123)
     assert result["recall_at_k"][10] > result["baseline_recall_at_k"][10]
 
 
 def test_chrono_never_consults_the_future(tmp_path):
     """Deleting the future changes nothing about earlier conjectures."""
-    corpus, edges = _symbol_corpus(items=30, seed=6)
+    corpus, edges = _generated_corpus(items=30, seed=6)
     for cut in (10, 20):
         prefix = Corpus(corpus.items[:cut])
         prefix_edges = [e for e in edges if corpus.index_of(e.src) < cut]
@@ -254,7 +393,7 @@ def test_export_lists_true_dependency_in_top_10(tmp_path):
 
 
 def test_export_is_deterministic(tmp_path):
-    corpus, edges = _symbol_corpus(items=50, seed=12)
+    corpus, edges = _generated_corpus(items=50, seed=12)
     out1, out2 = tmp_path / "one", tmp_path / "two"
     export_problems(corpus, edges, 5, out1)
     export_problems(corpus, edges, 5, out2)
