@@ -10,8 +10,12 @@ muArt is a tiny line-oriented proof-library language with five item kinds:
     defblock { def ... def ... }
     then thm ...                    (link to the preceding statement)
 
-Files use the ``.art`` extension, UTF-8, and ``#`` line comments.  ``lit``
-is the literal atom: a definition body of ``lit`` references nothing.
+Files use the ``.art`` extension and UTF-8.  The lexical rule: identifiers
+are ``[A-Za-z_][A-Za-z0-9_]*`` other than the keywords, punctuation is
+``:= : ; { } ,``, ``#`` starts a comment anywhere on a line, blanks separate
+tokens, and any other character is a ``ParseError`` at its line.  Lines end
+where ``str.splitlines`` ends them.  ``lit`` is the literal atom: a
+definition body of ``lit`` references nothing.
 
 The checker is a pure function of (item, environment).  It is deliberately
 monotone: growing an environment can never turn an accepted item into a
@@ -55,8 +59,17 @@ KEYWORDS = frozenset(
 # Namespace reserved for generated labels; user identifiers may not use it.
 FRESH_PREFIX = "__n"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"#[^\n]*|:=|[:;{},]|[A-Za-z_][A-Za-z0-9_]*|\S")
+# The lexical rule.  One match per token (group 1), comment, line break
+# (group 2; the boundaries of str.splitlines) or stray character (group 3);
+# blanks match nothing and are skipped.
+_TOKEN_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*|:=|[:;{},])"
+    r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+    r"|(\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
+    r"|(\S)"
+)
+# A token is an identifier exactly when it is none of these.
+_NOT_NAMES = KEYWORDS | {":=", ":", ";", "{", "}", ","}
 
 
 class ItemKind(str, Enum):
@@ -92,14 +105,6 @@ KIND_FIELDS = {
     ItemKind.NOTATION: "notations",
     ItemKind.HINT: "hints",
     ItemKind.RESERVATION: "reservations",
-}
-
-_DEFAULT_OPACITY = {
-    ItemKind.DEFINITION: Opacity.TRANSPARENT,
-    ItemKind.THEOREM: Opacity.OPAQUE,
-    ItemKind.NOTATION: Opacity.TRANSPARENT,
-    ItemKind.HINT: Opacity.TRANSPARENT,
-    ItemKind.RESERVATION: Opacity.TRANSPARENT,
 }
 
 
@@ -390,24 +395,20 @@ class CheckOutcome:
     trace: tuple[DepEdge, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    text: str
-    line: int
-
-
-def _tokenize(text: str, source_file: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for match in _TOKEN_RE.finditer(line):
-            tok = match.group(0)
-            if tok.startswith("#"):
-                break
-            if tok in (":=", ":", ";", "{", "}", ",") or _IDENT_RE.fullmatch(tok):
-                tokens.append(_Token(tok, lineno))
-            else:
-                raise ParseError(f"unexpected character {tok!r}", source_file, lineno)
-    return tokens
+def _tokenize(text: str, source_file: str) -> tuple[list[str], list[int]]:
+    """The tokens of ``text`` and, in a parallel list, the line of each."""
+    tokens: list[str] = []
+    lines: list[int] = []
+    line = 1
+    for token, line_break, stray in _TOKEN_RE.findall(text):
+        if token:
+            tokens.append(token)
+            lines.append(line)
+        elif line_break:
+            line += 1
+        elif stray:
+            raise ParseError(f"unexpected character {stray!r}", source_file, line)
+    return tokens, lines
 
 
 def file_tag(relpath: str) -> str:
@@ -417,28 +418,30 @@ def file_tag(relpath: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source_file: str):
+    """Recursive descent over one file's tokens.  Each ``parse_*`` method
+    returns the fields its item kind sets; ``parse_items`` builds the items."""
+
+    def __init__(self, tokens: list[str], lines: list[int], source_file: str):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
         self.source_file = source_file
         self.tag = file_tag(source_file)
-        self.block_counter = 0
 
     def error(self, message: str) -> ParseError:
-        line = self.tokens[self.pos].line if self.pos < len(self.tokens) else (
-            self.tokens[-1].line if self.tokens else 1
-        )
+        lines = self.lines
+        line = lines[min(self.pos, len(lines) - 1)] if lines else 1
         return ParseError(message, self.source_file, line)
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> str:
         if self.pos >= len(self.tokens):
             raise self.error("unexpected end of file")
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok.text
+        return tok
 
     def expect(self, text: str) -> None:
         got = self.take()
@@ -448,7 +451,7 @@ class _Parser:
 
     def take_name(self, what: str = "identifier") -> str:
         tok = self.take()
-        if tok in KEYWORDS or not _IDENT_RE.fullmatch(tok):
+        if tok in _NOT_NAMES:
             self.pos -= 1
             raise self.error(f"expected {what}, found {tok!r}")
         if tok.startswith(FRESH_PREFIX) and _fresh_label_index(tok, self.tag) is None:
@@ -460,7 +463,7 @@ class _Parser:
 
     def at_name(self) -> bool:
         tok = self.peek()
-        return tok is not None and tok not in KEYWORDS and _IDENT_RE.fullmatch(tok) is not None
+        return tok is not None and tok not in _NOT_NAMES
 
     def take_opacity(self) -> Opacity | None:
         if self.peek() in ("opaque", "transparent"):
@@ -468,47 +471,49 @@ class _Parser:
         return None
 
     def parse_items(self) -> list[Item]:
-        items: list[Item] = []
+        parsed: list[tuple[dict, int | None]] = []  # fields and block id per item
+        blocks = 0
         while self.peek() is not None:
             if self.peek() == "defblock":
-                items.extend(self.parse_defblock(len(items)))
+                parsed += ((fields, blocks) for fields in self.parse_defblock())
+                blocks += 1
             else:
-                items.append(self.parse_item(len(items)))
-        return items
+                parsed.append((self.parse_item(), None))
+        return [
+            Item(**fields, source_file=self.source_file, index_in_file=index, block_id=block_id)
+            for index, (fields, block_id) in enumerate(parsed)
+        ]
 
-    def parse_defblock(self, base_index: int) -> list[Item]:
+    def parse_defblock(self) -> list[dict]:
         self.expect("defblock")
         self.expect("{")
-        block_id = self.block_counter
-        self.block_counter += 1
-        members: list[Item] = []
+        members: list[dict] = []
         while self.peek() != "}":
             if self.peek() != "def":
                 raise self.error("defblock may only contain definitions")
-            item = self.parse_def(base_index + len(members))
-            members.append(replace(item, block_id=block_id))
-        self.expect("}")
+            members.append(self.parse_def())
         if not members:
             raise self.error("empty defblock")
+        self.expect("}")
         return members
 
-    def parse_item(self, index: int) -> Item:
+    def parse_item(self) -> dict:
         tok = self.peek()
         if tok == "def":
-            return self.parse_def(index)
+            return self.parse_def()
         if tok in ("thm", "then"):
-            return self.parse_thm(index)
+            return self.parse_thm()
         if tok == "notation":
-            return self.parse_notation(index)
+            return self.parse_notation()
         if tok == "hint":
-            return self.parse_hint(index)
+            return self.parse_hint()
         if tok == "reserve":
-            return self.parse_reserve(index)
+            return self.parse_reserve()
         raise self.error(f"expected an item keyword, found {tok!r}")
 
-    def parse_def(self, index: int) -> Item:
+    def parse_def(self) -> dict:
         self.expect("def")
-        opacity = self.take_opacity() or _DEFAULT_OPACITY[ItemKind.DEFINITION]
+        opacity = self.take_opacity() or Opacity.TRANSPARENT
         name = self.take_name("definition name")
         stmt: list[str] = []
         if self.peek() == ":":
@@ -527,17 +532,15 @@ class _Parser:
             else:
                 raise self.error(f"unexpected token {self.peek()!r} in definition body")
         self.expect(";")
-        return Item(
+        return dict(
             name=name,
             kind=ItemKind.DEFINITION,
             statement_symbols=_dedup(stmt),
             body_symbols=_dedup(body),
             opacity=opacity,
-            source_file=self.source_file,
-            index_in_file=index,
         )
 
-    def parse_thm(self, index: int) -> Item:
+    def parse_thm(self) -> dict:
         linked = False
         if self.peek() == "then":
             self.take()
@@ -545,7 +548,7 @@ class _Parser:
             if self.peek() != "thm":
                 raise self.error("'then' may only prefix a theorem")
         self.expect("thm")
-        opacity = self.take_opacity() or _DEFAULT_OPACITY[ItemKind.THEOREM]
+        opacity = self.take_opacity() or Opacity.OPAQUE
         anonymous = not self.at_name()
         name = "" if anonymous else self.take_name("theorem name")
         self.expect(":")
@@ -574,7 +577,7 @@ class _Parser:
                     raise self.error("'by' requires 'auto' or at least one reference")
                 by_refs = _dedup(refs)
         self.expect(";")
-        return Item(
+        return dict(
             name=name,
             kind=ItemKind.THEOREM,
             statement_symbols=_dedup(stmt),
@@ -582,28 +585,19 @@ class _Parser:
             by_refs=by_refs,
             by_auto=by_auto,
             opacity=opacity,
-            source_file=self.source_file,
-            index_in_file=index,
             anonymous=anonymous,
             linked=linked,
         )
 
-    def parse_notation(self, index: int) -> Item:
+    def parse_notation(self) -> dict:
         self.expect("notation")
         name = self.take_name("notation name")
         self.expect("for")
         target = self.take_name("notation target")
         self.expect(";")
-        return Item(
-            name=name,
-            kind=ItemKind.NOTATION,
-            statement_symbols=(target,),
-            opacity=_DEFAULT_OPACITY[ItemKind.NOTATION],
-            source_file=self.source_file,
-            index_in_file=index,
-        )
+        return dict(name=name, kind=ItemKind.NOTATION, statement_symbols=(target,))
 
-    def parse_hint(self, index: int) -> Item:
+    def parse_hint(self) -> dict:
         self.expect("hint")
         name = self.take_name("hint name")
         self.expect("uses")
@@ -611,16 +605,9 @@ class _Parser:
         while self.at_name():
             syms.append(self.take_name())
         self.expect(";")
-        return Item(
-            name=name,
-            kind=ItemKind.HINT,
-            statement_symbols=_dedup(syms),
-            opacity=_DEFAULT_OPACITY[ItemKind.HINT],
-            source_file=self.source_file,
-            index_in_file=index,
-        )
+        return dict(name=name, kind=ItemKind.HINT, statement_symbols=_dedup(syms))
 
-    def parse_reserve(self, index: int) -> Item:
+    def parse_reserve(self) -> dict:
         self.expect("reserve")
         names = [self.take_name("reserved variable")]
         while self.peek() == ",":
@@ -628,18 +615,15 @@ class _Parser:
             names.append(self.take_name("reserved variable"))
         self.expect(":")
         type_sym = self.take_name("reservation type symbol")
-        self.expect(";")
         vars_ = _dedup(names)
         if len(vars_) != len(names):
             raise self.error("repeated variable in reservation")
-        return Item(
+        self.expect(";")
+        return dict(
             name=vars_[0],
             kind=ItemKind.RESERVATION,
             statement_symbols=(type_sym,),
             reserved_vars=vars_,
-            opacity=_DEFAULT_OPACITY[ItemKind.RESERVATION],
-            source_file=self.source_file,
-            index_in_file=index,
         )
 
 
@@ -677,7 +661,7 @@ def _assign_anonymous_names(items: list[Item], source_file: str) -> list[Item]:
 
 def parse_source(text: str, source_file: str = "memory.art") -> list[Item]:
     """Parse one file's source into items (names assigned, order preserved)."""
-    parser = _Parser(_tokenize(text, source_file), source_file)
+    parser = _Parser(*_tokenize(text, source_file), source_file)
     items = parser.parse_items()
     items = _assign_anonymous_names(items, source_file)
     seen: dict[str, Item] = {}
@@ -788,17 +772,22 @@ class Corpus:
             return CheckOutcome(False, reason, ())
         if not trace_requested:
             return CheckOutcome(True, None, ())
+        return CheckOutcome(True, None, self.dep_edges(item, resolved))
+
+    def dep_edges(self, item: Item, targets: Iterable[str]) -> tuple[DepEdge, ...]:
+        """One edge from ``item`` to each of ``targets``, in the order given:
+        explicit when the target occurs literally in the item's source,
+        with the target's opacity."""
         literal = item.literal_names()
-        trace = tuple(
+        return tuple(
             DepEdge(
                 src=item.name,
                 dst=target,
                 visibility=Visibility.EXPLICIT if target in literal else Visibility.IMPLICIT,
                 opacity=self._by_name[target].opacity,
             )
-            for target in resolved
+            for target in targets
         )
-        return CheckOutcome(True, None, trace)
 
     def accepts(self, item: Item, env: Environment) -> bool:
         """Fast verdict-only check (the minimization oracle)."""

@@ -185,17 +185,8 @@ def edges_from_minimization(corpus: Corpus, results: Sequence[MinimizationResult
     edges: list[DepEdge] = []
     for result in results:
         item = corpus.item(result.item_name)
-        literal = item.literal_names()
         targets = sorted(result.minimal_env.all_names(), key=corpus.index_of)
-        for target in targets:
-            edges.append(
-                DepEdge(
-                    src=item.name,
-                    dst=target,
-                    visibility=Visibility.EXPLICIT if target in literal else Visibility.IMPLICIT,
-                    opacity=corpus.item(target).opacity,
-                )
-            )
+        edges.extend(corpus.dep_edges(item, targets))
     return edges
 
 

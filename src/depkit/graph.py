@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
@@ -362,11 +363,11 @@ def kind_table(g: DepGraph) -> dict[str, dict[str, int]]:
 
 def reverse_cumulative(g: DepGraph) -> list[tuple[int, int]]:
     """Cumulative distribution of transitive reverse-dependent counts."""
-    counts = g.reverse_counts()
+    tally = Counter(g.reverse_counts())
     out: list[tuple[int, int]] = []
     running = 0
-    for threshold in sorted(set(counts)):
-        running += counts.count(threshold)
+    for threshold in sorted(tally):
+        running += tally[threshold]
         out.append((threshold, running))
     return out
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: full subset enumeration for minimal
 environments, plain DFS for reachability, straightforward recounting for
-model training, scoring every candidate and sorting for premise ranking.
+model training, scoring every candidate and sorting for premise ranking,
+one line at a time for tokenizing.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
@@ -12,11 +13,34 @@ bit.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 from depkit.corpus import Corpus, Environment, Item, ItemKind, KIND_FIELDS, RejectReason
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
+
+
+_LINE_TOKEN_RE = re.compile(r"#[^\n]*|:=|[:;{},]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def tokenize_by_lines(text: str) -> list[tuple[str, int]] | int:
+    """muArt tokens with their lines, or the line of the first stray character.
+
+    Each line of ``str.splitlines`` is scanned on its own; a ``#`` token ends
+    the line, and a token that is neither punctuation nor an identifier is a
+    stray character.
+    """
+    tokens: list[tuple[str, int]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in _LINE_TOKEN_RE.findall(line):
+            if tok.startswith("#"):
+                break
+            if tok not in (":=", ":", ";", "{", "}", ",") and not _IDENTIFIER_RE.fullmatch(tok):
+                return lineno
+            tokens.append((tok, lineno))
+    return tokens
 
 
 def env_candidates(env: Environment) -> list[tuple[str, str]]:

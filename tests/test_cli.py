@@ -224,12 +224,18 @@ def test_pipeline_is_deterministic_across_processes(tmp_path):
     import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
 
+    import depkit
+
+    # The children import the same depkit as this process.
+    src = str(Path(depkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
     for hash_seed in ("0", "4242"):
         base = tmp_path / f"seed{hash_seed}"
         base.mkdir()
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
 
         def cli(*argv):
             proc = subprocess.run(

@@ -7,7 +7,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from depkit.corpus import (
@@ -18,6 +18,7 @@ from depkit.corpus import (
     RejectReason,
     Visibility,
     _fresh_label_index,
+    _tokenize,
     bit_positions,
     parse_corpus,
     parse_source,
@@ -25,8 +26,9 @@ from depkit.corpus import (
     render_item,
 )
 from depkit.errors import DuplicateNameError, ParseError
-from depkit.gen import generate_corpus
+from depkit.gen import FAMILIES, generate_corpus
 
+from _oracles import tokenize_by_lines
 from conftest import corpus_from
 
 # One row per grammar production: source line -> the item fields it must yield.
@@ -95,10 +97,14 @@ def test_grammar_table_round_trip(source, expected):
 
 
 def test_defblock_members_are_items():
-    items = parse_source("defblock { def p := lit; def q : p := lit; }", "blk.art")
-    assert [it.name for it in items] == ["p", "q"]
-    assert items[0].block_id == items[1].block_id is not None
-    assert [it.index_in_file for it in items] == [0, 1]
+    items = parse_source(
+        "defblock { def p := lit; def q : p := lit; }\ndef r := lit;\n"
+        "defblock { def s := lit; }\ndefblock { def t := lit; }\n",
+        "blk.art",
+    )
+    assert [it.name for it in items] == ["p", "q", "r", "s", "t"]
+    assert [it.block_id for it in items] == [0, 0, None, 1, 2]
+    assert [it.index_in_file for it in items] == [0, 1, 2, 3, 4]
 
 
 def test_parse_corpus_orders_files_then_positions(tmp_path):
@@ -149,10 +155,50 @@ def test_parse_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "source,error",
+    [
+        ("defblock { }\ndef f := lit;\n", "x.art:1: empty defblock"),
+        ("reserve a, a : t;\n\n\ndef f := lit;\n", "x.art:1: repeated variable in reservation"),
+        # At end of file, the line of the last token.
+        ("def f := lit\n\n\n", "x.art:1: unterminated definition body"),
+        ("# c\n\ndef f := lit\n\n", "x.art:3: unterminated definition body"),
+    ],
+)
+def test_parse_error_names_the_line_of_the_faulty_item(source, error):
+    with pytest.raises(ParseError) as exc:
+        parse_source(source, "x.art")
+    assert str(exc.value) == error
+
+
+# Letters, digits, every punctuation character, a stray one, a non-ASCII
+# letter, blanks and line breaks (\r\n and the other str.splitlines ones).
+_LEXICAL_ALPHABET = "abdefz_AZ019:=;{},#~\u00e9 \t\n\r\v\f\x85\u2028"
+
+
+@given(st.text(alphabet=_LEXICAL_ALPHABET, max_size=40))
+@example("a\r\nb\n\rc\r\r\nd")
+@example("a#b\rc\vd#\x85e\u2028~")
+@example("\u00e9")
+def test_tokenize_matches_the_per_line_reference(text):
+    expected = tokenize_by_lines(text)
+    if isinstance(expected, int):
+        with pytest.raises(ParseError) as exc:
+            _tokenize(text, "lex.art")
+        assert exc.value.line == expected
+    else:
+        tokens, lines = _tokenize(text, "lex.art")
+        assert list(zip(tokens, lines)) == expected
+        assert len(tokens) == len(lines)
+
+
 def test_comments_and_blank_lines_are_ignored():
     src = "# heading\n\ndef f := lit;  # trailing\n"
     (item,) = parse_source(src, "c.art")
     assert item.name == "f"
+    # A comment glued to a token ends at the line break.
+    assert [it.name for it in parse_source("def f := lit;#c", "c.art")] == ["f"]
+    assert [it.name for it in parse_source("def f := lit;#c\rdef g := f;", "c.art")] == ["f", "g"]
 
 
 def test_anonymous_names_skip_existing_labels():
@@ -398,6 +444,13 @@ def test_render_round_trip_is_identity_on_canonical_sources():
         rendered = render_item(item)
         (again,) = parse_source(rendered, "rt.art")
         assert render_item(again) == rendered
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_render_file_round_trips_generated_files(family):
+    for rel, text in generate_corpus(items=80, seed=4, family=family, per_file=8).items():
+        items = parse_source(text, rel)
+        assert parse_source(render_file(items), rel) == items
 
 
 def test_render_file_regroups_blocks():

@@ -387,6 +387,22 @@ def test_reverse_cumulative_is_monotone(five_file_corpus):
     assert counts[-1] == len(g.nodes)
 
 
+def test_reverse_cumulative_matches_its_definition_on_a_generated_corpus():
+    """For each threshold t, the number of nodes with at most t reverse
+    dependents, with dependents counted by brute-force reachability."""
+    files = generate_corpus(items=150, seed=3, family="mixed")
+    raw = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+    corpus, _ = normalize_corpus(raw)
+    g = build_graph(corpus, trace_extract(corpus))
+    pairs = reachable_pairs_bruteforce(g.nodes, [e.pair() for e in g.edges])
+    dependents = {node: sum(1 for _, dst in pairs if dst == node) for node in g.nodes}
+    thresholds = sorted(set(dependents.values()))
+    assert len(thresholds) > 10
+    assert reverse_cumulative(g) == [
+        (t, sum(1 for count in dependents.values() if count <= t)) for t in thresholds
+    ]
+
+
 # load_set --------------------------------------------------------------------
 
 
