@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("-o", "--output", required=True, help="edge records (JSON lines)")
     p.add_argument("--mode", choices=("trace", "minimize", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; runs serially either way")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="accepted; runs serially either way"
+    )
     p.add_argument("--events", help="also write the per-item progress message stream")
     p.add_argument("--compare", help="also write the trace/minimize comparison report")
     p.add_argument(
@@ -319,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deps", required=True)
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, default=1, help="accepted; runs serially either way")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="accepted; runs serially either way"
+    )
     _add_method(p)
     p.set_defaults(func=_cmd_speedup)
 

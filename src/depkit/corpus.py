@@ -201,16 +201,37 @@ def bit_positions(bits: int) -> list[int]:
 
 class _Positions:
     """A position table: the name at each position, one mask per kind
-    (indexed by ``_SLOT``), and each name's position."""
+    (indexed by ``_SLOT``), and each name's position.  A corpus table also
+    lists each kind's positions in ascending order (``lists``, by slot); a
+    table built by name has no lists."""
 
-    __slots__ = ("names", "kinds", "_index")
+    __slots__ = ("names", "kinds", "lists", "_index")
 
     def __init__(
-        self, names: tuple[str, ...], kinds: tuple[int, ...], index: dict[str, int] | None = None
+        self,
+        names: tuple[str, ...],
+        kinds: tuple[int, ...],
+        index: dict[str, int] | None = None,
+        lists: tuple[list[int], ...] | None = None,
     ):
         self.names = names
         self.kinds = kinds
+        self.lists = lists
         self._index = index
+
+    def kind_positions(self, kind: ItemKind, bits: int) -> list[int]:
+        """The set positions of ``bits``, a submask of ``kind``'s mask, ascending.
+
+        When ``bits`` equals the kind mask cut at ``bits.bit_length()`` (a
+        candidate environment's kind bits before any ``restrict``), the
+        positions are the first ``bits.bit_count()`` entries of the kind's
+        list, and the result is a slice of it.  Any other mask, and every
+        mask over a table built by name, goes through ``bit_positions``.
+        """
+        slot = _SLOT[kind]
+        if self.lists is not None and bits == self.kinds[slot] & ((1 << bits.bit_length()) - 1):
+            return self.lists[slot][: bits.bit_count()]
+        return bit_positions(bits)
 
     @property
     def index(self) -> dict[str, int]:
@@ -300,6 +321,11 @@ class Environment:
     def kind_mask(self, kind: ItemKind) -> int:
         """The positions of ``kind`` present."""
         return self._mask & self._table.kinds[_SLOT[kind]]
+
+    def kind_positions(self, kind: ItemKind) -> list[int]:
+        """The table positions of this environment's ``kind`` names, ascending;
+        see ``_Positions.kind_positions`` for which masks take a slice."""
+        return self._table.kind_positions(kind, self.kind_mask(kind))
 
     def with_mask(self, mask: int) -> "Environment":
         """The environment over the same table with positions ``mask``."""
@@ -687,6 +713,7 @@ class Corpus:
         self._by_name: dict[str, Item] = {}
         self._order: dict[str, int] = {}
         kinds = [0] * len(_SLOT)
+        lists: tuple[list[int], ...] = tuple([] for _ in _SLOT)
         # Checker indexes.  Positions of the names a symbol can resolve to,
         # split into definitions/theorems and notations; in corpus order,
         # the positions of the reservations covering each variable and of
@@ -701,7 +728,9 @@ class Corpus:
                 raise DuplicateNameError(item.name, prev.source_file, item.source_file)
             self._by_name[item.name] = item
             self._order[item.name] = idx
-            kinds[_SLOT[item.kind]] |= 1 << idx
+            slot = _SLOT[item.kind]
+            kinds[slot] |= 1 << idx
+            lists[slot].append(idx)
             if item.kind in _SYMBOL_KINDS:
                 self._symbol_at[item.name] = idx
             elif item.kind is ItemKind.NOTATION:
@@ -711,7 +740,7 @@ class Corpus:
                     self._hinting.setdefault(sym, []).append(idx)
             for var in item.reserved_vars:
                 self._reserving.setdefault(var, []).append(idx)
-        self._table = _Positions(tuple(self._order), tuple(kinds), self._order)
+        self._table = _Positions(tuple(self._order), tuple(kinds), self._order, lists)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -30,7 +30,6 @@ from .corpus import (
     ItemKind,
     Opacity,
     Visibility,
-    bit_positions,
 )
 from .errors import CorpusMismatchError, NotVerifiableError, ParseError
 
@@ -113,6 +112,12 @@ def minimize_env(
     search itself (the upfront validation of the full environment is not a
     search step).  The search edits the environment's position mask, so a
     trial costs one int and one check.
+
+    Each kind's search starts from the ascending positions of its bits.
+    Unless a seed restrict was kept, those bits are a prefix of the corpus
+    table's kind mask, and the positions are a slice of the table's
+    per-kind position list; after a kept restrict, and for an environment
+    built by name, they are listed by ``bit_positions``.
     """
     item = micro.item
     env = micro.candidate_env
@@ -142,7 +147,8 @@ def minimize_env(
         def still_ok(trial: int, others=others) -> bool:
             return oracle(env.with_mask(others | trial))
 
-        current = others | _shrink(bit_positions(kind_bits), kind_bits, still_ok)
+        keep = env.with_mask(kind_bits).kind_positions(kind)
+        current = others | _shrink(keep, kind_bits, still_ok)
 
     minimal = env.with_mask(current)
     candidate = micro.candidate_env
@@ -205,13 +211,15 @@ def extract_corpus(
 ) -> ExtractionResult:
     """Run trace and/or minimization extraction over a whole corpus.
 
-    ``jobs`` is accepted and never changes anything: items are minimized
-    one after another in corpus order, because the checker is pure Python
-    that holds the interpreter lock, and a thread pool measured slower
-    than one thread.
+    ``jobs`` must be at least 1 and never changes anything: items are
+    minimized one after another in corpus order, because the checker is
+    pure Python that holds the interpreter lock, and a thread pool measured
+    slower than one thread.
     """
     if mode not in ("trace", "minimize", "both"):
         raise ValueError(f"unknown extraction mode: {mode!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     trace_edges = trace_extract(corpus) if mode in ("trace", "both") else None
 
     minimization = None

@@ -276,6 +276,21 @@ def test_jobs_produce_byte_identical_artifacts(tmp_path, capsys):
     assert outputs["1"] == outputs["8"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "corpus", "-o", "d.jsonl"],
+        ["speedup", "corpus", "--deps", "d.jsonl", "--samples", "3"],
+    ],
+)
+def test_nonpositive_jobs_exits_two(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_nonpositive_samples_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["speedup", "corpus", "--deps", "d.jsonl", "--samples", "-1"])

@@ -12,7 +12,15 @@ import random
 
 import pytest
 
-from depkit.corpus import Corpus, Environment, ItemKind, KIND_FIELDS, RejectReason, parse_source
+from depkit.corpus import (
+    Corpus,
+    Environment,
+    ItemKind,
+    KIND_FIELDS,
+    RejectReason,
+    bit_positions,
+    parse_source,
+)
 from depkit.gen import generate_corpus
 
 from _oracles import NaiveEnv, naive_check
@@ -79,6 +87,38 @@ def test_masks_match_name_tuple_model_both_constructions():
             assert (by_mask != full) == (model.all_names() != full_model.all_names())
             pairs += 1
     assert pairs > 300
+
+
+def test_kind_positions_equal_bit_positions_on_every_path():
+    """The position helper lists exactly ``bit_positions(bits)``: on every
+    kind's prefix masks at every cut, which take the slice of the kind's
+    position list, and on masks after ``restrict`` and ``replace_kind`` and
+    of a name-built environment, which do not all."""
+    rng = random.Random(17)
+    prefixes = 0
+    for corpus in _corpora():
+        n = len(corpus.items)
+        table = corpus.candidate_environment(n)._table
+        assert table.lists is not None
+        for kind in ItemKind:
+            kind_bits = corpus.candidate_environment(n).kind_mask(kind)
+            for cut in range(n + 2):
+                bits = kind_bits & ((1 << cut) - 1)
+                assert table.kind_positions(kind, bits) == bit_positions(bits)
+                prefixes += bits != 0
+        for idx in range(n + 1):
+            full = corpus.candidate_environment(idx)
+            full_model = _prefix_model(corpus, idx)
+            keep = _random_keep(rng, full_model)
+            swapped = rng.choice(list(ItemKind))
+            own = [name for name in full.names(swapped) if rng.random() < 0.5]
+            built = full_model.restrict(keep).build()
+            assert built._table.lists is None
+            envs = (full, full.restrict(keep), full.replace_kind(swapped, own), built)
+            for env in envs:
+                for kind in ItemKind:
+                    assert env.kind_positions(kind) == bit_positions(env.kind_mask(kind))
+    assert prefixes > 1000
 
 
 def test_checker_agrees_across_constructions_and_with_model():

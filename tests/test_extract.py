@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depkit.corpus import Corpus, ItemKind, parse_source
 from depkit.errors import CorpusMismatchError, NotVerifiableError
@@ -19,7 +21,7 @@ from depkit.extract import (
     trace_extract,
     write_edges_jsonl,
 )
-from depkit.gen import generate_corpus
+from depkit.gen import FAMILIES, generate_corpus
 from depkit.normalize import normalize_corpus
 
 from _oracles import brute_force_minimal_env
@@ -134,6 +136,25 @@ def test_seeding_soundness_and_call_counts():
             )
             assert plain.minimal_env == seeded.minimal_env
             assert seeded.oracle_calls <= plain.oracle_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    items=st.integers(min_value=60, max_value=150),
+    seed=st.integers(min_value=0, max_value=2**16),
+    family=st.sampled_from(FAMILIES),
+)
+def test_seeded_and_unseeded_minimization_agree(items, seed, family):
+    """Per item, minimizing inside the trace seed gives the same minimal
+    environment as minimizing the whole candidate environment, whose kind
+    lists are slices of the corpus position lists; so the edges agree too."""
+    corpus = _generated(items=items, seed=seed, family=family)
+    seeded = extract_corpus(corpus, mode="both")
+    unseeded = extract_corpus(corpus, mode="both", seed_from_trace=False)
+    assert [r.item_name for r in seeded.minimization] == [item.name for item in corpus.items]
+    for s, u in zip(seeded.minimization, unseeded.minimization):
+        assert s.minimal_env == u.minimal_env, s.item_name
+    assert seeded.min_edges == unseeded.min_edges
 
 
 def test_oracle_call_count_bound_on_fixtures(five_file_corpus):
@@ -254,6 +275,13 @@ def test_extract_jobs_do_not_change_results():
     assert [r.minimal_env for r in single.minimization] == [
         r.minimal_env for r in pooled.minimization
     ]
+
+
+def test_extract_corpus_rejects_jobs_below_one():
+    corpus = _generated(items=10, seed=1)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            extract_corpus(corpus, mode="both", jobs=jobs)
 
 
 def test_min_edges_match_minimal_envs(redundant_hint_corpus):
