@@ -5,7 +5,10 @@ mismatches, unknown names, ...), 2 on usage errors.  Diagnostics go to
 stderr; data goes to files or stdout.  Identical inputs and flags produce
 byte-identical outputs.  ``--jobs`` is accepted but everything runs in one
 thread: the checker and the planner are pure Python holding the interpreter
-lock, and thread pools measured slower than serial runs.
+lock, and thread pools measured slower than serial runs.  Flag combinations
+that cannot work (``extract --events`` without a trace, ``--compare``
+without both methods) exit 1 before any input is read.  ``simulate``
+re-checks each planned item under its full preceding environment.
 """
 
 from __future__ import annotations
@@ -68,21 +71,21 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.events and args.mode == "minimize":
+        raise DepkitError("--events requires --mode trace or both")
+    if args.compare and args.mode != "both":
+        raise DepkitError("--compare requires --mode both")
     corpus = parse_corpus(args.dir)
     result = extract_corpus(
         corpus, mode=args.mode, jobs=args.jobs, seed_from_trace=not args.no_seed
     )
     write_edges_jsonl(args.output, result)
     if args.events:
-        if result.trace_edges is None:
-            raise DepkitError("--events requires --mode trace or both")
         lines = event_lines(corpus, result.trace_edges)
         Path(args.events).write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8"
         )
     if args.compare:
-        if result.trace_edges is None or result.minimization is None:
-            raise DepkitError("--compare requires --mode both")
         report = compare_methods(corpus, result.trace_edges, result.minimization)
         Path(args.compare).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -138,7 +141,7 @@ def _cmd_simulate(args) -> int:
     rebuild_plan = plan(
         g, changes, granularity=Granularity(args.granularity), honor_opacity=args.opacity
     )
-    report = execute(rebuild_plan, corpus, reminimize=args.reminimize)
+    report = execute(rebuild_plan, corpus)
     out = {
         "changed": list(rebuild_plan.changed),
         "granularity": rebuild_plan.granularity.value,
@@ -312,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--granularity", choices=("item", "file"), default="item")
     p.add_argument("--opacity", action="store_true", help="honor opacity pruning")
-    p.add_argument("--reminimize", action="store_true")
     _add_method(p)
     p.set_defaults(func=_cmd_simulate)
 

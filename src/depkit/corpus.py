@@ -757,10 +757,6 @@ class Corpus:
     def get(self, name: str) -> Item | None:
         return self._by_name.get(name)
 
-    def kind_of(self, name: str) -> ItemKind | None:
-        item = self._by_name.get(name)
-        return item.kind if item is not None else None
-
     def index_of(self, name: str) -> int:
         return self._order[name]
 

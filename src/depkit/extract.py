@@ -262,7 +262,7 @@ def compare_methods(
             f"(missing {sorted(corpus_names - min_names)[:3]}, "
             f"extra {sorted(min_names - corpus_names)[:3]})"
         )
-    stray = {edge.src for edge in trace_edges} - corpus_names
+    stray = {name for edge in trace_edges for name in edge.pair()} - corpus_names
     if stray:
         raise CorpusMismatchError(f"trace edges reference unknown items: {sorted(stray)[:3]}")
 

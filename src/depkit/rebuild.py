@@ -9,6 +9,10 @@ with opacity honored its dependents are skipped and reported instead of
 re-checked.  Plans include the changed items themselves; the ARL statistic
 of ``graph.stats`` does not count the changed item, so exhaustive-mode
 means differ from it by exactly one.
+
+Plans are bit masks over node positions until the end: one scope helper
+gives each changed item's own mask and invalidated mask, ``plan`` ORs them
+and names the result once, and ``speedup_report`` only counts bits.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import random
 from statistics import median
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .corpus import Corpus, Opacity, bit_positions
-from .errors import DepkitError, UnknownItemError
-from .extract import Microarticle, minimize_env
+from .errors import DepkitError
 from .graph import DepGraph, Granularity
 
 
@@ -53,10 +57,16 @@ class RebuildPlan:
     changed: tuple[str, ...]
 
 
-def _propagates(g: DepGraph, name: str, kind: ChangeKind, honor_opacity: bool) -> bool:
-    if not honor_opacity or kind is ChangeKind.STATEMENT_OR_TYPE:
-        return True
-    return g.opacities.get(name) is not Opacity.OPAQUE
+def _scopes(g: DepGraph, granularity: Granularity) -> Callable[[int], tuple[int, int]]:
+    """Per node position: the items re-checked with it (itself, or its whole
+    file) and the items an edit of it invalidates, as two bitsets."""
+    if g.granularity is not Granularity.ITEM:
+        raise ValueError("plan requires the item-granularity graph")
+    if granularity is Granularity.ITEM:
+        rev = g.reverse_reach()
+        return lambda i: (1 << i, rev[i])
+    file_of, own, dependents = g._file_scopes()
+    return lambda i: (own[file_of[i]], dependents[file_of[i]])
 
 
 def plan(
@@ -67,49 +77,26 @@ def plan(
 ) -> RebuildPlan:
     """Topologically ordered re-check list for one set of edits; a file
     plan needs the graph's file map, else ``DepkitError``."""
-    if g.granularity is not Granularity.ITEM:
-        raise ValueError("plan requires the item-granularity graph")
     granularity = Granularity(granularity)
-    for name, _ in changes.changes:
-        if name not in g:
-            raise UnknownItemError(name)
-
-    # Per changed item: the items re-checked with it (itself, or its whole
-    # file) and the items an edit of it invalidates.
-    if granularity is Granularity.ITEM:
-        rev = g.reverse_reach()
-
-        def scope(i: int) -> tuple[int, int]:
-            return 1 << i, rev[i]
-
-    else:
-        file_of, own, dependents = g._file_scopes()
-
-        def scope(i: int) -> tuple[int, int]:
-            return own[file_of[i]], dependents[file_of[i]]
-
-    recheck_bits = 0
-    full_bits = 0
+    scope = _scopes(g, granularity)
+    recheck_bits = full_bits = 0
     for name, kind in changes.changes:
         changed, invalidated = scope(g.index_of(name))
-        recheck_bits |= changed
         full_bits |= changed | invalidated
-        if _propagates(g, name, kind, honor_opacity):
-            recheck_bits |= invalidated
-    to_recheck = _names(g, recheck_bits)
-    skipped = frozenset(_names(g, full_bits & ~recheck_bits))
-
+        pruned = (
+            honor_opacity
+            and kind is not ChangeKind.STATEMENT_OR_TYPE
+            and g.opacities.get(name) is Opacity.OPAQUE
+        )
+        recheck_bits |= changed if pruned else changed | invalidated
+    to_recheck = tuple(g.nodes[i] for i in bit_positions(recheck_bits))
     return RebuildPlan(
         to_recheck=to_recheck,
-        skipped_opaque=skipped,
+        skipped_opaque=frozenset(g.nodes[i] for i in bit_positions(full_bits & ~recheck_bits)),
         granularity=granularity,
         cost=len(to_recheck),
         changed=tuple(name for name, _ in changes.changes),
     )
-
-
-def _names(g: DepGraph, bits: int) -> tuple[str, ...]:
-    return tuple(g.nodes[i] for i in bit_positions(bits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,11 +115,10 @@ class ExecutionReport:
         }
 
 
-def execute(plan_: RebuildPlan, corpus: Corpus, reminimize: bool = False) -> ExecutionReport:
+def execute(plan_: RebuildPlan, corpus: Corpus) -> ExecutionReport:
     """Re-check every planned item against the current corpus.
 
-    Items are checked under their stored (full preceding) environments; with
-    ``reminimize`` each environment is first trimmed again.  Failures are
+    Items are checked under their full preceding environments.  Failures are
     reported with reason codes, items no longer present are listed as
     missing; neither is an exception.
     """
@@ -144,11 +130,7 @@ def execute(plan_: RebuildPlan, corpus: Corpus, reminimize: bool = False) -> Exe
             missing.append(name)
             continue
         index = corpus.index_of(name)
-        micro = Microarticle(corpus.items[index], corpus.candidate_environment(index))
-        env = micro.candidate_env
-        if reminimize and corpus.accepts(micro.item, env):
-            env = minimize_env(corpus, micro).minimal_env
-        outcome = corpus.check_item(micro.item, env)
+        outcome = corpus.check_item(corpus.items[index], corpus.candidate_environment(index))
         if outcome.accepted:
             passed.append(name)
         else:
@@ -168,20 +150,24 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
     Draws ``samples`` items uniformly (with replacement, seeded); when
     ``samples`` equals the node count every node is used exactly once
     instead (exhaustive mode).  All edits are statement-level, the
-    worst case for invalidation.
+    worst case for invalidation, so each cost is the popcount of the
+    changed and invalidated masks that ``plan`` would OR together.
     """
     if not g.nodes:
         raise DepkitError("speedup needs a graph with at least one item")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if samples == len(g.nodes):
-        picks = list(g.nodes)
+    n = len(g.nodes)
+    if samples == n:
+        picks = range(n)
     else:
         rng = random.Random(rng_seed)
-        picks = [g.nodes[rng.randrange(len(g.nodes))] for _ in range(samples)]
+        picks = [rng.randrange(n) for _ in range(samples)]
 
-    item_costs = [plan(g, ChangeSet.single(name), Granularity.ITEM).cost for name in picks]
-    file_costs = [plan(g, ChangeSet.single(name), Granularity.FILE).cost for name in picks]
+    item_costs, file_costs = (
+        [(changed | invalidated).bit_count() for changed, invalidated in map(scope, picks)]
+        for scope in (_scopes(g, Granularity.ITEM), _scopes(g, Granularity.FILE))
+    )
     item_total, file_total = sum(item_costs), sum(file_costs)
     item_mean = item_total / len(picks)
     file_mean = file_total / len(picks)

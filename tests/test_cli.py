@@ -217,6 +217,15 @@ def test_events_without_trace_mode_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "--events" in err
+    assert not deps.exists()
+    code, _, err = run(
+        ["extract", "--mode", "trace", str(FIXTURES / "redundant_hint"),
+         "-o", str(deps), "--compare", str(tmp_path / "c.json")],
+        capsys,
+    )
+    assert code == 1
+    assert "--compare" in err
+    assert not deps.exists()
 
 
 def test_pipeline_is_deterministic_across_processes(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depkit.corpus import Corpus, ItemKind, parse_source
+from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
 from depkit.errors import CorpusMismatchError, NotVerifiableError
 from depkit.extract import (
     compare_methods,
@@ -261,6 +261,14 @@ def test_compare_rejects_mismatched_corpora(redundant_hint_corpus):
     result = extract_corpus(other, mode="both")
     with pytest.raises(CorpusMismatchError):
         compare_methods(redundant_hint_corpus, result.trace_edges, result.minimization)
+
+
+@pytest.mark.parametrize("src, dst", [("ghost", "f"), ("t", "ghost")])
+def test_compare_rejects_trace_edges_outside_the_corpus(redundant_hint_corpus, src, dst):
+    result = extract_corpus(redundant_hint_corpus, mode="both")
+    edge = DepEdge(src, dst, Visibility.EXPLICIT, Opacity.TRANSPARENT)
+    with pytest.raises(CorpusMismatchError, match="ghost"):
+        compare_methods(redundant_hint_corpus, (*result.trace_edges, edge), result.minimization)
 
 
 # orchestration and records ---------------------------------------------------

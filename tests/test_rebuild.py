@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from statistics import median
 
 import pytest
 
@@ -254,13 +255,6 @@ def test_execute_body_edit_of_transparent_def_rechecks_and_passes():
     assert "dep" in report.passed
 
 
-def test_execute_with_reminimize(five_file_corpus):
-    corpus, _ = normalize_corpus(five_file_corpus)
-    g = build_graph(corpus, trace_extract(corpus))
-    p = plan(g, ChangeSet.single("nat"))
-    assert execute(p, corpus, reminimize=True).failed == ()
-
-
 @pytest.mark.parametrize(
     "g",
     [
@@ -348,6 +342,17 @@ def test_speedup_exhaustive_mean_equals_arl_plus_one():
     rhs = Fraction(s.tdeps, s.items)
     assert lhs == rhs
     assert report["item_mean"] - 1 == pytest.approx(s.arl)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exhaustive_speedup_counts_equal_plan_costs(family):
+    """The popcount path agrees with plans made one node at a time."""
+    _, g = _generated(items=60, seed=11, family=family, per_file=6)
+    report = speedup_report(g, samples=len(g.nodes))
+    for gran in (Granularity.ITEM, Granularity.FILE):
+        costs = [plan(g, ChangeSet.single(name), gran).cost for name in g.nodes]
+        assert report[f"{gran.value}_total"] == sum(costs)
+        assert report[f"{gran.value}_median"] == float(median(costs))
 
 
 def test_speedup_reproducible_for_same_seed():
