@@ -443,16 +443,33 @@ def file_tag(relpath: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", stem).strip("_")
 
 
+def _label_tags(relpaths: Sequence[str]) -> list[str]:
+    """The fresh-label tag of each of a corpus's paths, in path order.
+
+    A path's tag is its ``file_tag``, except that the second, third and
+    later paths with one ``file_tag`` (``a_b.art`` after ``a-b.art``, say)
+    append ``__2``, ``__3`` and so on.  No ``file_tag`` holds ``__``, so the
+    tags are distinct, and tags that do not collide are left alone.
+    """
+    seen: dict[str, int] = {}
+    tags = []
+    for rel in relpaths:
+        tag = file_tag(rel)
+        seen[tag] = seen.get(tag, 0) + 1
+        tags.append(tag if seen[tag] == 1 else f"{tag}__{seen[tag]}")
+    return tags
+
+
 class _Parser:
     """Recursive descent over one file's tokens.  Each ``parse_*`` method
     returns the fields its item kind sets; ``parse_items`` builds the items."""
 
-    def __init__(self, tokens: list[str], lines: list[int], source_file: str):
+    def __init__(self, tokens: list[str], lines: list[int], source_file: str, tag: str):
         self.tokens = tokens
         self.lines = lines
         self.pos = 0
         self.source_file = source_file
-        self.tag = file_tag(source_file)
+        self.tag = tag
 
     def error(self, message: str) -> ParseError:
         lines = self.lines
@@ -664,13 +681,12 @@ def _fresh_label_index(name: str, tag: str) -> int | None:
     return int(digits) if ok else None
 
 
-def _assign_anonymous_names(items: list[Item], source_file: str) -> list[Item]:
+def _assign_anonymous_names(items: list[Item], tag: str) -> list[Item]:
     """Give anonymous items deterministic names in the reserved namespace.
 
     Explicit fresh labels survive a round trip through the renderer, so the
     counter skips indexes already present in the file.
     """
-    tag = file_tag(source_file)
     used = {_fresh_label_index(it.name, tag) for it in items} - {None}
     counter = 0
     out: list[Item] = []
@@ -687,9 +703,13 @@ def _assign_anonymous_names(items: list[Item], source_file: str) -> list[Item]:
 
 def parse_source(text: str, source_file: str = "memory.art") -> list[Item]:
     """Parse one file's source into items (names assigned, order preserved)."""
-    parser = _Parser(*_tokenize(text, source_file), source_file)
-    items = parser.parse_items()
-    items = _assign_anonymous_names(items, source_file)
+    return _parse_file(text, source_file, file_tag(source_file))
+
+
+def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
+    """``parse_source`` with the fresh-label tag given."""
+    parser = _Parser(*_tokenize(text, source_file), source_file, tag)
+    items = _assign_anonymous_names(parser.parse_items(), tag)
     seen: dict[str, Item] = {}
     for item in items:
         if item.name in seen:
@@ -917,7 +937,11 @@ class Corpus:
 
 
 def parse_corpus(root: str | Path) -> Corpus:
-    """Parse every ``.art`` file under ``root`` (path order, then position)."""
+    """Parse every ``.art`` file under ``root`` (path order, then position).
+
+    Anonymous items get fresh labels with the tags of ``_label_tags``, so
+    files whose paths give one ``file_tag`` still get distinct labels.
+    """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
@@ -925,13 +949,13 @@ def parse_corpus(root: str | Path) -> Corpus:
         p.relative_to(root).as_posix() for p in root.rglob(f"*{ART_SUFFIX}") if p.is_file()
     )
     items: list[Item] = []
-    for rel in relpaths:
+    for rel, tag in zip(relpaths, _label_tags(relpaths)):
         data = (root / rel).read_bytes()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as err:
             raise ParseError("not valid UTF-8", rel, data.count(b"\n", 0, err.start) + 1) from None
-        items.extend(parse_source(text, rel))
+        items.extend(_parse_file(text, rel, tag))
     return Corpus(items)
 
 

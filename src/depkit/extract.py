@@ -313,6 +313,67 @@ def write_edges_jsonl(path: str | Path, result: ExtractionResult) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+# Lines per ``json.loads`` call in ``read_edges_jsonl``.  A decoded block
+# lives until it is folded, so this bounds the reader's extra memory.
+_BLOCK_LINES = 256
+
+_VIS_BITS = {Visibility.IMPLICIT.value: 0, Visibility.EXPLICIT.value: 1}
+_OPACITY_BITS = {Opacity.OPAQUE.value: 0, Opacity.TRANSPARENT.value: 2}
+
+
+def _fold_records(records: Iterable, method: str, flags: dict[tuple[str, str], int]) -> None:
+    """The record rule: OR each record's explicit (1) and transparent (2)
+    flags into the entry of its (from, to) pair, skipping records of another
+    ``method`` unless it is ``"any"``.  The first record that breaks the
+    rule raises ``KeyError``, ``TypeError`` or ``ValueError``; a bad
+    ``vis`` or ``opacity`` raises the error of the enum lookup."""
+    for rec in records:
+        if method != "any" and rec["method"] != method:
+            continue
+        src, dst = rec["from"], rec["to"]
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise TypeError("'from' and 'to' must be strings")
+        vis, opacity = rec["vis"], rec["opacity"]
+        try:
+            bits = _VIS_BITS[vis] | _OPACITY_BITS[opacity]
+        except (KeyError, TypeError):
+            Visibility(vis), Opacity(opacity)  # raises the lookup's ValueError
+            raise
+        flags[src, dst] = flags.get((src, dst), 0) | bits
+
+
+def _block_records(block: Sequence[bytes]) -> list | None:
+    """The records of ``block`` from one ``json.loads``, or None unless that
+    decode provably equals decoding each line on its own.
+
+    The lines are joined as ``[line,line,...]`` with a raw newline before
+    each comma, and JSON strings cannot hold a raw newline, so no string
+    spans two lines.  The guard: no ``[`` byte, so the outer list is the
+    only list; one ``{`` byte per line and one dict per line decoded, so
+    every ``{`` opens a record and no record nests an object; and every
+    line ending in ``}``, so each line end closes a record and no record
+    spans two lines.  Then line k holds exactly record k.  A blank line
+    fails the guard.  The block is read as UTF-8, not by the encoding
+    detection of ``json.loads``, which could take a NUL byte for UTF-16; a
+    block that is not plain UTF-8 JSON fails the decode.
+    """
+    joined = b"\n,".join(block)
+    if (
+        b"[" in joined
+        or joined.count(b"{") != len(block)
+        or joined.count(b"}\n,") != len(block) - 1
+        or not joined.endswith(b"}")
+    ):
+        return None
+    try:
+        records = json.loads("[" + joined.decode("utf-8") + "]")
+    except ValueError:
+        return None
+    if len(records) != len(block) or not all(type(rec) is dict for rec in records):
+        return None
+    return records
+
+
 def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     """Load edges back, optionally filtered by extraction method.
 
@@ -320,25 +381,34 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     to) pair while reading, so explicit wins over implicit and transparent
     over opaque, and one ``DepEdge`` is built per pair, in first-seen
     order.  A malformed record raises ``ParseError`` naming its line.
+
+    Lines are decoded ``_BLOCK_LINES`` at a time, one ``json.loads`` per
+    block, when ``_block_records`` shows that this equals decoding each line
+    on its own.  A block that fails that guard or the record rule is
+    decoded again one line at a time, and only that block, so a malformed
+    record is reported with its own line, and blank lines are skipped.
+    Decoding the whole file in one call would hold every record at once.
     """
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
     flags: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if method != "any" and rec["method"] != method:
+    lines = Path(path).read_bytes().splitlines()
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        records = _block_records(block)
+        if records is not None:
+            try:
+                _fold_records(records, method, flags)
                 continue
-            src, dst = rec["from"], rec["to"]
-            if not (isinstance(src, str) and isinstance(dst, str)):
-                raise TypeError("'from' and 'to' must be strings")
-            explicit = Visibility(rec["vis"]) is Visibility.EXPLICIT
-            transparent = Opacity(rec["opacity"]) is Opacity.TRANSPARENT
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
-        flags[src, dst] = flags.get((src, dst), 0) | explicit | transparent << 1
+            except (KeyError, TypeError, ValueError):
+                pass  # the line loop below names the record's line
+        for lineno, line in enumerate(block, start + 1):
+            if not line.strip():
+                continue
+            try:
+                _fold_records((json.loads(line),), method, flags)
+            except (KeyError, TypeError, ValueError) as err:
+                raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
     vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
     opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
     return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]

@@ -245,16 +245,19 @@ class DepGraph:
 
         Returns, per node, the index of its file in the file projection;
         per file, the bitset of its own items; and per file, the bitset of
-        the items of every file that transitively depends on it.
+        the items of every file that transitively depends on it.  File
+        order is a topological witness, so one pass from the last file to
+        the first finishes each file's dependents before it passes its own
+        items and dependents on to the files it directly depends on: one OR
+        per file edge.
         """
         if self._file_scope_bits is None:
             file_g, file_of, own = self._file_projection()
-            dependents = []
-            for bits in file_g.reverse_reach():
-                items = 0
-                for f in bit_positions(bits):
-                    items |= own[f]
-                dependents.append(items)
+            dependents = [0] * len(own)
+            for u in reversed(range(len(own))):
+                items = own[u] | dependents[u]
+                for f in bit_positions(file_g.deps[u]):
+                    dependents[f] |= items
             self._file_scope_bits = (file_of, own, dependents)
         return self._file_scope_bits
 

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: full subset enumeration for minimal
 environments, plain DFS for reachability, straightforward recounting for
 model training, scoring every candidate and sorting for premise ranking,
-one line at a time for tokenizing.
+one line at a time for tokenizing and for reading edge records.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
@@ -12,12 +12,24 @@ bit.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
 from pathlib import Path
 
-from depkit.corpus import Corpus, Environment, Item, ItemKind, KIND_FIELDS, RejectReason
+from depkit.corpus import (
+    Corpus,
+    DepEdge,
+    Environment,
+    Item,
+    ItemKind,
+    KIND_FIELDS,
+    Opacity,
+    RejectReason,
+    Visibility,
+)
+from depkit.errors import ParseError
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
 
 
@@ -324,3 +336,30 @@ def export_problems_by_full_sort(
         model.update(features_of(item).counts(), deps_by_item.get(item.name, ()))
         names.append(item.name)
     return written
+
+
+def read_edges_by_line(path: str | Path, method: str = "any") -> list[DepEdge]:
+    """``read_edges_jsonl`` with one ``json.loads`` and two enum lookups per
+    record: flags ORed per (from, to) pair, one edge per pair in first-seen
+    order, and ``ParseError`` naming the line of a malformed record."""
+    if method not in ("any", "trace", "min"):
+        raise ValueError(f"unknown method filter: {method!r}")
+    flags: dict[tuple[str, str], int] = {}
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if method != "any" and rec["method"] != method:
+                continue
+            src, dst = rec["from"], rec["to"]
+            if not (isinstance(src, str) and isinstance(dst, str)):
+                raise TypeError("'from' and 'to' must be strings")
+            explicit = Visibility(rec["vis"]) is Visibility.EXPLICIT
+            transparent = Opacity(rec["opacity"]) is Opacity.TRANSPARENT
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
+        flags[src, dst] = flags.get((src, dst), 0) | explicit | transparent << 1
+    vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
+    opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
+    return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]

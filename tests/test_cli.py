@@ -76,6 +76,26 @@ def test_domain_error_exits_one(tmp_path, capsys):
     assert "depkit: error:" in err
 
 
+def test_paths_with_one_file_tag_get_distinct_fresh_labels(tmp_path, capsys):
+    """``a-b.art`` and ``a_b.art`` both have the file tag ``a_b``: the later
+    path's anonymous theorems are labeled with ``a_b__2``, and such a label
+    survives normalization and a second extraction."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a-b.art").write_text("def d := lit;\nthm : uses d;\n")
+    (corpus_dir / "a_b.art").write_text("thm : uses d;\nthen thm t : uses d;\n")
+    deps = tmp_path / "d.jsonl"
+    code, _, err = run(["extract", str(corpus_dir), "-o", str(deps)], capsys)
+    assert code == 0, err
+    sources = [json.loads(line)["from"] for line in deps.read_text().splitlines()]
+    assert list(dict.fromkeys(sources)) == ["__n0_a_b", "__n0_a_b__2", "t"]
+    out = tmp_path / "normalized"
+    assert run(["normalize", str(corpus_dir), str(out)], capsys)[0] == 0
+    assert (out / "a_b.art").read_text().splitlines()[0] == "thm __n0_a_b__2 : uses d;"
+    code, _, err = run(["extract", str(out), "-o", str(tmp_path / "again.jsonl")], capsys)
+    assert code == 0, err
+
+
 def test_normalize_writes_sources_and_report(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, _ = run(

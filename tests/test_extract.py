@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
-from depkit.errors import CorpusMismatchError, NotVerifiableError
+from depkit.errors import CorpusMismatchError, NotVerifiableError, ParseError
 from depkit.extract import (
     compare_methods,
     decompose,
@@ -24,7 +26,7 @@ from depkit.extract import (
 from depkit.gen import FAMILIES, generate_corpus
 from depkit.normalize import normalize_corpus
 
-from _oracles import brute_force_minimal_env
+from _oracles import brute_force_minimal_env, read_edges_by_line
 from conftest import corpus_from
 
 
@@ -315,3 +317,138 @@ def test_jsonl_round_trip(tmp_path, redundant_hint_corpus):
     }
     merged = read_edges_jsonl(path, method="any")
     assert {(e.src, e.dst) for e in merged} == {(e.src, e.dst) for e in trace}
+
+
+# Block reader against the per-line oracle --------------------------------------
+
+
+def _deps_lines(items: int, seed: int, family: str) -> list[bytes]:
+    path = Path(tempfile.mkdtemp()) / "deps.jsonl"
+    write_edges_jsonl(path, extract_corpus(_generated(items, seed, family), mode="both"))
+    return path.read_bytes().splitlines()
+
+
+def _split_record(lines, i):
+    """A record split over two lines inside a list, next to a line holding
+    two records: without the guard, one block decode would give one record
+    per line, each attributed to the wrong line."""
+    i = min(i, len(lines) - 3)
+    merged = lines[i + 1] + b"," + lines[i + 2]
+    return lines[:i] + [lines[i][:-1] + b',"z":[{}', b"{}]}", merged] + lines[i + 3 :]
+
+
+def _split_record_nested(lines, i):
+    """The same with a nested object instead of a list: no ``[`` byte."""
+    i = min(i, len(lines) - 3)
+    merged = lines[i + 1] + b"," + lines[i + 2]
+    return lines[:i] + [lines[i][:-1] + b',"z":{}', b'"w":0}', merged] + lines[i + 3 :]
+
+
+def _split_record_flat(lines, i):
+    """The same with the split between two members of the record."""
+    i = min(i, len(lines) - 3)
+    merged = lines[i + 1] + b"," + lines[i + 2]
+    return lines[:i] + [lines[i][:-1], b'"w":0}', merged] + lines[i + 3 :]
+
+
+def _retarget(value: bytes):
+    def perturb(lines, i):
+        return lines[:i] + [lines[i].replace(b'"to":"', b'"to":"' + value, 1)] + lines[i + 1 :]
+
+    return perturb
+
+
+def _insert(line: bytes):
+    return lambda lines, i: lines[:i] + [line] + lines[i:]
+
+
+def _edit(before: bytes, after: bytes):
+    return lambda lines, i: lines[:i] + [lines[i].replace(before, after, 1)] + lines[i + 1 :]
+
+
+# Each perturbation maps (lines, index) to new lines; line ends are separate.
+PERTURBATIONS = {
+    "split-record": _split_record,
+    "split-record-nested": _split_record_nested,
+    "split-record-flat": _split_record_flat,
+    "open-brace-in-string": _retarget(b"{"),
+    "close-brace-in-string": _retarget(b"x}"),
+    "bracket-in-string": _retarget(b"[y"),
+    "bom-before-record": lambda lines, i: lines[:i] + [b"\xef\xbb\xbf" + lines[i]] + lines[i + 1 :],
+    "bom-line": _insert(b"\xef\xbb\xbf"),
+    "blank-line": _insert(b""),
+    "whitespace-line": _insert(b" \t "),
+    "space-after-brace": lambda lines, i: lines[:i] + [lines[i] + b" "] + lines[i + 1 :],
+    "non-utf8": _retarget(b"\xff"),
+    "non-dict-number": _insert(b"5"),
+    "non-dict-list": _insert(b'[{"from":"a"}]'),
+    "non-dict-string": _insert(b'"{}"'),
+    "bad-vis": _edit(b'"vis":"', b'"vis":"bogus'),
+    "bad-opacity": _edit(b'"opacity":"', b'"opacity":"explicit'),
+    "null-vis": _edit(b'"vis":"', b'"vis":null,"x":"'),
+}
+LINE_ENDS = (b"\n", b"\r\n", b"\r")
+
+
+def _read_both(lines: list[bytes], end: bytes, method: str):
+    """The outcome of both readers on one file: equal edge lists, or
+    ParseErrors of equal type, message, path and line."""
+    path = Path(tempfile.mkdtemp()) / "deps.jsonl"
+    path.write_bytes(b"".join(line + end for line in lines))
+    outcomes = []
+    for reader in (read_edges_jsonl, read_edges_by_line):
+        try:
+            outcomes.append(reader(path, method))
+        except ParseError as err:
+            outcomes.append((type(err), str(err), err.source_file, err.line))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    items=st.integers(min_value=20, max_value=150),
+    seed=st.integers(min_value=0, max_value=2**16),
+    family=st.sampled_from(FAMILIES),
+    method=st.sampled_from(["any", "trace", "min"]),
+    end=st.sampled_from(LINE_ENDS),
+    edits=st.lists(
+        st.tuples(st.sampled_from(sorted(PERTURBATIONS)), st.integers(0, 10**6)), max_size=2
+    ),
+)
+def test_block_reader_equals_the_per_line_oracle(items, seed, family, method, end, edits):
+    """On generated deps files of every family, perturbed or not, the block
+    reader gives what one ``json.loads`` per line gives."""
+    lines = _deps_lines(items, seed, family)
+    for name, at in edits:
+        lines = PERTURBATIONS[name](lines, at % len(lines))
+    _read_both(lines, end, method)
+
+
+@pytest.fixture(scope="module")
+def long_deps_lines() -> list[bytes]:
+    lines = _deps_lines(150, 7, "mixed")
+    assert len(lines) > 2 * 256
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("at", [0, 255, 256, 300, -1])
+def test_block_reader_pinned_perturbations(long_deps_lines, name, at):
+    """Each perturbation at the first line, on both sides of the first block
+    boundary, inside a later block and at the last line, for every method
+    filter: the readers agree, and an error names the perturbed line."""
+    i = at % len(long_deps_lines)
+    lines = PERTURBATIONS[name](long_deps_lines, i)
+    if name.startswith("split-record"):
+        i = min(i, len(long_deps_lines) - 3)  # as the perturbation clamps it
+    for method in ("any", "trace", "min"):
+        outcome = _read_both(lines, b"\n", method)
+        if method == "any" and isinstance(outcome, tuple):
+            assert outcome[3] == i + 1
+
+
+def test_block_reader_line_ends_and_no_perturbation(long_deps_lines):
+    clean = _read_both(long_deps_lines, b"\n", "any")
+    for end in LINE_ENDS[1:]:
+        assert _read_both(long_deps_lines, end, "any") == clean

@@ -169,43 +169,69 @@ def _verdicts(corpus: Corpus) -> dict[str, bool]:
     }
 
 
-def _statement_edit(corpus: Corpus, rng: random.Random) -> tuple[str, Corpus]:
+def _edit_symbols(items) -> list[str]:
+    """Names a random edit may use: defined earlier, later, or nowhere."""
+    names = [it.name for it in items if it.kind in (ItemKind.DEFINITION, ItemKind.THEOREM)]
+    return names + ["nowhere"]
+
+
+def _statement_edit(corpus: Corpus, rng: random.Random) -> tuple[str, ChangeKind, Corpus]:
     """One random statement edit: delete an item, or give a hint or a
-    reservation other symbols (defined earlier, later, or nowhere)."""
+    reservation other symbols."""
     items = list(corpus.items)
-    symbols = [it.name for it in items if it.kind in (ItemKind.DEFINITION, ItemKind.THEOREM)]
-    symbols.append("nowhere")
+    symbols = _edit_symbols(items)
     editable = [i for i, it in enumerate(items) if it.kind in (ItemKind.HINT, ItemKind.RESERVATION)]
     if not editable or rng.random() < 0.4:
         i = rng.randrange(len(items))
-        return items[i].name, Corpus(items[:i] + items[i + 1 :])
+        return items[i].name, ChangeKind.STATEMENT_OR_TYPE, Corpus(items[:i] + items[i + 1 :])
     i = rng.choice(editable)
     count = 1 if items[i].kind is ItemKind.RESERVATION else rng.randint(1, 2)
     items[i] = replace(items[i], statement_symbols=tuple(rng.sample(symbols, count)))
-    return items[i].name, Corpus(items)
+    return items[i].name, ChangeKind.STATEMENT_OR_TYPE, Corpus(items)
+
+
+def _body_edit(corpus: Corpus, rng: random.Random) -> tuple[str, ChangeKind, Corpus]:
+    """One random body edit: give a definition another body, or a theorem
+    another justification (other references, or ``by auto``)."""
+    items = list(corpus.items)
+    symbols = _edit_symbols(items)
+    i = rng.choice(
+        [i for i, it in enumerate(items) if it.kind in (ItemKind.DEFINITION, ItemKind.THEOREM)]
+    )
+    picked = tuple(rng.sample(symbols, rng.randint(0, 2)))
+    if items[i].kind is ItemKind.DEFINITION:
+        items[i] = replace(items[i], body_symbols=picked)
+    else:
+        auto = rng.random() < 0.3
+        items[i] = replace(items[i], by_refs=() if auto else picked, by_auto=auto)
+    return items[i].name, ChangeKind.BODY_ONLY, Corpus(items)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_item_plans_cover_every_verdict_an_edit_changes(family):
-    """Rebuild soundness: recheck every item after a random statement edit;
-    each item whose verdict flips, or that is gone, is in the item plan,
-    over traced and over minimized edges, with and without opacity."""
+    """Rebuild soundness: recheck every item after a random statement edit
+    and after a random body edit; each item whose verdict flips, or that is
+    gone, is in the item plan of that edit, over traced and over minimized
+    edges, with and without opacity."""
     rng = random.Random(FAMILIES.index(family))
     flipped_total = 0
+    edited_flips = {ChangeKind.STATEMENT_OR_TYPE: 0, ChangeKind.BODY_ONLY: 0}
     for seed in (61, 62, 63):
         corpus, traced = _generated(items=40, seed=seed, family=family)
         minimized = build_graph(corpus, extract_corpus(corpus, mode="minimize").min_edges)
         before = _verdicts(corpus)
         for _ in range(25):
-            name, edited = _statement_edit(corpus, rng)
-            after = _verdicts(edited)
-            flipped = {n for n, ok in before.items() if after.get(n) is not ok}
-            flipped_total += len(flipped - {name})
-            for g in (traced, minimized):
-                for honor in (False, True):
-                    p = plan(g, ChangeSet.single(name), Granularity.ITEM, honor)
-                    assert flipped <= set(p.to_recheck), (name, flipped - set(p.to_recheck))
-    assert flipped_total > 0
+            for edit in (_statement_edit, _body_edit):
+                name, kind, edited = edit(corpus, rng)
+                after = _verdicts(edited)
+                flipped = {n for n, ok in before.items() if after.get(n) is not ok}
+                flipped_total += len(flipped - {name})
+                edited_flips[kind] += name in flipped
+                for g in (traced, minimized):
+                    for honor in (False, True):
+                        p = plan(g, ChangeSet.single(name, kind), Granularity.ITEM, honor)
+                        assert flipped <= set(p.to_recheck), (name, flipped - set(p.to_recheck))
+    assert flipped_total > 0 and all(edited_flips.values())
 
 
 # execute ---------------------------------------------------------------------
