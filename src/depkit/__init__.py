@@ -62,6 +62,7 @@ from .graph import (
 from .learn import (
     BayesModel,
     FeatureVector,
+    NonFiniteScoreError,
     RankedPremises,
     dependency_map,
     evaluate_chrono,

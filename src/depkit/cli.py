@@ -39,7 +39,7 @@ from .graph import (
     stats_json,
     to_dot,
 )
-from .learn import evaluate_chrono, export_problems
+from .learn import NonFiniteScoreError, evaluate_chrono, export_problems
 from .normalize import normalize_corpus
 from .rebuild import ChangeKind, ChangeSet, execute, plan, speedup_report
 
@@ -370,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NonFiniteScoreError as err:
+        parser.error(f"argument --alpha/--weight: {err}")
     except (DepkitError, OSError) as err:
         print(f"depkit: error: {err}", file=sys.stderr)
         return 1

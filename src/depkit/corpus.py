@@ -39,11 +39,12 @@ order.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, compress, count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DuplicateNameError, ParseError
 
@@ -59,11 +60,15 @@ KEYWORDS = frozenset(
 # Namespace reserved for generated labels; user identifiers may not use it.
 FRESH_PREFIX = "__n"
 
+# The identifier rule of the lexer.  Every item name, fresh labels included,
+# matches it in full.
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # The lexical rule.  One match per token (group 1), comment, line break
 # (group 2; the boundaries of str.splitlines) or stray character (group 3);
 # blanks match nothing and are skipped.
 _TOKEN_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*|:=|[:;{},])"
+    rf"({IDENTIFIER_RE.pattern}|:=|[:;{{}},])"
     r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
     r"|(\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
     r"|(\S)"
@@ -222,16 +227,42 @@ class _Positions:
     def kind_positions(self, kind: ItemKind, bits: int) -> list[int]:
         """The set positions of ``bits``, a submask of ``kind``'s mask, ascending.
 
-        When ``bits`` equals the kind mask cut at ``bits.bit_length()`` (a
-        candidate environment's kind bits before any ``restrict``), the
-        positions are the first ``bits.bit_count()`` entries of the kind's
-        list, and the result is a slice of it.  Any other mask, and every
-        mask over a table built by name, goes through ``bit_positions``.
+        When ``bits`` holds every position of the kind below its highest
+        one (a candidate environment's kind bits before any ``restrict``),
+        that is, when its popcount equals the number of list entries below
+        ``bits.bit_length()``, the positions are the first that many entries
+        of the kind's list, and the result is a slice of it.  Any other
+        mask, and every mask over a table built by name, goes through
+        ``bit_positions``.
         """
-        slot = _SLOT[kind]
-        if self.lists is not None and bits == self.kinds[slot] & ((1 << bits.bit_length()) - 1):
-            return self.lists[slot][: bits.bit_count()]
+        if self.lists is not None:
+            positions = self.lists[_SLOT[kind]]
+            count = bits.bit_count()
+            if count == bisect_left(positions, bits.bit_length()):
+                return positions[:count]
         return bit_positions(bits)
+
+    def kind_counts(self, bits: int) -> list[int]:
+        """How many positions of each kind ``bits`` holds, by slot.
+
+        A prefix mask ``(1 << n) - 1`` over a table with lists holds each
+        kind's list entries below ``n``, found by bisection; any other mask
+        is counted by a popcount per kind.
+        """
+        if self.lists is not None and not bits & (bits + 1):
+            stop = bits.bit_length()
+            return [bisect_left(positions, stop) for positions in self.lists]
+        return [(bits & kind_bits).bit_count() for kind_bits in self.kinds]
+
+    def mask_of(self, names: Iterable[str]) -> int:
+        """The positions of those of ``names`` the table holds."""
+        index = self.index
+        bits = 0
+        for name in names:
+            pos = index.get(name)
+            if pos is not None:
+                bits |= 1 << pos
+        return bits
 
     @property
     def index(self) -> dict[str, int]:
@@ -355,20 +386,11 @@ class Environment:
     def all_names(self) -> tuple[str, ...]:
         return tuple(chain.from_iterable(map(self._names_at, range(len(_SLOT)))))
 
-    def _mask_of(self, names: Iterable[str]) -> int:
-        index = self._table.index
-        bits = 0
-        for name in names:
-            pos = index.get(name)
-            if pos is not None:
-                bits |= 1 << pos
-        return bits
-
     def replace_kind(self, kind: ItemKind, names: Iterable[str]) -> "Environment":
         """``kind``'s names replaced by ``names``, which must be names of
         that kind in this environment's table; they keep table order."""
         names = tuple(names)
-        bits = self._mask_of(names)
+        bits = self._table.mask_of(names)
         kind_bits = self._table.kinds[_SLOT[kind]]
         if bits & ~kind_bits or bits.bit_count() != len(names):
             raise ValueError(f"not all {KIND_FIELDS[kind]} of this table: {names}")
@@ -376,7 +398,7 @@ class Environment:
 
     def restrict(self, keep: frozenset[str] | set[str]) -> "Environment":
         """Only the present names that are in ``keep``."""
-        return Environment._of(self._table, self._mask & self._mask_of(keep))
+        return Environment._of(self._table, self._mask & self._table.mask_of(keep))
 
     def is_subenv_of(self, other: "Environment") -> bool:
         """Per-kind subset (membership only; both sides keep corpus order)."""
@@ -835,9 +857,68 @@ class Corpus:
         )
 
     def accepts(self, item: Item, env: Environment) -> bool:
-        """Fast verdict-only check (the minimization oracle)."""
+        """Verdict-only check.  The minimizer tests the same verdict on
+        masks through ``_compile_check``."""
         reason, _ = self._verify(item, env, False)
         return reason is None
+
+    def _compile_check(self, item: Item) -> Callable[[int], bool]:
+        """``item``'s verdict as a test of a mask over the corpus table.
+
+        The checks of ``_verify`` become position masks, read from the same
+        indexes:
+
+        * ``req``: the position of every statement and body symbol (its
+          notation's, for a notation token) and of every ``by`` reference.
+          A name that resolves nowhere requires position ``len(self)``,
+          which no corpus mask holds;
+        * ``pairs``: per free variable, one mask per reservation covering it
+          whose type symbol resolves, holding the reservation and that
+          symbol, in corpus order;
+        * ``hints``: for ``by auto``, the hints that share a symbol with
+          the statement.
+
+        ``bits`` is accepted when it holds all of ``req``, all of one pair
+        per variable, and for ``by auto`` some hint: the verdict of
+        ``accepts`` on the environment with mask ``bits``.
+        """
+        symbol_at = self._symbol_at
+        notation_at = self._notation_at
+        never = 1 << len(self.items)
+        req = 0
+        for ref in item.statement_symbols + item.body_symbols:
+            pos = symbol_at.get(ref, notation_at.get(ref))
+            req |= never if pos is None else 1 << pos
+        for ref in item.by_refs:
+            pos = symbol_at.get(ref)
+            req |= never if pos is None else 1 << pos
+        pairs = []
+        for var in item.free_vars:
+            var_pairs = []
+            for pos in self._reserving.get(var, ()):
+                type_at = symbol_at.get(self.items[pos].statement_symbols[0])
+                if type_at is not None:
+                    var_pairs.append(1 << pos | 1 << type_at)
+            pairs.append(var_pairs)
+        hints = None
+        if item.by_auto:
+            hints = 0
+            for sym in item.statement_symbols:
+                for pos in self._hinting.get(sym, ()):
+                    hints |= 1 << pos
+
+        def accepts(bits: int) -> bool:
+            if bits & req != req:
+                return False
+            for var_pairs in pairs:
+                for pair in var_pairs:
+                    if bits & pair == pair:
+                        break
+                else:
+                    return False
+            return hints is None or bits & hints != 0
+
+        return accepts
 
     def _bits_of(self, env: Environment) -> int:
         """``env`` as a mask over the corpus table: each present name at

@@ -13,6 +13,17 @@ the rest of the search, so each granularity level needs a single sweep and
 one final single-removal pass guarantees 1-minimality.  Chunks are tried
 from the back of each list first, which resolves ties (several sufficient
 hints, say) in favor of the earliest candidate in corpus order.
+
+Minimization works on corpus positions from the checker to the record
+writer.  Each item's check is compiled once into position masks
+(``Corpus._compile_check``): the names it requires, one (reservation, type)
+pair per free variable, and for ``by auto`` its applicable hints.  A trial
+of the search is then a plain int tested against those masks, with no
+``Environment`` built for it.  A minimal environment is read back as the
+names at the set positions of its mask, which ascend in corpus order, so
+edges and the trace/minimize comparison need no sort; and edge records are
+formatted as text, which is exact because the writer first checks every
+name against the lexical identifier rule.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import (
+    IDENTIFIER_RE,
     Corpus,
     DepEdge,
     Environment,
@@ -30,6 +42,8 @@ from .corpus import (
     ItemKind,
     Opacity,
     Visibility,
+    _SLOT,
+    bit_positions,
 )
 from .errors import CorpusMismatchError, NotVerifiableError, ParseError
 
@@ -110,54 +124,66 @@ def minimize_env(
     restricted to the seed verifies, minimization proceeds inside it only.
     ``oracle_calls`` counts the verification attempts made during the
     search itself (the upfront validation of the full environment is not a
-    search step).  The search edits the environment's position mask, so a
-    trial costs one int and one check.
+    search step).
+
+    The search runs on corpus positions.  The candidate environment becomes
+    one mask over the corpus table: an environment the corpus handed out is
+    its mask already, and one built by name is matched to corpus positions
+    once, by name and kind, as the checker matches it, so its own order
+    plays no part and names the corpus does not hold under that kind are
+    neither searched nor counted in ``removed``.  The item's check is
+    compiled once into position masks (``Corpus._compile_check``), so a
+    trial is one int and its verdict a few mask tests, with no
+    ``Environment`` built per trial.
 
     Each kind's search starts from the ascending positions of its bits.
     Unless a seed restrict was kept, those bits are a prefix of the corpus
     table's kind mask, and the positions are a slice of the table's
-    per-kind position list; after a kept restrict, and for an environment
-    built by name, they are listed by ``bit_positions``.
+    per-kind position list; after a kept restrict they are listed by
+    ``bit_positions``.  ``removed`` counts each kind of the candidate from
+    the same lists, less the positions the search kept.
     """
     item = micro.item
-    env = micro.candidate_env
-    if not corpus.accepts(item, env):
-        outcome = corpus.check_item(item, env)
+    table = corpus._table
+    candidate = corpus._bits_of(micro.candidate_env)
+    accepts = corpus._compile_check(item)
+    if not accepts(candidate):
+        outcome = corpus.check_item(item, micro.candidate_env)
         raise NotVerifiableError(item.name, outcome.reason.value if outcome.reason else "rejected")
 
     calls = 0
-
-    def oracle(trial_env: Environment) -> bool:
-        nonlocal calls
-        calls += 1
-        return corpus.accepts(item, trial_env)
-
+    current = candidate
     if seed_targets is not None:
-        restricted = env.restrict(frozenset(seed_targets))
-        if restricted != env and oracle(restricted):
-            env = restricted
+        restricted = candidate & table.mask_of(seed_targets)
+        if restricted != candidate:
+            calls += 1
+            if accepts(restricted):
+                current = restricted
 
-    current = env.mask
+    kept = [0] * len(_SLOT)
     for kind in KIND_MINIMIZATION_ORDER:
-        kind_bits = current & env.kind_mask(kind)
+        slot = _SLOT[kind]
+        kind_bits = current & table.kinds[slot]
         if not kind_bits:
             continue
         others = current & ~kind_bits
 
         def still_ok(trial: int, others=others) -> bool:
-            return oracle(env.with_mask(others | trial))
+            nonlocal calls
+            calls += 1
+            return accepts(others | trial)
 
-        keep = env.with_mask(kind_bits).kind_positions(kind)
+        keep = table.kind_positions(kind, kind_bits)
         current = others | _shrink(keep, kind_bits, still_ok)
+        kept[slot] = len(keep)
 
-    minimal = env.with_mask(current)
-    candidate = micro.candidate_env
-    removed = {
-        kind: candidate.kind_mask(kind).bit_count() - minimal.kind_mask(kind).bit_count()
-        for kind in ItemKind
-    }
+    counts = table.kind_counts(candidate)
+    removed = {kind: counts[slot] - kept[slot] for kind, slot in _SLOT.items()}
     return MinimizationResult(
-        item_name=item.name, minimal_env=minimal, oracle_calls=calls, removed=removed
+        item_name=item.name,
+        minimal_env=Environment._of(table, current),
+        oracle_calls=calls,
+        removed=removed,
     )
 
 
@@ -186,12 +212,23 @@ def event_lines(corpus: Corpus, trace_edges: Sequence[DepEdge]) -> list[str]:
     return lines
 
 
+def _names_at(corpus: Corpus, bits: int) -> list[str]:
+    """The names at the set positions of ``bits``, a corpus mask, in corpus order."""
+    items = corpus.items
+    return [items[pos].name for pos in bit_positions(bits)]
+
+
 def edges_from_minimization(corpus: Corpus, results: Sequence[MinimizationResult]) -> list[DepEdge]:
-    """One edge per surviving environment entry, ordered by corpus position."""
+    """One edge per surviving environment entry, ordered by corpus position.
+
+    The targets are the set positions of each minimal environment's mask
+    over the corpus table, which ascend in corpus order, so no name list is
+    derived and nothing is sorted.
+    """
     edges: list[DepEdge] = []
     for result in results:
         item = corpus.item(result.item_name)
-        targets = sorted(result.minimal_env.all_names(), key=corpus.index_of)
+        targets = _names_at(corpus, corpus._bits_of(result.minimal_env))
         edges.extend(corpus.dep_edges(item, targets))
     return edges
 
@@ -266,20 +303,22 @@ def compare_methods(
     if stray:
         raise CorpusMismatchError(f"trace edges reference unknown items: {sorted(stray)[:3]}")
 
-    traced: dict[str, set[str]] = {name: set() for name in corpus_names}
+    # Per item, the traced and the minimal dependencies as corpus masks: the
+    # set differences are mask operations whose positions come out in
+    # corpus order.
+    index_of = corpus.index_of
+    traced = dict.fromkeys(corpus_names, 0)
     for edge in trace_edges:
-        traced[edge.src].add(edge.dst)
-    minimal: dict[str, set[str]] = {
-        result.item_name: set(result.minimal_env.all_names()) for result in minimization
-    }
+        traced[edge.src] |= 1 << index_of(edge.dst)
+    minimal = {result.item_name: corpus._bits_of(result.minimal_env) for result in minimization}
 
     per_item = {}
     for item in corpus.items:
         t, m = traced[item.name], minimal[item.name]
         per_item[item.name] = {
-            "trace_only": sorted(t - m, key=corpus.index_of),
-            "min_only": sorted(m - t, key=corpus.index_of),
-            "common": sorted(t & m, key=corpus.index_of),
+            "trace_only": _names_at(corpus, t & ~m),
+            "min_only": _names_at(corpus, m & ~t),
+            "common": _names_at(corpus, t & m),
         }
     totals = {
         key: sum(len(entry[key]) for entry in per_item.values())
@@ -292,25 +331,38 @@ def compare_methods(
 
 
 def edge_record(edge: DepEdge, method: str) -> str:
-    return json.dumps(
-        {
-            "from": edge.src,
-            "to": edge.dst,
-            "vis": edge.visibility.value,
-            "opacity": edge.opacity.value,
-            "method": method,
-        },
-        separators=(",", ":"),
+    """One ``deps.jsonl`` record, without its line end.
+
+    The record is built by formatting, not by ``json.dumps``.  The two give
+    the same text when no string needs a JSON escape: true of the ``vis``,
+    ``opacity`` and ``method`` values the writer uses, and of every name
+    under the lexical identifier rule (``IDENTIFIER_RE``), which
+    ``write_edges_jsonl`` checks before it writes.
+    """
+    return (
+        f'{{"from":"{edge.src}","to":"{edge.dst}","vis":"{edge.visibility.value}",'
+        f'"opacity":"{edge.opacity.value}","method":"{method}"}}'
     )
 
 
 def write_edges_jsonl(path: str | Path, result: ExtractionResult) -> None:
-    lines = []
-    if result.trace_edges is not None:
-        lines.extend(edge_record(edge, "trace") for edge in result.trace_edges)
-    if result.min_edges is not None:
-        lines.extend(edge_record(edge, "min") for edge in result.min_edges)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """Write the trace records, then the minimization records, one per line.
+
+    Every name of the records must match the lexical identifier rule, so
+    that ``edge_record`` needs no escaping: a name that does not raises
+    ``ValueError`` before anything is written.
+    """
+    groups = [
+        (edges, method)
+        for edges, method in ((result.trace_edges, "trace"), (result.min_edges, "min"))
+        if edges is not None
+    ]
+    names = {name for edges, _ in groups for edge in edges for name in (edge.src, edge.dst)}
+    for name in names:
+        if not IDENTIFIER_RE.fullmatch(name):
+            raise ValueError(f"item name {name!r} is not an identifier; no records written")
+    text = "".join(edge_record(edge, method) + "\n" for edges, method in groups for edge in edges)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # Lines per ``json.loads`` call in ``read_edges_jsonl``.  A decoded block

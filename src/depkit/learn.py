@@ -54,6 +54,10 @@ DEFAULT_ALPHA = 1.0
 DEFAULT_WEIGHT = 1.0
 
 
+class NonFiniteScoreError(ValueError):
+    """A premise score overflowed to an infinity or NaN, which orders nothing."""
+
+
 @dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Statement-symbol unigrams of one item."""
@@ -237,7 +241,16 @@ class _Ranker:
         insort(self.buckets.setdefault(prior, []), position)
 
     def _score(self, name: str, features: Counter) -> float:
-        return score_premise(self.model, name, features, self.alpha, self.weight)
+        # Finite alpha and weight can still overflow a score (a weight near
+        # 1e308 times a log ratio), and infinite or NaN scores tie or order
+        # nothing, so every score the ranker computes is checked.
+        score = score_premise(self.model, name, features, self.alpha, self.weight)
+        if not math.isfinite(score):
+            raise NonFiniteScoreError(
+                f"alpha {self.alpha!r} and weight {self.weight!r} give premise {name!r} "
+                f"the score {score!r}, which orders nothing"
+            )
+        return score
 
     def _scored(self, features: Counter):
         """The hits' ``(-score, position)`` keys, sorted, and per prior the

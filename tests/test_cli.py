@@ -387,6 +387,21 @@ def test_alpha_or_weight_that_give_no_order_exit_two(capsys, command, option):
     assert option.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("weight", ["1e308", "-1e308"])
+def test_weight_whose_scores_overflow_exits_two(tmp_path, capsys, command, weight):
+    corpus, deps = tmp_path / "corpus", tmp_path / "d.jsonl"
+    run(["gen", "--items", "40", "--seed", "1", "--family", "symbols", "-o", str(corpus)], capsys)
+    run(["extract", str(corpus), "-o", str(deps)], capsys)
+    argv = ["learn", command, str(corpus), "--deps", str(deps), f"--weight={weight}"]
+    if command == "export":
+        argv += ["-o", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--weight" in capsys.readouterr().err
+
+
 def _deps_lines(tmp_path, capsys) -> tuple:
     deps = tmp_path / "d.jsonl"
     run(["extract", str(FIXTURES / "redundant_hint"), "-o", str(deps)], capsys)

@@ -7,7 +7,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depkit.corpus import (
@@ -422,6 +422,90 @@ def test_trace_soundness_on_fixtures_and_generated(five_file_corpus):
                     assert edge.dst in traced_hints, edge
                     stripped = env.restrict(frozenset(env.all_names()) - traced_hints)
                     assert not corpus.accepts(item, stripped)
+
+
+# Compiled check --------------------------------------------------------------
+
+# Corpora small enough to check every submask of every candidate
+# environment: a variable covered by two reservations, so that only a whole
+# (reservation, type) pair verifies it; notation tokens in a statement and
+# in a definition type; ``by auto`` with hints shared by several symbols;
+# and names that resolve nowhere, a variable with no reservation and
+# ``by auto`` with no hint.
+COMPILED_CHECK_SOURCES = [
+    "def a := lit;\ndef b := lit;\nreserve x, y : a;\nreserve y : b;\n"
+    "thm t : var y;\nthm u : var x var y by t;\n",
+    "def plus := lit;\nnotation oplus for plus;\nthm t : uses oplus;\n"
+    "def d : oplus := plus;\nthm s : uses d uses oplus by t;\n",
+    "def f := lit;\ndef g := lit;\nhint h1 uses f;\nhint h2 uses f g;\n"
+    "thm t : uses f uses g by auto;\nthm s : uses g by auto;\n",
+    "def f := lit;\nthm t : uses missing;\nthm s : uses f by nowhere;\n"
+    "thm r : var z;\nthm q : uses f by auto;\n",
+]
+
+
+def _assert_compiled_verdicts(corpus: Corpus, idx: int, masks) -> None:
+    """The compiled check of item ``idx`` against ``accepts`` (``_verify``)
+    on the environment of each mask over the corpus table."""
+    item = corpus.items[idx]
+    accepts = corpus._compile_check(item)
+    env = corpus.candidate_environment(idx)
+    for bits in masks:
+        assert accepts(bits) == corpus.accepts(item, env.with_mask(bits)), (item.name, bin(bits))
+
+
+@pytest.mark.parametrize("source", COMPILED_CHECK_SOURCES)
+def test_compiled_check_equals_verify_on_every_submask(source):
+    corpus = corpus_from(source)
+    for idx in range(len(corpus)):
+        _assert_compiled_verdicts(corpus, idx, range(1 << idx))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_compiled_check_on_full_candidates_agrees_with_verify(family):
+    """On the whole candidate environment, raw and normalized, the compiled
+    verdict is ``_verify``'s: acceptance exactly when no reason is found."""
+    from depkit.normalize import normalize_corpus
+
+    files = generate_corpus(items=150, seed=5, family=family)
+    raw = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+    for corpus in (raw, normalize_corpus(raw)[0]):
+        for idx, item in enumerate(corpus.items):
+            reason, _ = corpus._verify(item, corpus.candidate_environment(idx), False)
+            assert corpus._compile_check(item)((1 << idx) - 1) is (reason is None), item.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    items=st.integers(min_value=20, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**16),
+    family=st.sampled_from(FAMILIES),
+    normalized=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_compiled_check_equals_verify_on_random_submasks(items, seed, family, normalized, rng):
+    """Per item: the candidate mask, its seed restrict (the traced names),
+    the seed restrict less each traced name, and random submasks of three
+    densities, alone, cut to the seed and joined to it less one name."""
+    from depkit.normalize import normalize_corpus
+
+    files = generate_corpus(items=items, seed=seed, family=family)
+    corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+    if normalized:
+        corpus = normalize_corpus(corpus)[0]
+    for idx, item in enumerate(corpus.items):
+        env = corpus.candidate_environment(idx)
+        trace = corpus.check_item(item, env, trace_requested=True).trace
+        seed_bits = env.restrict(frozenset(edge.dst for edge in trace)).mask
+        masks = [env.mask, seed_bits]
+        masks += [seed_bits & ~(1 << pos) for pos in bit_positions(seed_bits)]
+        r1, r2, r3 = (rng.getrandbits(idx) if idx else 0 for _ in range(3))
+        for sub in (r1 & r2, r1, r1 | r2 | r3):
+            masks.append(sub)
+            masks.append(sub & seed_bits)
+            drop = rng.choice(bit_positions(seed_bits)) if seed_bits else 0
+            masks.append((sub | seed_bits) & ~(1 << drop))
+        _assert_compiled_verdicts(corpus, idx, masks)
 
 
 # Rendering -------------------------------------------------------------------

@@ -121,6 +121,21 @@ def test_kind_positions_equal_bit_positions_on_every_path():
     assert prefixes > 1000
 
 
+def test_kind_counts_equal_popcounts_on_prefix_and_other_masks():
+    """``kind_counts`` bisects the position lists for a prefix mask of a
+    corpus table and pops the count of any other mask or table."""
+    rng = random.Random(23)
+    for corpus in _corpora():
+        n = len(corpus.items)
+        table = corpus.candidate_environment(n)._table
+        built = _prefix_model(corpus, n).build()._table
+        for cut in range(n + 2):
+            prefix = (1 << cut) - 1
+            other = prefix & rng.getrandbits(n + 1)
+            for t, bits in ((table, prefix), (table, other), (built, prefix)):
+                assert t.kind_counts(bits) == [(bits & kind).bit_count() for kind in t.kinds]
+
+
 def test_checker_agrees_across_constructions_and_with_model():
     rng = random.Random(11)
     checked = accepted = 0

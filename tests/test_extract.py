@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -10,11 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
+from depkit.corpus import (
+    KIND_FIELDS,
+    Corpus,
+    DepEdge,
+    Environment,
+    Item,
+    ItemKind,
+    Opacity,
+    Visibility,
+    parse_source,
+)
 from depkit.errors import CorpusMismatchError, NotVerifiableError, ParseError
 from depkit.extract import (
+    Microarticle,
     compare_methods,
     decompose,
+    edge_record,
     edges_from_minimization,
     event_lines,
     extract_corpus,
@@ -187,6 +200,42 @@ def test_exact_minimization_effort(items, seed, seeded_calls, unseeded_calls, un
     assert sum(sum(r.removed.values()) for r in unseeded) == unseeded_removed
 
 
+def test_unseeded_minimization_builds_no_environment_per_trial(monkeypatch):
+    """Trials are masks: the run builds a small constant number of
+    ``Environment`` objects per item (the candidate and the minimal one),
+    while it makes about 20 trials per item."""
+    corpus = _generated(items=150, seed=11)
+    built = 0
+    of = Environment._of.__func__
+
+    def counting_of(cls, table, mask):
+        nonlocal built
+        built += 1
+        return of(cls, table, mask)
+
+    monkeypatch.setattr(Environment, "_of", classmethod(counting_of))
+    minimization = extract_corpus(corpus, mode="minimize").minimization
+    assert sum(r.oracle_calls for r in minimization) > 10 * len(corpus)
+    assert built <= 3 * len(corpus)
+
+
+def test_minimize_matches_a_candidate_environment_built_by_name_to_corpus_positions():
+    """A candidate built by name is matched to corpus positions once, by
+    name and kind: its own order plays no part, and a name the corpus does
+    not hold is neither searched nor counted as removed."""
+    corpus = _generated(items=40, seed=5)
+    for micro in decompose(corpus):
+        env = micro.candidate_env
+        lists = {attr: tuple(reversed(env.names(kind))) for kind, attr in KIND_FIELDS.items()}
+        lists["hints"] += ("not_in_the_corpus",)
+        by_name = Microarticle(item=micro.item, candidate_env=Environment(**lists))
+        expected = minimize_env(corpus, micro)
+        got = minimize_env(corpus, by_name)
+        assert got.minimal_env == expected.minimal_env, micro.item.name
+        assert got.oracle_calls == expected.oracle_calls
+        assert got.removed == expected.removed
+
+
 # trace_extract ---------------------------------------------------------------
 
 
@@ -317,6 +366,44 @@ def test_jsonl_round_trip(tmp_path, redundant_hint_corpus):
     }
     merged = read_edges_jsonl(path, method="any")
     assert {(e.src, e.dst) for e in merged} == {(e.src, e.dst) for e in trace}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_edge_records_equal_json_dumps(family):
+    result = extract_corpus(_generated(items=120, seed=9, family=family), mode="both")
+    for edges, method in ((result.trace_edges, "trace"), (result.min_edges, "min")):
+        for edge in edges:
+            expected = json.dumps(
+                {
+                    "from": edge.src,
+                    "to": edge.dst,
+                    "vis": edge.visibility.value,
+                    "opacity": edge.opacity.value,
+                    "method": method,
+                },
+                separators=(",", ":"),
+            )
+            assert edge_record(edge, method) == expected
+
+
+@pytest.mark.parametrize("bad", ['a"b', "a\\b", "caf\u00e9", "a b", "a\nb", "1a", "a-b", ""])
+def test_writer_rejects_names_outside_the_identifier_rule_before_writing(tmp_path, bad):
+    """Records are formatted without escaping, so a name the lexer could not
+    have produced (an ``Item`` built by hand) stops the writer before it
+    touches the file; here the name is both a source and a target."""
+    corpus = Corpus(
+        [
+            Item("d", ItemKind.DEFINITION),
+            Item(bad, ItemKind.THEOREM, statement_symbols=("d",)),
+            Item("u", ItemKind.THEOREM, by_refs=(bad,)),
+        ]
+    )
+    result = extract_corpus(corpus, mode="both")
+    path = tmp_path / "deps.jsonl"
+    path.write_text("old\n")
+    with pytest.raises(ValueError, match="not an identifier"):
+        write_edges_jsonl(path, result)
+    assert path.read_text() == "old\n"
 
 
 # Block reader against the per-line oracle --------------------------------------

@@ -16,6 +16,7 @@ from depkit.extract import trace_extract
 from depkit.gen import FAMILIES, generate_corpus
 from depkit.learn import (
     BayesModel,
+    NonFiniteScoreError,
     _Ranker,
     dependency_map,
     evaluate_chrono,
@@ -283,6 +284,24 @@ def test_rankings_reject_alpha_or_weight_that_give_no_order(tmp_path, alpha, wei
     assert not (tmp_path / "out").exists()
     with pytest.raises(ValueError):
         rank(BayesModel(), "q", Counter(), [corpus.items[0].name], corpus, alpha, weight)
+
+
+@pytest.mark.parametrize("weight", [1e308, -1e308])
+def test_rankings_reject_finite_weights_whose_scores_overflow(tmp_path, weight):
+    """A finite weight can still overflow a score to an infinity, which
+    orders nothing; the ranking stops with ``ValueError`` instead."""
+    corpus, edges = _generated_corpus(items=40, seed=1)
+    with pytest.raises(NonFiniteScoreError) as exc:
+        evaluate_chrono(corpus, edges, [1, 10], weight=weight)
+    assert isinstance(exc.value, ValueError) and "weight" in str(exc.value)
+    with pytest.raises(NonFiniteScoreError):
+        export_problems(corpus, edges, 10, tmp_path / "out", weight=weight)
+    deps = dependency_map(edges)
+    model = train(corpus, deps, upto=len(corpus.items))
+    item = corpus.items[-1]
+    names = [other.name for other in corpus.items[:-1]]
+    with pytest.raises(NonFiniteScoreError):
+        rank(model, item.name, features_of(item).counts(), names, corpus, weight=weight)
 
 
 def test_negative_cutoffs_are_rejected(tmp_path):
