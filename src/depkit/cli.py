@@ -237,8 +237,11 @@ def _positive_finite_float(text: str) -> float:
 
 
 def _cutoffs(text: str) -> list[int]:
-    """Comma-separated positive integers, as in ``--k 1,10,50``."""
-    return [_positive_int(part) for part in text.split(",") if part]
+    """Comma-separated positive integers, as in ``--k 1,10,50``; at least one."""
+    cutoffs = [_positive_int(part) for part in text.split(",") if part]
+    if not cutoffs:
+        raise argparse.ArgumentTypeError(f"expected at least one cutoff, got {text!r}")
+    return cutoffs
 
 
 def _add_method(parser: argparse.ArgumentParser) -> None:

@@ -27,12 +27,19 @@ buckets on (-score, corpus position), and the position of a true
 dependency is counted from bucket sizes and a bisection in the buckets
 that tie with it, with no full sort.
 
-The seeded random baseline of ``evaluate_chrono`` still shuffles every
-candidate list, because the bytes of its result depend on that random
-stream; the shuffles are now most of an evaluation's time.  Its exact
-expectation, min(k, n)/n for n candidates, would remove that floor but
-changes the result and the meaning of the seed, so it is left to a change
-of its own.
+The seeded random baseline of ``evaluate_chrono`` counts a true dependency
+in the top k when ``random.Random(seed).shuffle`` of the candidate list
+would put it there, with one generator for the whole replay.  The list is
+never built or shuffled: ``_shuffled_positions`` draws the Fisher–Yates
+swaps with the ``getrandbits`` calls that CPython's ``Random.shuffle``
+makes and follows only the true dependencies, so the generator's state
+after each theorem, and every byte of the result, are those of the
+shuffle.  The draws still cost one loop step per candidate (plus redraws),
+which is the larger part of an evaluation's time.  The exact expectation,
+min(k, n)/n for n candidates, would remove them but changes the result and
+the meaning of the seed, so it is left to a change of its own.  A property
+test holds the helper to ``Random.shuffle`` itself, positions and
+generator state, so a Python whose shuffle draws differently fails it.
 """
 
 from __future__ import annotations
@@ -338,6 +345,41 @@ def rank(
     )
 
 
+def _shuffled_positions(rng: random.Random, n: int, positions: Sequence[int]) -> list[int]:
+    """Where ``rng.shuffle`` of an n-list moves the elements at ``positions``.
+
+    The Fisher–Yates swaps of CPython's ``Random.shuffle`` are drawn here
+    with the same ``getrandbits`` calls that its ``_randbelow`` makes, so
+    ``rng`` ends in the same state as after the shuffle; the list itself is
+    never built.  ``at`` maps each list position that holds a tracked
+    element to that element's starting position, and a step touches it only
+    when i or j is such a position.  No later step moves position i, so
+    ``at`` ends with every tracked element at its final position.
+    """
+    getrandbits = rng.getrandbits
+    at = {p: p for p in positions}
+    top = n - 1
+    while top > 0:
+        # one bit width per power-of-two segment: randbelow(i + 1) draws
+        # (i + 1).bit_length() bits, redrawing while the draw exceeds i
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            if i in at or j in at:
+                here = at.pop(i, None)
+                there = at.pop(j, None)
+                if there is not None:
+                    at[i] = there
+                if here is not None:
+                    at[j] = here
+        top = low - 1
+    final = {start: p for p, start in at.items()}
+    return [final[p] for p in positions]
+
+
 def evaluate_chrono(
     corpus: Corpus,
     edges: Sequence[DepEdge],
@@ -367,8 +409,7 @@ def evaluate_chrono(
     rank_positions: list[int] = []
     evaluated = 0
 
-    names: list[str] = []
-    for item in corpus.items:
+    for index, item in enumerate(corpus.items):
         features = features_of(item).counts()
         true_deps = set(deps_by_item.get(item.name, ()))
         if item.kind is ItemKind.THEOREM and true_deps:
@@ -377,15 +418,12 @@ def evaluate_chrono(
                 recall_sums[k] += sum(p <= k for p in positions) / len(true_deps)
             rank_positions.extend(positions)
             if rng is not None:
-                shuffled = list(names)
-                rng.shuffle(shuffled)
+                shuffled = _shuffled_positions(rng, index, [corpus.index_of(d) for d in true_deps])
                 for k in ks:
-                    top = set(shuffled[:k])
-                    baseline_sums[k] += len(top & true_deps) / len(true_deps)
+                    baseline_sums[k] += sum(p < k for p in shuffled) / len(true_deps)
             evaluated += 1
         ranker.update(features, deps_by_item.get(item.name, ()))
         ranker.add(item.name)
-        names.append(item.name)
 
     result = {
         "evaluated": evaluated,

@@ -371,6 +371,21 @@ def test_bad_cutoff_exits_two(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cutoffs", ["", ",", ",,"])
+def test_cutoffs_that_name_no_cutoff_exit_two(tmp_path, capsys, cutoffs):
+    """A ``--k`` with no cutoff in it would print empty recall maps; it is a
+    usage error naming ``--k``, also when the corpus and deps are valid."""
+    corpus_dir, deps = tmp_path / "corpus", tmp_path / "d.jsonl"
+    run(["gen", "--items", "20", "--seed", "1", "-o", str(corpus_dir)], capsys)
+    run(["extract", str(corpus_dir), "-o", str(deps), "--mode", "trace"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "eval", str(corpus_dir), "--deps", str(deps), "--k", cutoffs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --k: expected at least one cutoff" in captured.err
+
+
 @pytest.mark.parametrize("command", ["eval", "export"])
 @pytest.mark.parametrize(
     "option",

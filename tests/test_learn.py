@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from itertools import islice, product
 
@@ -18,6 +19,7 @@ from depkit.learn import (
     BayesModel,
     NonFiniteScoreError,
     _Ranker,
+    _shuffled_positions,
     dependency_map,
     evaluate_chrono,
     export_problems,
@@ -269,6 +271,55 @@ def test_chrono_and_export_equal_the_full_sort_loops(tmp_path, seed):
         assert [p.name for p in paths] == [p.name for p in expected]
         for path, ref_path in zip(paths, expected):
             assert path.read_bytes() == ref_path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_chrono_equals_the_full_sort_loop_past_512_candidates(seed):
+    """On 600 mixed items the candidate lists pass 512, where the baseline's
+    draws widen to 10 bits; the cutoffs include k = 0 and k beyond every n."""
+    corpus, edges = _generated_corpus(items=600, seed=seed, family="mixed")
+    cutoffs = [0, 1, 10, 50, 10**6]
+    result = evaluate_chrono(corpus, edges, cutoffs, baseline_seed=seed)
+    assert result == evaluate_chrono_by_full_sort(corpus, edges, cutoffs, baseline_seed=seed)
+    assert result["baseline_recall_at_k"][0] == 0.0
+    assert result["baseline_recall_at_k"][10**6] == pytest.approx(1.0)
+    deps = dependency_map(edges)
+    assert max(
+        corpus.index_of(name) for name in deps if corpus.item(name).kind is ItemKind.THEOREM
+    ) > 512
+
+
+def _shuffle_oracle(seed: int, n: int, positions: list[int]) -> tuple[list[int], tuple]:
+    """The index ``Random(seed).shuffle`` of ``range(n)`` gives each position,
+    and the generator's state after it."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    index = {value: i for i, value in enumerate(order)}
+    return [index[p] for p in positions], rng.getstate()
+
+
+def _assert_follows_the_shuffle(seed: int, n: int, positions: list[int]) -> None:
+    rng = random.Random(seed)
+    got = _shuffled_positions(rng, n, positions)
+    assert (got, rng.getstate()) == _shuffle_oracle(seed, n, positions), (seed, n, positions)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_shuffled_positions_follow_the_shuffle_where_the_draw_width_changes(seed, n):
+    """Around each power of two the bit width of a draw changes and the
+    share of redrawn values peaks."""
+    picks = random.Random(n).sample(range(n), min(n, 6))
+    for positions in ([0, n - 1], [n - 1, 0], sorted({0, n - 1, *picks}), [*picks, 0, n - 1]):
+        _assert_follows_the_shuffle(seed, n, list(dict.fromkeys(positions)))
+
+
+@given(st.integers(1, 5000), st.integers(0, 2**64), st.data())
+def test_shuffled_positions_follow_the_shuffle(n, seed, data):
+    picks = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=8))
+    positions = data.draw(st.permutations(list(dict.fromkeys([0, n - 1, *picks]))))
+    _assert_follows_the_shuffle(seed, n, positions)
 
 
 @pytest.mark.parametrize(
