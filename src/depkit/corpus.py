@@ -17,6 +17,13 @@ tokens, and any other character is a ``ParseError`` at its line.  Lines end
 where ``str.splitlines`` ends them.  ``lit`` is the literal atom: a
 definition body of ``lit`` references nothing.
 
+The parser is the grammar's recursive descent flattened into one function,
+``_parse_file``: one regex gives a file's tokens and their lines, and one
+loop walks the token list with a local index, parses one item per turn and
+builds each ``Item`` at one construction site, with no method call per
+token.  Every ``ParseError`` names its file and line, and a name declared
+twice in one file raises ``DuplicateNameError`` at its second line.
+
 The checker is a pure function of (item, environment).  It is deliberately
 monotone: growing an environment can never turn an accepted item into a
 rejected one.  That property is what makes brute-force environment
@@ -482,218 +489,33 @@ def _label_tags(relpaths: Sequence[str]) -> list[str]:
     return tags
 
 
-class _Parser:
-    """Recursive descent over one file's tokens.  Each ``parse_*`` method
-    returns the fields its item kind sets; ``parse_items`` builds the items."""
+# The tokens at which no name can stand: the non-names and end of file.
+_STOPS = _NOT_NAMES | {None}
 
-    def __init__(self, tokens: list[str], lines: list[int], source_file: str, tag: str):
-        self.tokens = tokens
-        self.lines = lines
-        self.pos = 0
-        self.source_file = source_file
-        self.tag = tag
-
-    def error(self, message: str) -> ParseError:
-        lines = self.lines
-        line = lines[min(self.pos, len(lines) - 1)] if lines else 1
-        return ParseError(message, self.source_file, line)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise self.error("unexpected end of file")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        got = self.take()
-        if got != text:
-            self.pos -= 1
-            raise self.error(f"expected {text!r}, found {got!r}")
-
-    def take_name(self, what: str = "identifier") -> str:
-        tok = self.take()
-        if tok in _NOT_NAMES:
-            self.pos -= 1
-            raise self.error(f"expected {what}, found {tok!r}")
-        if tok.startswith(FRESH_PREFIX) and _fresh_label_index(tok, self.tag) is None:
-            self.pos -= 1
-            raise self.error(
-                f"identifier {tok!r} uses the reserved {FRESH_PREFIX!r} label namespace"
-            )
-        return tok
-
-    def at_name(self) -> bool:
-        tok = self.peek()
-        return tok is not None and tok not in _NOT_NAMES
-
-    def take_opacity(self) -> Opacity | None:
-        if self.peek() in ("opaque", "transparent"):
-            return Opacity(self.take())
-        return None
-
-    def parse_items(self) -> list[Item]:
-        parsed: list[tuple[dict, int | None]] = []  # fields and block id per item
-        blocks = 0
-        while self.peek() is not None:
-            if self.peek() == "defblock":
-                parsed += ((fields, blocks) for fields in self.parse_defblock())
-                blocks += 1
-            else:
-                parsed.append((self.parse_item(), None))
-        return [
-            Item(**fields, source_file=self.source_file, index_in_file=index, block_id=block_id)
-            for index, (fields, block_id) in enumerate(parsed)
-        ]
-
-    def parse_defblock(self) -> list[dict]:
-        self.expect("defblock")
-        self.expect("{")
-        members: list[dict] = []
-        while self.peek() != "}":
-            if self.peek() != "def":
-                raise self.error("defblock may only contain definitions")
-            members.append(self.parse_def())
-        if not members:
-            raise self.error("empty defblock")
-        self.expect("}")
-        return members
-
-    def parse_item(self) -> dict:
-        tok = self.peek()
-        if tok == "def":
-            return self.parse_def()
-        if tok in ("thm", "then"):
-            return self.parse_thm()
-        if tok == "notation":
-            return self.parse_notation()
-        if tok == "hint":
-            return self.parse_hint()
-        if tok == "reserve":
-            return self.parse_reserve()
-        raise self.error(f"expected an item keyword, found {tok!r}")
-
-    def parse_def(self) -> dict:
-        self.expect("def")
-        opacity = self.take_opacity() or Opacity.TRANSPARENT
-        name = self.take_name("definition name")
-        stmt: list[str] = []
-        if self.peek() == ":":
-            self.take()
-            while self.at_name():
-                stmt.append(self.take_name())
-        self.expect(":=")
-        body: list[str] = []
-        while self.peek() != ";":
-            if self.peek() is None:
-                raise self.error("unterminated definition body")
-            if self.peek() == "lit":
-                self.take()
-            elif self.at_name():
-                body.append(self.take_name())
-            else:
-                raise self.error(f"unexpected token {self.peek()!r} in definition body")
-        self.expect(";")
-        return dict(
-            name=name,
-            kind=ItemKind.DEFINITION,
-            statement_symbols=_dedup(stmt),
-            body_symbols=_dedup(body),
-            opacity=opacity,
-        )
-
-    def parse_thm(self) -> dict:
-        linked = False
-        if self.peek() == "then":
-            self.take()
-            linked = True
-            if self.peek() != "thm":
-                raise self.error("'then' may only prefix a theorem")
-        self.expect("thm")
-        opacity = self.take_opacity() or Opacity.OPAQUE
-        anonymous = not self.at_name()
-        name = "" if anonymous else self.take_name("theorem name")
-        self.expect(":")
-        stmt: list[str] = []
-        free_vars: list[str] = []
-        while self.peek() in ("uses", "var"):
-            clause = self.take()
-            if clause == "uses":
-                stmt.append(self.take_name("symbol after 'uses'"))
-            else:
-                free_vars.append(self.take_name("variable after 'var'"))
-        by_refs: tuple[str, ...] = ()
-        by_auto = False
-        if self.peek() == "by":
-            self.take()
-            if self.peek() == "auto":
-                self.take()
-                by_auto = True
-                if linked:
-                    raise self.error("'then' cannot be combined with 'by auto'")
-            else:
-                refs = []
-                while self.at_name():
-                    refs.append(self.take_name("reference after 'by'"))
-                if not refs:
-                    raise self.error("'by' requires 'auto' or at least one reference")
-                by_refs = _dedup(refs)
-        self.expect(";")
-        return dict(
-            name=name,
-            kind=ItemKind.THEOREM,
-            statement_symbols=_dedup(stmt),
-            free_vars=_dedup(free_vars),
-            by_refs=by_refs,
-            by_auto=by_auto,
-            opacity=opacity,
-            anonymous=anonymous,
-            linked=linked,
-        )
-
-    def parse_notation(self) -> dict:
-        self.expect("notation")
-        name = self.take_name("notation name")
-        self.expect("for")
-        target = self.take_name("notation target")
-        self.expect(";")
-        return dict(name=name, kind=ItemKind.NOTATION, statement_symbols=(target,))
-
-    def parse_hint(self) -> dict:
-        self.expect("hint")
-        name = self.take_name("hint name")
-        self.expect("uses")
-        syms = [self.take_name("symbol in hint")]
-        while self.at_name():
-            syms.append(self.take_name())
-        self.expect(";")
-        return dict(name=name, kind=ItemKind.HINT, statement_symbols=_dedup(syms))
-
-    def parse_reserve(self) -> dict:
-        self.expect("reserve")
-        names = [self.take_name("reserved variable")]
-        while self.peek() == ",":
-            self.take()
-            names.append(self.take_name("reserved variable"))
-        self.expect(":")
-        type_sym = self.take_name("reservation type symbol")
-        vars_ = _dedup(names)
-        if len(vars_) != len(names):
-            raise self.error("repeated variable in reservation")
-        self.expect(";")
-        return dict(
-            name=vars_[0],
-            kind=ItemKind.RESERVATION,
-            statement_symbols=(type_sym,),
-            reserved_vars=vars_,
-        )
+_OPACITIES = {opacity.value: opacity for opacity in Opacity}
 
 
-def _dedup(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(names))
+def _parse_error(message: str, lines: list[int], pos: int, source_file: str) -> ParseError:
+    """``message`` at the line of token ``pos``; past the end, at the line
+    of the last token."""
+    return ParseError(message, source_file, lines[min(pos, len(lines) - 1)] if lines else 1)
+
+
+def _found(tok: str | None, what: str) -> str:
+    """The message for ``tok`` where ``what`` was expected."""
+    return "unexpected end of file" if tok is None else f"expected {what}, found {tok!r}"
+
+
+def _reserved(tok: str) -> str:
+    """The message for a name in the reserved namespace that is not a fresh
+    label of its file."""
+    return f"identifier {tok!r} uses the reserved {FRESH_PREFIX!r} label namespace"
+
+
+def _name_message(tok: str | None, what: str) -> str:
+    """The message for ``tok`` where a name (``what``) was expected: a
+    non-name, end of file, or a label outside the file's fresh labels."""
+    return _found(tok, what) if tok in _STOPS else _reserved(tok)
 
 
 def _fresh_label_index(name: str, tag: str) -> int | None:
@@ -703,40 +525,234 @@ def _fresh_label_index(name: str, tag: str) -> int | None:
     return int(digits) if ok else None
 
 
-def _assign_anonymous_names(items: list[Item], tag: str) -> list[Item]:
-    """Give anonymous items deterministic names in the reserved namespace.
-
-    Explicit fresh labels survive a round trip through the renderer, so the
-    counter skips indexes already present in the file.
-    """
-    used = {_fresh_label_index(it.name, tag) for it in items} - {None}
-    counter = 0
-    out: list[Item] = []
-    for item in items:
-        if item.anonymous:
-            while counter in used:
-                counter += 1
-            used.add(counter)
-            out.append(replace(item, name=f"{FRESH_PREFIX}{counter}_{tag}"))
-        else:
-            out.append(item)
-    return out
-
-
 def parse_source(text: str, source_file: str = "memory.art") -> list[Item]:
     """Parse one file's source into items (names assigned, order preserved)."""
     return _parse_file(text, source_file, file_tag(source_file))
 
 
 def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
-    """``parse_source`` with the fresh-label tag given."""
-    parser = _Parser(*_tokenize(text, source_file), source_file, tag)
-    items = _assign_anonymous_names(parser.parse_items(), tag)
-    seen: dict[str, Item] = {}
-    for item in items:
-        if item.name in seen:
-            raise DuplicateNameError(item.name, source_file, source_file)
-        seen[item.name] = item
+    """``parse_source`` with the fresh-label tag given.
+
+    Recursive descent flattened into one loop over the file's tokens with a
+    local index: each turn parses one item, or opens a ``defblock``, whose
+    members the following turns parse until its ``}``.  The token list ends
+    in ``None`` for end of file, which no branch steps past.  A token with
+    the reserved prefix that is not a fresh label of this file is in
+    ``bad``, found once per file.  A name position rejects the tokens of
+    ``stops``, the non-names and ``bad``; a run of names ends at the first
+    of them, an error when it is in ``bad``.  Anonymous theorems are named after the loop, skipping the fresh labels
+    the file uses.  A name declared twice raises ``DuplicateNameError`` at
+    the line of its second name token, once the whole file has parsed.
+    """
+    tokens, lines = _tokenize(text, source_file)
+    labels = FRESH_PREFIX in text  # else no token has the reserved prefix
+    bad = {
+        tok
+        for tok in (set(tokens) if labels else ())
+        if tok.startswith(FRESH_PREFIX) and _fresh_label_index(tok, tag) is None
+    }
+    stops = _STOPS | bad
+    tokens.append(None)
+    items: list[Item] = []
+    named: set[str] = set()
+    duplicate = None  # the first name declared twice, and its second line
+    anonymous_at: list[int] = []
+    used: set[int] = set()  # the counters of the file's fresh labels
+    block = None  # the open defblock's id
+    blocks = block_start = pos = 0
+    while True:
+        tok = tokens[pos]
+        if block is not None:
+            if tok == "}":
+                if len(items) == block_start:
+                    raise _parse_error("empty defblock", lines, pos, source_file)
+                pos += 1
+                block = None
+                continue
+            if tok != "def":
+                raise _parse_error("defblock may only contain definitions", lines, pos, source_file)
+        elif tok is None:
+            break
+        elif tok == "defblock":
+            pos += 1
+            if tokens[pos] != "{":
+                raise _parse_error(_found(tokens[pos], "'{'"), lines, pos, source_file)
+            pos += 1
+            block = blocks
+            blocks += 1
+            block_start = len(items)
+            continue
+
+        # The item's keyword, then opacity and what its name token is.
+        stmt: list[str] = []
+        body: list[str] = []
+        free_vars: list[str] = []
+        reserved: tuple[str, ...] = ()
+        by_refs: tuple[str, ...] = ()
+        by_auto = anonymous = linked = False
+        opacity = Opacity.TRANSPARENT
+        if tok == "def":
+            kind, what = ItemKind.DEFINITION, "definition name"
+            pos += 1
+            if tokens[pos] in _OPACITIES:
+                opacity = _OPACITIES[tokens[pos]]
+                pos += 1
+        elif tok == "thm" or tok == "then":
+            kind, what = ItemKind.THEOREM, "theorem name"
+            if tok == "then":
+                pos += 1
+                linked = True
+                if tokens[pos] != "thm":
+                    raise _parse_error("'then' may only prefix a theorem", lines, pos, source_file)
+            pos += 1
+            opacity = _OPACITIES.get(tokens[pos], Opacity.OPAQUE)
+            if tokens[pos] in _OPACITIES:
+                pos += 1
+            anonymous = tokens[pos] in _STOPS
+        elif tok == "notation":
+            kind, what = ItemKind.NOTATION, "notation name"
+            pos += 1
+        elif tok == "hint":
+            kind, what = ItemKind.HINT, "hint name"
+            pos += 1
+        elif tok == "reserve":
+            kind, what = ItemKind.RESERVATION, "reserved variable"
+            pos += 1
+        else:
+            raise _parse_error(_found(tok, "an item keyword"), lines, pos, source_file)
+
+        name = ""
+        if not anonymous:
+            name = tokens[pos]
+            if name in stops:
+                raise _parse_error(_name_message(name, what), lines, pos, source_file)
+            if name in named:
+                duplicate = duplicate or (name, lines[pos])
+            named.add(name)
+            if labels and name.startswith(FRESH_PREFIX):
+                used.add(_fresh_label_index(name, tag))
+            pos += 1
+
+        # The rest of the item, up to its ``;``.
+        if kind is ItemKind.DEFINITION:
+            if tokens[pos] == ":":
+                start = pos = pos + 1
+                while tokens[pos] not in stops:
+                    pos += 1
+                if tokens[pos] in bad:
+                    raise _parse_error(_reserved(tokens[pos]), lines, pos, source_file)
+                stmt = tokens[start:pos]
+            if tokens[pos] != ":=":
+                raise _parse_error(_found(tokens[pos], "':='"), lines, pos, source_file)
+            start = pos = pos + 1
+            while tokens[pos] not in stops or tokens[pos] == "lit":
+                pos += 1
+            tok = tokens[pos]
+            if tok is None:
+                raise _parse_error("unterminated definition body", lines, pos, source_file)
+            if tok in bad:
+                raise _parse_error(_reserved(tok), lines, pos, source_file)
+            if tok != ";":
+                message = f"unexpected token {tok!r} in definition body"
+                raise _parse_error(message, lines, pos, source_file)
+            body = [tok for tok in tokens[start:pos] if tok != "lit"]
+        elif kind is ItemKind.THEOREM:
+            if tokens[pos] != ":":
+                raise _parse_error(_found(tokens[pos], "':'"), lines, pos, source_file)
+            pos += 1
+            tok = tokens[pos]
+            while tok == "uses" or tok == "var":
+                pos += 1
+                ref = tokens[pos]
+                if ref in stops:
+                    what = "symbol after 'uses'" if tok == "uses" else "variable after 'var'"
+                    raise _parse_error(_name_message(ref, what), lines, pos, source_file)
+                (stmt if tok == "uses" else free_vars).append(ref)
+                pos += 1
+                tok = tokens[pos]
+            if tok == "by":
+                pos += 1
+                tok = tokens[pos]
+                if tok == "auto":
+                    pos += 1
+                    by_auto = True
+                    if linked:
+                        message = "'then' cannot be combined with 'by auto'"
+                        raise _parse_error(message, lines, pos, source_file)
+                else:
+                    start = pos
+                    while tokens[pos] not in stops:
+                        pos += 1
+                    if tokens[pos] in bad:
+                        raise _parse_error(_reserved(tokens[pos]), lines, pos, source_file)
+                    if pos == start:
+                        message = "'by' requires 'auto' or at least one reference"
+                        raise _parse_error(message, lines, pos, source_file)
+                    by_refs = tuple(dict.fromkeys(tokens[start:pos]))
+        elif kind is ItemKind.NOTATION:
+            if tokens[pos] != "for":
+                raise _parse_error(_found(tokens[pos], "'for'"), lines, pos, source_file)
+            pos += 1
+            tok = tokens[pos]
+            if tok in stops:
+                raise _parse_error(_name_message(tok, "notation target"), lines, pos, source_file)
+            stmt.append(tok)
+            pos += 1
+        elif kind is ItemKind.HINT:
+            if tokens[pos] != "uses":
+                raise _parse_error(_found(tokens[pos], "'uses'"), lines, pos, source_file)
+            start = pos = pos + 1
+            while tokens[pos] not in stops:
+                pos += 1
+            if pos == start or tokens[pos] in bad:
+                message = _name_message(tokens[pos], "symbol in hint")
+                raise _parse_error(message, lines, pos, source_file)
+            stmt = tokens[start:pos]
+        else:
+            names = [name]
+            while tokens[pos] == ",":
+                pos += 1
+                tok = tokens[pos]
+                if tok in stops:
+                    raise _parse_error(_name_message(tok, what), lines, pos, source_file)
+                names.append(tok)
+                pos += 1
+            if tokens[pos] != ":":
+                raise _parse_error(_found(tokens[pos], "':'"), lines, pos, source_file)
+            pos += 1
+            tok = tokens[pos]
+            if tok in stops:
+                message = _name_message(tok, "reservation type symbol")
+                raise _parse_error(message, lines, pos, source_file)
+            stmt.append(tok)
+            pos += 1
+            reserved = tuple(dict.fromkeys(names))
+            if len(reserved) != len(names):
+                raise _parse_error("repeated variable in reservation", lines, pos, source_file)
+        if tokens[pos] != ";":
+            raise _parse_error(_found(tokens[pos], "';'"), lines, pos, source_file)
+        pos += 1
+
+        if anonymous:
+            anonymous_at.append(len(items))
+        items.append(
+            Item(
+                name, kind, tuple(dict.fromkeys(stmt)), tuple(dict.fromkeys(body)),
+                tuple(dict.fromkeys(free_vars)), reserved, by_refs, by_auto, opacity,
+                source_file, len(items), anonymous, linked, block,
+            )
+        )
+
+    if duplicate is not None:
+        raise DuplicateNameError(duplicate[0], source_file, source_file, line=duplicate[1])
+    # Fresh labels cannot collide with a declared name: the counter skips
+    # every label the file declares.
+    counter = 0
+    for at in anonymous_at:
+        while counter in used:
+            counter += 1
+        used.add(counter)
+        items[at] = replace(items[at], name=f"{FRESH_PREFIX}{counter}_{tag}")
     return items
 
 

@@ -22,15 +22,18 @@ class ParseError(DepkitError):
 
 
 class DuplicateNameError(DepkitError):
-    """The same item name was introduced twice."""
+    """The same item name was introduced twice; ``line`` is the line of the
+    second declaration, when known."""
 
-    def __init__(self, name: str, first_file: str, second_file: str):
+    def __init__(self, name: str, first_file: str, second_file: str, line: int | None = None):
+        where = f"{second_file}:{line}: " if line is not None else ""
         super().__init__(
-            f"duplicate item name {name!r} (first in {first_file}, again in {second_file})"
+            f"{where}duplicate item name {name!r} (first in {first_file}, again in {second_file})"
         )
         self.name = name
         self.first_file = first_file
         self.second_file = second_file
+        self.line = line
 
 
 class DanglingThenError(DepkitError):

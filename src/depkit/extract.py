@@ -24,11 +24,17 @@ names at the set positions of its mask, which ascend in corpus order, so
 edges and the trace/minimize comparison need no sort; and edge records are
 formatted as text, which is exact because the writer first checks every
 name against the lexical identifier rule.
+
+The reader reads the records back by the same form: a block of lines that
+are all records exactly as ``edge_record`` writes them is read by one regex
+search, and any other block by ``json.loads`` per line, so a valid file in
+another layout reads the same and every malformed record names its line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -187,10 +193,17 @@ def minimize_env(
     )
 
 
-def trace_extract(corpus: Corpus) -> list[DepEdge]:
-    """Concatenated traces of every item under its candidate environment."""
+def trace_extract(
+    corpus: Corpus, micros: Sequence[Microarticle] | None = None
+) -> list[DepEdge]:
+    """Concatenated traces of every item under its candidate environment.
+
+    ``micros`` are the corpus's microarticles, ``decompose(corpus)`` when
+    not given; ``extract_corpus`` passes the ones it minimizes, so each
+    candidate environment is built once.
+    """
     edges: list[DepEdge] = []
-    for micro in decompose(corpus):
+    for micro in decompose(corpus) if micros is None else micros:
         outcome = corpus.check_item(micro.item, micro.candidate_env, trace_requested=True)
         if not outcome.accepted:
             raise NotVerifiableError(
@@ -257,7 +270,8 @@ def extract_corpus(
         raise ValueError(f"unknown extraction mode: {mode!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
-    trace_edges = trace_extract(corpus) if mode in ("trace", "both") else None
+    micros = decompose(corpus)
+    trace_edges = trace_extract(corpus, micros) if mode in ("trace", "both") else None
 
     minimization = None
     min_edges = None
@@ -274,7 +288,7 @@ def extract_corpus(
                 micro,
                 seed_targets=seeds.get(micro.item.name, []) if seeds is not None else None,
             )
-            for micro in decompose(corpus)
+            for micro in micros
         )
         min_edges = tuple(edges_from_minimization(corpus, minimization))
 
@@ -365,12 +379,25 @@ def write_edges_jsonl(path: str | Path, result: ExtractionResult) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-# Lines per ``json.loads`` call in ``read_edges_jsonl``.  A decoded block
-# lives until it is folded, so this bounds the reader's extra memory.
+# Lines per block of ``read_edges_jsonl``.  A block's matches live until
+# they are folded, so this bounds the reader's extra memory.
 _BLOCK_LINES = 256
 
 _VIS_BITS = {Visibility.IMPLICIT.value: 0, Visibility.EXPLICIT.value: 1}
 _OPACITY_BITS = {Opacity.OPAQUE.value: 0, Opacity.TRANSPARENT.value: 2}
+
+# One record exactly as ``edge_record`` writes it, with names under the
+# identifier rule.  In MULTILINE mode a match spans one whole line, since
+# nothing in a record matches a line end.
+_RECORD_RE = re.compile(
+    r'^\{{"from":"({name})","to":"({name})","vis":"({vis})","opacity":"({opacity})",'
+    r'"method":"(trace|min)"\}}$'.format(
+        name=IDENTIFIER_RE.pattern,
+        vis="|".join(_VIS_BITS),
+        opacity="|".join(_OPACITY_BITS),
+    ),
+    re.MULTILINE,
+)
 
 
 def _fold_records(records: Iterable, method: str, flags: dict[tuple[str, str], int]) -> None:
@@ -394,36 +421,22 @@ def _fold_records(records: Iterable, method: str, flags: dict[tuple[str, str], i
         flags[src, dst] = flags.get((src, dst), 0) | bits
 
 
-def _block_records(block: Sequence[bytes]) -> list | None:
-    """The records of ``block`` from one ``json.loads``, or None unless that
-    decode provably equals decoding each line on its own.
+def _canonical_records(block: Sequence[bytes]) -> list[tuple[str, ...]] | None:
+    """The (from, to, vis, opacity, method) of each line of ``block`` when
+    every line is a canonical record (``_RECORD_RE``), else None.
 
-    The lines are joined as ``[line,line,...]`` with a raw newline before
-    each comma, and JSON strings cannot hold a raw newline, so no string
-    spans two lines.  The guard: no ``[`` byte, so the outer list is the
-    only list; one ``{`` byte per line and one dict per line decoded, so
-    every ``{`` opens a record and no record nests an object; and every
-    line ending in ``}``, so each line end closes a record and no record
-    spans two lines.  Then line k holds exactly record k.  A blank line
-    fails the guard.  The block is read as UTF-8, not by the encoding
-    detection of ``json.loads``, which could take a NUL byte for UTF-16; a
-    block that is not plain UTF-8 JSON fails the decode.
+    The lines hold no line end, so joined by ``\n`` each is one line of the
+    search, and the matches are as many as the lines only when every line
+    matches.  A canonical record decodes under ``json.loads`` to exactly
+    these five strings, none of them escaped.  The block is decoded as
+    strict UTF-8, so a block that is not UTF-8 fails here, never replaced.
     """
-    joined = b"\n,".join(block)
-    if (
-        b"[" in joined
-        or joined.count(b"{") != len(block)
-        or joined.count(b"}\n,") != len(block) - 1
-        or not joined.endswith(b"}")
-    ):
-        return None
     try:
-        records = json.loads("[" + joined.decode("utf-8") + "]")
-    except ValueError:
+        text = b"\n".join(block).decode("utf-8")
+    except UnicodeDecodeError:
         return None
-    if len(records) != len(block) or not all(type(rec) is dict for rec in records):
-        return None
-    return records
+    records = _RECORD_RE.findall(text)
+    return records if len(records) == len(block) else None
 
 
 def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
@@ -434,12 +447,12 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     over opaque, and one ``DepEdge`` is built per pair, in first-seen
     order.  A malformed record raises ``ParseError`` naming its line.
 
-    Lines are decoded ``_BLOCK_LINES`` at a time, one ``json.loads`` per
-    block, when ``_block_records`` shows that this equals decoding each line
-    on its own.  A block that fails that guard or the record rule is
-    decoded again one line at a time, and only that block, so a malformed
-    record is reported with its own line, and blank lines are skipped.
-    Decoding the whole file in one call would hold every record at once.
+    Lines are read ``_BLOCK_LINES`` at a time.  A block whose every line is
+    a record exactly as ``edge_record`` writes it is folded from the fields
+    of one regex search (``_canonical_records``).  Any other block is
+    decoded one line at a time with ``json.loads``, so a valid record in
+    another layout reads the same, a malformed record is reported with its
+    own line, and blank lines are skipped.
     """
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
@@ -447,13 +460,13 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     lines = Path(path).read_bytes().splitlines()
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
-        records = _block_records(block)
+        records = _canonical_records(block)
         if records is not None:
-            try:
-                _fold_records(records, method, flags)
-                continue
-            except (KeyError, TypeError, ValueError):
-                pass  # the line loop below names the record's line
+            for src, dst, vis, opacity, rec_method in records:
+                if method == "any" or rec_method == method:
+                    bits = _VIS_BITS[vis] | _OPACITY_BITS[opacity]
+                    flags[src, dst] = flags.get((src, dst), 0) | bits
+            continue
         for lineno, line in enumerate(block, start + 1):
             if not line.strip():
                 continue

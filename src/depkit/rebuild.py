@@ -10,9 +10,12 @@ re-checked.  Plans include the changed items themselves; the ARL statistic
 of ``graph.stats`` does not count the changed item, so exhaustive-mode
 means differ from it by exactly one.
 
-Plans are bit masks over node positions until the end: one scope helper
-gives each changed item's own mask and invalidated mask, ``plan`` ORs them
-and names the result once, and ``speedup_report`` only counts bits.
+Plans are bit masks over node positions until the end, named once.  An
+item plan is one forward pass over the graph's dependency rows from the
+changed items (``_dependents``), so it computes only the rows it needs; a
+file plan ORs the file scopes of the changed items.  ``speedup_report``
+asks for hundreds of rows, so it counts the bits of the graph's
+``reverse_reach()`` rows and of the file scopes (``_scopes``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from statistics import median
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .corpus import Corpus, Opacity, bit_positions
 from .errors import DepkitError
@@ -57,16 +60,41 @@ class RebuildPlan:
     changed: tuple[str, ...]
 
 
-def _scopes(g: DepGraph, granularity: Granularity) -> Callable[[int], tuple[int, int]]:
-    """Per node position: the items re-checked with it (itself, or its whole
-    file) and the items an edit of it invalidates, as two bitsets."""
+def _require_item_graph(g: DepGraph) -> None:
     if g.granularity is not Granularity.ITEM:
         raise ValueError("plan requires the item-granularity graph")
+
+
+def _scopes(g: DepGraph, granularity: Granularity) -> Callable[[int], tuple[int, int]]:
+    """Per node position: the items re-checked with it (itself, or its whole
+    file) and the items an edit of it invalidates, as two bitsets.  The item
+    scopes read the graph's ``reverse_reach()`` table."""
+    _require_item_graph(g)
     if granularity is Granularity.ITEM:
         rev = g.reverse_reach()
         return lambda i: (1 << i, rev[i])
     file_of, own, dependents = g._file_scopes()
     return lambda i: (own[file_of[i]], dependents[file_of[i]])
+
+
+def _dependents(deps: Sequence[int], seeds: int, kept: int) -> tuple[int, int]:
+    """``seeds`` and ``kept``, a submask of it, each closed under reverse
+    dependency: one forward pass over the dependency rows ``deps``.
+
+    Node ``j`` joins a closure when its row meets it.  Rows point only at
+    earlier nodes, so every node ``j`` depends on has been decided before
+    ``j`` is, and the pass starts after the lowest seed.  ``kept`` grows
+    inside ``seeds``' closure, so its test runs only for nodes that joined
+    that one.
+    """
+    full, part = seeds, kept
+    for j in range((seeds & -seeds).bit_length(), len(deps)):
+        row = deps[j]
+        if row & full:
+            full |= 1 << j
+            if row & part:
+                part |= 1 << j
+    return full, part
 
 
 def plan(
@@ -76,19 +104,36 @@ def plan(
     honor_opacity: bool = False,
 ) -> RebuildPlan:
     """Topologically ordered re-check list for one set of edits; a file
-    plan needs the graph's file map, else ``DepkitError``."""
+    plan needs the graph's file map, else ``DepkitError``.
+
+    An item plan is one ``_dependents`` pass from the changed items, for
+    all of them and for those whose edits are not pruned, so it computes
+    only the rows it needs, not the graph's ``reverse_reach()`` table.  A
+    file plan ORs the file scopes of the changed items.
+    """
     granularity = Granularity(granularity)
-    scope = _scopes(g, granularity)
-    recheck_bits = full_bits = 0
+    _require_item_graph(g)
+    changed_bits = kept_bits = 0  # the changed items, and those not pruned
     for name, kind in changes.changes:
-        changed, invalidated = scope(g.index_of(name))
-        full_bits |= changed | invalidated
+        i = g.index_of(name)
+        changed_bits |= 1 << i
         pruned = (
             honor_opacity
             and kind is not ChangeKind.STATEMENT_OR_TYPE
             and g.opacities.get(name) is Opacity.OPAQUE
         )
-        recheck_bits |= changed if pruned else changed | invalidated
+        if not pruned:
+            kept_bits |= 1 << i
+    if granularity is Granularity.ITEM:
+        full_bits, invalidated = _dependents(g.deps, changed_bits, kept_bits)
+        recheck_bits = changed_bits | invalidated
+    else:
+        scope = _scopes(g, granularity)
+        recheck_bits = full_bits = 0
+        for i in bit_positions(changed_bits):
+            own, invalidated = scope(i)
+            full_bits |= own | invalidated
+            recheck_bits |= own | invalidated if kept_bits >> i & 1 else own
     to_recheck = tuple(g.nodes[i] for i in bit_positions(recheck_bits))
     return RebuildPlan(
         to_recheck=to_recheck,

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: full subset enumeration for minimal
 environments, plain DFS for reachability, straightforward recounting for
 model training, scoring every candidate and sorting for premise ranking,
-one line at a time for tokenizing and for reading edge records.
+one line at a time for tokenizing and for reading edge records, and a
+recursive-descent parser with a method call per token.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
@@ -16,9 +17,13 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from depkit.corpus import (
+    FRESH_PREFIX,
+    _NOT_NAMES,
+    _tokenize,
     Corpus,
     DepEdge,
     Environment,
@@ -29,7 +34,7 @@ from depkit.corpus import (
     RejectReason,
     Visibility,
 )
-from depkit.errors import ParseError
+from depkit.errors import DuplicateNameError, ParseError
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
 
 
@@ -363,3 +368,262 @@ def read_edges_by_line(path: str | Path, method: str = "any") -> list[DepEdge]:
     vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
     opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
     return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]
+
+
+class DescentParser:
+    """The recursive-descent parser that ``corpus._parse_file`` flattens:
+    a method call per token.  Each ``parse_*`` method returns the fields its
+    item kind sets; ``parse_items`` builds the items and lists the line of
+    each item's name token (None for an anonymous theorem)."""
+
+    def __init__(self, tokens: list[str], lines: list[int], source_file: str, tag: str):
+        self.tokens = tokens
+        self.lines = lines
+        self.pos = 0
+        self.source_file = source_file
+        self.tag = tag
+
+    def error(self, message: str) -> ParseError:
+        lines = self.lines
+        line = lines[min(self.pos, len(lines) - 1)] if lines else 1
+        return ParseError(message, self.source_file, line)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        if self.pos >= len(self.tokens):
+            raise self.error("unexpected end of file")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        got = self.take()
+        if got != text:
+            self.pos -= 1
+            raise self.error(f"expected {text!r}, found {got!r}")
+
+    def take_name(self, what: str = "identifier") -> str:
+        tok = self.take()
+        if tok in _NOT_NAMES:
+            self.pos -= 1
+            raise self.error(f"expected {what}, found {tok!r}")
+        if tok.startswith(FRESH_PREFIX) and fresh_label_index(tok, self.tag) is None:
+            self.pos -= 1
+            raise self.error(
+                f"identifier {tok!r} uses the reserved {FRESH_PREFIX!r} label namespace"
+            )
+        return tok
+
+    def at_name(self) -> bool:
+        tok = self.peek()
+        return tok is not None and tok not in _NOT_NAMES
+
+    def take_opacity(self) -> Opacity | None:
+        if self.peek() in ("opaque", "transparent"):
+            return Opacity(self.take())
+        return None
+
+    def parse_items(self) -> list[Item]:
+        parsed: list[tuple[dict, int | None]] = []  # fields and block id per item
+        blocks = 0
+        while self.peek() is not None:
+            if self.peek() == "defblock":
+                parsed += ((fields, blocks) for fields in self.parse_defblock())
+                blocks += 1
+            else:
+                parsed.append((self.parse_item(), None))
+        self.name_lines = [fields.pop("name_line") for fields, _ in parsed]
+        return [
+            Item(**fields, source_file=self.source_file, index_in_file=index, block_id=block_id)
+            for index, (fields, block_id) in enumerate(parsed)
+        ]
+
+    def parse_defblock(self) -> list[dict]:
+        self.expect("defblock")
+        self.expect("{")
+        members: list[dict] = []
+        while self.peek() != "}":
+            if self.peek() != "def":
+                raise self.error("defblock may only contain definitions")
+            members.append(self.parse_def())
+        if not members:
+            raise self.error("empty defblock")
+        self.expect("}")
+        return members
+
+    def parse_item(self) -> dict:
+        tok = self.peek()
+        if tok == "def":
+            return self.parse_def()
+        if tok in ("thm", "then"):
+            return self.parse_thm()
+        if tok == "notation":
+            return self.parse_notation()
+        if tok == "hint":
+            return self.parse_hint()
+        if tok == "reserve":
+            return self.parse_reserve()
+        raise self.error(f"expected an item keyword, found {tok!r}")
+
+    def parse_def(self) -> dict:
+        self.expect("def")
+        opacity = self.take_opacity() or Opacity.TRANSPARENT
+        name = self.take_name("definition name")
+        name_line = self.lines[self.pos - 1]
+        stmt: list[str] = []
+        if self.peek() == ":":
+            self.take()
+            while self.at_name():
+                stmt.append(self.take_name())
+        self.expect(":=")
+        body: list[str] = []
+        while self.peek() != ";":
+            if self.peek() is None:
+                raise self.error("unterminated definition body")
+            if self.peek() == "lit":
+                self.take()
+            elif self.at_name():
+                body.append(self.take_name())
+            else:
+                raise self.error(f"unexpected token {self.peek()!r} in definition body")
+        self.expect(";")
+        return dict(
+            name=name,
+            name_line=name_line,
+            kind=ItemKind.DEFINITION,
+            statement_symbols=_dedup(stmt),
+            body_symbols=_dedup(body),
+            opacity=opacity,
+        )
+
+    def parse_thm(self) -> dict:
+        linked = False
+        if self.peek() == "then":
+            self.take()
+            linked = True
+            if self.peek() != "thm":
+                raise self.error("'then' may only prefix a theorem")
+        self.expect("thm")
+        opacity = self.take_opacity() or Opacity.OPAQUE
+        anonymous = not self.at_name()
+        name = "" if anonymous else self.take_name("theorem name")
+        name_line = None if anonymous else self.lines[self.pos - 1]
+        self.expect(":")
+        stmt: list[str] = []
+        free_vars: list[str] = []
+        while self.peek() in ("uses", "var"):
+            clause = self.take()
+            if clause == "uses":
+                stmt.append(self.take_name("symbol after 'uses'"))
+            else:
+                free_vars.append(self.take_name("variable after 'var'"))
+        by_refs: tuple[str, ...] = ()
+        by_auto = False
+        if self.peek() == "by":
+            self.take()
+            if self.peek() == "auto":
+                self.take()
+                by_auto = True
+                if linked:
+                    raise self.error("'then' cannot be combined with 'by auto'")
+            else:
+                refs = []
+                while self.at_name():
+                    refs.append(self.take_name("reference after 'by'"))
+                if not refs:
+                    raise self.error("'by' requires 'auto' or at least one reference")
+                by_refs = _dedup(refs)
+        self.expect(";")
+        return dict(
+            name=name,
+            name_line=name_line,
+            kind=ItemKind.THEOREM,
+            statement_symbols=_dedup(stmt),
+            free_vars=_dedup(free_vars),
+            by_refs=by_refs,
+            by_auto=by_auto,
+            opacity=opacity,
+            anonymous=anonymous,
+            linked=linked,
+        )
+
+    def parse_notation(self) -> dict:
+        self.expect("notation")
+        name = self.take_name("notation name")
+        name_line = self.lines[self.pos - 1]
+        self.expect("for")
+        target = self.take_name("notation target")
+        self.expect(";")
+        return dict(
+            name=name, name_line=name_line, kind=ItemKind.NOTATION, statement_symbols=(target,)
+        )
+
+    def parse_hint(self) -> dict:
+        self.expect("hint")
+        name = self.take_name("hint name")
+        name_line = self.lines[self.pos - 1]
+        self.expect("uses")
+        syms = [self.take_name("symbol in hint")]
+        while self.at_name():
+            syms.append(self.take_name())
+        self.expect(";")
+        return dict(
+            name=name, name_line=name_line, kind=ItemKind.HINT, statement_symbols=_dedup(syms)
+        )
+
+    def parse_reserve(self) -> dict:
+        self.expect("reserve")
+        names = [self.take_name("reserved variable")]
+        name_line = self.lines[self.pos - 1]
+        while self.peek() == ",":
+            self.take()
+            names.append(self.take_name("reserved variable"))
+        self.expect(":")
+        type_sym = self.take_name("reservation type symbol")
+        vars_ = _dedup(names)
+        if len(vars_) != len(names):
+            raise self.error("repeated variable in reservation")
+        self.expect(";")
+        return dict(
+            name=vars_[0],
+            name_line=name_line,
+            kind=ItemKind.RESERVATION,
+            statement_symbols=(type_sym,),
+            reserved_vars=vars_,
+        )
+
+
+def _dedup(names) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(names))
+
+
+def fresh_label_index(name: str, tag: str) -> int | None:
+    """The counter of a fresh label ``__n<digits>_<tag>``, by regex."""
+    match = re.fullmatch(rf"__n(\d+)_{re.escape(tag)}", name)
+    return int(match.group(1)) if match else None
+
+
+def parse_by_descent(text: str, source_file: str, tag: str) -> list[Item]:
+    """``corpus._parse_file`` by ``DescentParser``: anonymous theorems get
+    the fresh labels the file does not use, in item order, and the first
+    name declared twice raises ``DuplicateNameError`` at its second line."""
+    parser = DescentParser(*_tokenize(text, source_file), source_file, tag)
+    items = parser.parse_items()
+    used = {fresh_label_index(item.name, tag) for item in items} - {None}
+    counter = 0
+    named: list[Item] = []
+    for item in items:
+        if item.anonymous:
+            while counter in used:
+                counter += 1
+            used.add(counter)
+            item = replace(item, name=f"{FRESH_PREFIX}{counter}_{tag}")
+        named.append(item)
+    seen: set[str] = set()
+    for item, line in zip(named, parser.name_lines):
+        if item.name in seen:
+            raise DuplicateNameError(item.name, source_file, source_file, line=line)
+        seen.add(item.name)
+    return named

@@ -488,3 +488,16 @@ def test_non_utf8_source_exits_one_with_path(tmp_path, capsys):
     code, _, err = run(["extract", str(corpus_dir), "-o", str(tmp_path / "d.jsonl")], capsys)
     assert code == 1
     assert "latin1.art:2:" in err
+
+
+def test_duplicate_name_in_one_file_exits_one_with_its_line(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.art").write_text("def f := lit;\n\ndef f := lit;")
+    deps = tmp_path / "d.jsonl"
+    code, out, err = run(["extract", str(corpus_dir), "-o", str(deps)], capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        "depkit: error: a.art:3: duplicate item name 'f' (first in a.art, again in a.art)\n"
+    )
+    assert not deps.exists()

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depkit.corpus import (
+    KEYWORDS,
     Corpus,
     Environment,
     ItemKind,
@@ -18,8 +19,10 @@ from depkit.corpus import (
     RejectReason,
     Visibility,
     _fresh_label_index,
+    _parse_file,
     _tokenize,
     bit_positions,
+    file_tag,
     parse_corpus,
     parse_source,
     render_file,
@@ -28,7 +31,7 @@ from depkit.corpus import (
 from depkit.errors import DuplicateNameError, ParseError
 from depkit.gen import FAMILIES, generate_corpus
 
-from _oracles import tokenize_by_lines
+from _oracles import parse_by_descent, tokenize_by_lines
 from conftest import corpus_from
 
 # One row per grammar production: source line -> the item fields it must yield.
@@ -115,6 +118,16 @@ def test_parse_corpus_orders_files_then_positions(tmp_path):
     assert [it.index_in_file for it in corpus.items] == [0, 1, 0]
 
 
+def test_duplicate_name_in_one_file_names_its_second_line():
+    with pytest.raises(DuplicateNameError) as exc:
+        parse_source("def f := lit;\n\ndef f := lit;", "a.art")
+    assert str(exc.value) == "a.art:3: duplicate item name 'f' (first in a.art, again in a.art)"
+    assert (exc.value.name, exc.value.first_file, exc.value.second_file) == ("f", "a.art", "a.art")
+    assert exc.value.line == 3
+    with pytest.raises(DuplicateNameError, match=r"^a\.art:4: duplicate item name 'f'"):
+        parse_source("def f := lit;\nthm\n\nf : ;", "a.art")
+
+
 def test_duplicate_name_across_files_is_an_error(tmp_path):
     (tmp_path / "a.art").write_text("def f := lit;\n")
     (tmp_path / "b.art").write_text("def f := lit;\n")
@@ -190,6 +203,81 @@ def test_tokenize_matches_the_per_line_reference(text):
         tokens, lines = _tokenize(text, "lex.art")
         assert list(zip(tokens, lines)) == expected
         assert len(tokens) == len(lines)
+
+
+# Parser against the recursive-descent reference ------------------------------
+
+# Single tokens: every keyword and punctuation mark, plain names, fresh labels
+# of the file ``p.art`` (tag ``p``) and names in the reserved namespace that
+# are not (another file's label, no digits).  Whole items make valid files
+# likely; the single tokens break them at every point of the grammar.
+_PARSER_TOKENS = sorted(KEYWORDS) + [":=", ":", ";", "{", "}", ","] + [
+    "f", "g", "x", "__n0_p", "__n1_p", "__n0_q", "__n_p",
+]
+_PARSER_ITEMS = [
+    "def f := lit ;", "def opaque g : f := f x ;", "thm : uses f by auto ;",
+    "thm transparent t : uses f var x by f g ;", "then thm : uses g by f ;",
+    "notation f for g ;", "hint g uses f x ;", "reserve x , g : f ;",
+    "defblock { def f := g ; def g := lit ; }", "thm __n0_p : ;", "thm : ;",
+]
+_SEPARATORS = [" ", " ", "\n", "\n\n", " # note\n", "\r\n"]
+
+
+def _parse_outcome(parse, text: str):
+    """The items, or the type and full message of the error."""
+    try:
+        return parse(text, "p.art", "p")
+    except (ParseError, DuplicateNameError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_PARSER_TOKENS), st.sampled_from(_PARSER_ITEMS)),
+            st.sampled_from(_SEPARATORS),
+        ),
+        max_size=14,
+    )
+)
+@example([("def", " "), ("f", " "), (":=", "\n"), ("lit", "\n\n")])
+@example([("def f := lit ;", "\n"), ("reserve x , f : g ;", "\n")])
+@example([("thm : ;", " "), ("thm __n0_p : ;", " "), ("thm : ;", " ")])
+@example([("defblock", " "), ("{", " "), ("}", " ")])
+def test_parser_matches_the_descent_reference(parts):
+    """On token sequences, valid or not: the same items, or the same error
+    type and message, line included."""
+    text = "".join(token + separator for token, separator in parts)
+    assert _parse_outcome(_parse_file, text) == _parse_outcome(parse_by_descent, text)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "thm __n0_q : ;",
+        "def f : g __n0_q := lit;",
+        "def f := g lit __n_p;",
+        "thm t : uses __n_p;",
+        "thm t : var __n0_q;",
+        "thm t : by f __n0_q;",
+        "notation n for __n0_q;",
+        "hint h uses __n_p;",
+        "hint h uses f __n_p;",
+        "reserve x, __n0_q : t;",
+        "reserve x : __n0_q;",
+    ],
+)
+def test_reserved_labels_are_rejected_at_every_name_position(source):
+    outcome = _parse_outcome(_parse_file, source)
+    assert outcome == _parse_outcome(parse_by_descent, source)
+    assert outcome[0] is ParseError and "reserved '__n' label namespace" in outcome[1]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generated_files_parse_as_the_descent_reference_parses_them(family):
+    for rel, text in generate_corpus(items=200, seed=5, family=family, per_file=10).items():
+        assert parse_source(text, rel) == parse_by_descent(text, rel, file_tag(rel))
 
 
 def test_comments_and_blank_lines_are_ignored():

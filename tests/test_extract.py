@@ -539,3 +539,76 @@ def test_block_reader_line_ends_and_no_perturbation(long_deps_lines):
     clean = _read_both(long_deps_lines, b"\n", "any")
     for end in LINE_ENDS[1:]:
         assert _read_both(long_deps_lines, end, "any") == clean
+
+
+# Canonical records and the per-line fallback ---------------------------------
+
+
+def _reorder_keys(line: bytes) -> bytes:
+    record = json.loads(line)
+    return json.dumps(dict(reversed(list(record.items()))), separators=(",", ":")).encode()
+
+
+def _escape_source(line: bytes) -> bytes:
+    """The first character of the record's ``from`` name as a JSON escape."""
+    head, rest = line.split(b'"from":"', 1)
+    return head + b'"from":"' + b"\\u%04x" % rest[0] + rest[1:]
+
+
+# Each rewrites one record so that it leaves the form ``edge_record`` writes
+# in one way, and stays a record the per-line reader accepts.
+NON_CANONICAL = {
+    "space-after-colon": lambda line: line.replace(b'":"', b'": "'),
+    "space-after-comma": lambda line: line.replace(b'","', b'", "'),
+    "reordered-keys": _reorder_keys,
+    "escaped-name": _escape_source,
+    "extra-key": lambda line: line[:-1] + b',"note":"x"}',
+    "non-identifier-name": lambda line: line.replace(b'"to":"', b'"to":"d-', 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+@pytest.mark.parametrize("at", [0, 300, -1])
+def test_non_canonical_records_read_as_the_per_line_oracle_reads_them(long_deps_lines, name, at):
+    """One rewritten record in a block of canonical ones, and every record
+    rewritten: the reader falls back to the per-line decode of its block."""
+    i = at % len(long_deps_lines)
+    rewrite = NON_CANONICAL[name]
+    assert all(rewrite(line) != line for line in long_deps_lines)
+    one = long_deps_lines[:i] + [rewrite(long_deps_lines[i])] + long_deps_lines[i + 1 :]
+    for lines in (one, [rewrite(line) for line in long_deps_lines]):
+        for method in ("any", "trace", "min"):
+            assert isinstance(_read_both(lines, b"\n", method), list)
+
+
+def test_crlf_ends_and_blank_lines_read_as_the_per_line_oracle_reads_them(long_deps_lines):
+    clean = _read_both(long_deps_lines, b"\n", "any")
+    assert _read_both(long_deps_lines, b"\r\n", "any") == clean
+    blank = long_deps_lines[:300] + [b""] + long_deps_lines[300:]
+    assert _read_both(blank, b"\n", "any") == clean
+
+
+def test_escaped_name_merges_with_its_canonical_pair(tmp_path):
+    path = tmp_path / "deps.jsonl"
+    path.write_text(
+        '{"from":"t1","to":"d","vis":"implicit","opacity":"transparent","method":"trace"}\n'
+        '{"from":"t\\u0031","to":"d","vis":"explicit","opacity":"opaque","method":"trace"}\n'
+    )
+    assert read_edges_jsonl(path) == [DepEdge("t1", "d", Visibility.EXPLICIT, Opacity.TRANSPARENT)]
+
+
+@pytest.mark.parametrize("at", [0, 255, 256, 300, -1])
+def test_malformed_record_among_canonical_ones_names_its_line(long_deps_lines, at):
+    i = at % len(long_deps_lines)
+    lines = long_deps_lines[:i] + [long_deps_lines[i][:-7]] + long_deps_lines[i + 1 :]
+    outcome = _read_both(lines, b"\n", "any")
+    assert outcome[0] is ParseError and outcome[3] == i + 1
+    assert outcome[1].startswith(f"{outcome[2]}:{i + 1}: malformed edge record")
+
+
+def test_canonical_files_are_read_without_json(tmp_path, long_deps_lines, monkeypatch):
+    path = tmp_path / "deps.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in long_deps_lines))
+    expected = read_edges_by_line(path)
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("json.loads"))
+    assert read_edges_jsonl(path) == expected

@@ -104,6 +104,67 @@ def test_plan_is_topologically_ordered_and_contains_changed():
         assert name in p.to_recheck
 
 
+def _plan_from_reverse_reach(g, changes: ChangeSet, honor_opacity: bool):
+    """The item plan as the union of the changed items' ``reverse_reach()``
+    rows: (to_recheck, skipped_opaque)."""
+    rev = g.reverse_reach()
+    recheck = full = 0
+    for name, kind in changes.changes:
+        i = g.index_of(name)
+        full |= 1 << i | rev[i]
+        pruned = (
+            honor_opacity and kind is ChangeKind.BODY_ONLY and g.opacities[name] is Opacity.OPAQUE
+        )
+        recheck |= 1 << i if pruned else 1 << i | rev[i]
+    skipped = full & ~recheck
+    return (
+        tuple(n for j, n in enumerate(g.nodes) if recheck >> j & 1),
+        frozenset(n for j, n in enumerate(g.nodes) if skipped >> j & 1),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_item_plans_on_a_fresh_graph_equal_plans_from_the_reverse_reach_rows(family):
+    """Every node, statement and body edits, with and without opacity, and
+    random sets of up to five edits: a plan on a fresh graph equals the plan
+    on a graph whose ``reverse_reach()`` table is built, and both equal the
+    union of the changed items' rows."""
+    rng = random.Random(FAMILIES.index(family))
+    corpus, _ = _generated(items=60, seed=71, family=family)
+    edges = trace_extract(corpus)
+    built = build_graph(corpus, edges)
+    built.reverse_reach()
+    change_sets = [
+        ChangeSet.single(name, kind) for name in built.nodes for kind in ChangeKind
+    ] + [
+        ChangeSet(tuple((rng.choice(built.nodes), rng.choice(list(ChangeKind))) for _ in range(k)))
+        for k in (1, 2, 3, 5) for _ in range(25)
+    ]
+    skipped = 0
+    for changes in change_sets:
+        for honor in (False, True):
+            fresh = plan(build_graph(corpus, edges), changes, Granularity.ITEM, honor)
+            assert fresh == plan(built, changes, Granularity.ITEM, honor)
+            expected = _plan_from_reverse_reach(built, changes, honor)
+            assert (fresh.to_recheck, fresh.skipped_opaque) == expected
+            skipped += len(fresh.skipped_opaque)
+    rev = built.reverse_reach()
+    prunable = any(
+        built.opacities[n] is Opacity.OPAQUE and rev[i] for i, n in enumerate(built.nodes)
+    )
+    assert (skipped > 0) == prunable
+
+
+def test_item_plans_never_build_the_reverse_reach_table(monkeypatch):
+    corpus, g = _generated(items=60, seed=72)
+    monkeypatch.setattr(DepGraph, "reverse_reach", lambda self: pytest.fail("reverse_reach"))
+    for name in g.nodes:
+        for kind in ChangeKind:
+            for honor in (False, True):
+                plan(g, ChangeSet.single(name, kind), Granularity.ITEM, honor)
+    plan(g, ChangeSet(tuple((name, ChangeKind.BODY_ONLY) for name in g.nodes)), honor_opacity=True)
+
+
 def test_item_plans_contained_in_file_plans_1000_changes():
     import random
 
