@@ -7,7 +7,8 @@ byte-identical outputs.  ``--jobs`` is accepted but everything runs in one
 thread: the checker and the planner are pure Python holding the interpreter
 lock, and thread pools measured slower than serial runs.  Flag combinations
 that cannot work (``extract --events`` without a trace, ``--compare``
-without both methods) exit 1 before any input is read.  ``simulate``
+without both methods, ``stats --kinds`` without ``--corpus`` or at file
+granularity) exit 1 before any input is read.  ``simulate``
 re-checks each planned item under its full preceding environment.
 """
 
@@ -95,6 +96,10 @@ def _cmd_extract(args) -> int:
 
 def _cmd_stats(args) -> int:
     granularity = Granularity(args.granularity)
+    if args.kinds and args.corpus is None:
+        raise DepkitError("--kinds requires --corpus")
+    if args.kinds and granularity is Granularity.FILE:
+        raise DepkitError("--kinds requires --granularity item")
     g = _load_graph(args, granularity)
     s = stats(g)
     if args.json == "-":

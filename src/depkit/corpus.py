@@ -37,10 +37,16 @@ An environment is one int: a bit mask over the positions of a table that
 numbers names and holds one mask per kind.  A corpus owns one table, in
 corpus order, shared by every environment it hands out, so a candidate
 environment is a prefix mask, trimming one is an AND, and a membership test
-is a bit test; per-kind name lists are derived only when asked for.  The
-checker tests bits against corpus-side indexes (reservations per variable,
-hints per symbol), so it tries reservations and traces hints in corpus
-order.
+is a bit test; per-kind name lists are derived only when asked for.
+
+The checker's rules are written once, in ``Corpus._rules``: per item, the
+positions it needs (with the reason each one's absence gives), the
+reservations covering each free variable with their types, and the hints
+of ``by auto``, all masks over the corpus table read from corpus-side
+indexes.  ``check_item`` walks them for a reason and a trace, and
+``_compile_check`` ORs them into the masks that ``accepts`` and the
+minimizer test, so tracing and minimization consult one checker, and
+reservations and hints are tried in corpus order.
 """
 
 from __future__ import annotations
@@ -304,7 +310,8 @@ class Environment:
     ``Environment(definitions=..., ...)`` builds a private table holding
     each kind's names contiguously, in the order given, so each kind mask
     is one range.  A name may appear once in the whole environment.  The
-    checker reads such an environment by name; see ``Corpus._verify``.
+    checker matches such an environment to corpus positions by name and
+    kind; see ``Corpus._bits_of``.
     Environments are immutable.  Two are equal when they list the same
     names per kind in the same order, whichever tables they use.
     """
@@ -768,8 +775,7 @@ class Corpus:
 
     def __init__(self, items: Sequence[Item]):
         self.items: tuple[Item, ...] = tuple(items)
-        self._by_name: dict[str, Item] = {}
-        self._order: dict[str, int] = {}
+        self._order: dict[str, int] = {}  # each name's corpus position
         kinds = [0] * len(_SLOT)
         lists: tuple[list[int], ...] = tuple([] for _ in _SLOT)
         # Checker indexes.  Positions of the names a symbol can resolve to,
@@ -781,10 +787,9 @@ class Corpus:
         self._reserving: dict[str, list[int]] = {}
         self._hinting: dict[str, list[int]] = {}
         for idx, item in enumerate(self.items):
-            prev = self._by_name.get(item.name)
+            prev = self._order.get(item.name)
             if prev is not None:
-                raise DuplicateNameError(item.name, prev.source_file, item.source_file)
-            self._by_name[item.name] = item
+                raise DuplicateNameError(item.name, self.items[prev].source_file, item.source_file)
             self._order[item.name] = idx
             slot = _SLOT[item.kind]
             kinds[slot] |= 1 << idx
@@ -807,13 +812,14 @@ class Corpus:
         return iter(self.items)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._order
 
     def item(self, name: str) -> Item:
-        return self._by_name[name]
+        return self.items[self._order[name]]
 
     def get(self, name: str) -> Item | None:
-        return self._by_name.get(name)
+        pos = self._order.get(name)
+        return None if pos is None else self.items[pos]
 
     def index_of(self, name: str) -> int:
         return self._order[name]
@@ -835,6 +841,56 @@ class Corpus:
 
     # Checker -------------------------------------------------------------
 
+    def _rules(self, item: Item) -> tuple[list[tuple[int, RejectReason, str]], list, int | None]:
+        """``item``'s checks as position masks over the corpus table, read
+        from the four checker indexes in the order of ``check_item``:
+
+        * ``needs``: one ``(bit, reason, name)`` per statement and body
+          symbol (its notation's bit and ``MISSING_NOTATION`` for a notation
+          token, else ``UNRESOLVED_SYMBOL``), then one per ``by`` reference
+          (``BAD_JUSTIFICATION``).  A name that resolves nowhere has bit
+          ``1 << len(self)``, which no corpus mask holds;
+        * ``covers``: per free variable, the mask of the reservations
+          covering it and, in corpus order, one ``(pair, position)`` per such
+          reservation whose type symbol resolves, ``pair`` holding the
+          reservation and that symbol;
+        * ``hints``: for ``by auto``, the mask of the hints sharing a symbol
+          with the statement; None otherwise.
+        """
+        symbol_at = self._symbol_at
+        notation_at = self._notation_at
+        never = 1 << len(self.items)
+        unresolved, bad = RejectReason.UNRESOLVED_SYMBOL, RejectReason.BAD_JUSTIFICATION
+        needs = []
+        for ref in item.statement_symbols + item.body_symbols:
+            pos = symbol_at.get(ref)
+            if pos is not None:
+                needs.append((1 << pos, unresolved, ref))
+            elif ref in notation_at:
+                needs.append((1 << notation_at[ref], RejectReason.MISSING_NOTATION, ref))
+            else:
+                needs.append((never, unresolved, ref))
+        for ref in item.by_refs:
+            pos = symbol_at.get(ref)
+            needs.append((never if pos is None else 1 << pos, bad, ref))
+        covers = []
+        for var in item.free_vars:
+            covering = 0
+            pairs = []
+            for pos in self._reserving.get(var, ()):
+                covering |= 1 << pos
+                type_at = symbol_at.get(self.items[pos].statement_symbols[0])
+                if type_at is not None:
+                    pairs.append((1 << pos | 1 << type_at, pos))
+            covers.append((covering, pairs))
+        hints = None
+        if item.by_auto:
+            hints = 0
+            for sym in item.statement_symbols:
+                for pos in self._hinting.get(sym, ()):
+                    hints |= 1 << pos
+        return needs, covers, hints
+
     def check_item(self, item: Item, env: Environment, trace_requested: bool = False) -> CheckOutcome:
         """Decide whether ``item`` verifies under ``env``.
 
@@ -845,14 +901,43 @@ class Corpus:
         every free variable is covered by some reservation in ``env`` whose
         type symbol itself resolves, and (d) an ``auto`` justification finds
         at least one hint in ``env`` sharing a symbol with the statement.
-        Rejection is reported as a verdict with a reason code, never as an
-        exception.  The first reservation in corpus order whose type
-        resolves is the witness of (c), and (d) traces every applicable
-        hint in corpus order.
+        Rejection is reported as a verdict with the reason of the first
+        failing check, never as an exception: a variable with a covering
+        reservation but none whose type resolves is ``UNRESOLVED_SYMBOL``,
+        one with no covering reservation ``MISSING_RESERVATION``.  A trace
+        lists the names resolved, first seen first: the symbols and
+        references, then per variable the first reservation in corpus order
+        whose type resolves and that type, then every applicable hint in
+        corpus order.
+
+        The checks are the item's ``_rules``, tested against ``env`` as a
+        mask over the corpus table (``_bits_of``); ``accepts`` and the
+        minimizer's compiled check read the same rules.
         """
-        reason, resolved = self._verify(item, env, trace_requested)
-        if reason is not None:
-            return CheckOutcome(False, reason, ())
+        bits = self._bits_of(env)
+        needs, covers, hints = self._rules(item)
+        resolved: dict[str, None] = {}
+        for bit, reason, name in needs:
+            if not bits & bit:
+                return CheckOutcome(False, reason, ())
+            resolved[name] = None
+        for covering, pairs in covers:
+            for pair, pos in pairs:
+                if bits & pair == pair:
+                    witness = self.items[pos]
+                    resolved[witness.name] = None
+                    resolved[witness.statement_symbols[0]] = None
+                    break
+            else:
+                if bits & covering:
+                    return CheckOutcome(False, RejectReason.UNRESOLVED_SYMBOL, ())
+                return CheckOutcome(False, RejectReason.MISSING_RESERVATION, ())
+        if hints is not None:
+            if not bits & hints:
+                return CheckOutcome(False, RejectReason.NO_APPLICABLE_HINT, ())
+            # Deliberately exhaustive: every applicable hint is a dependency.
+            for pos in bit_positions(bits & hints):
+                resolved[self.items[pos].name] = None
         if not trace_requested:
             return CheckOutcome(True, None, ())
         return CheckOutcome(True, None, self.dep_edges(item, resolved))
@@ -862,66 +947,36 @@ class Corpus:
         explicit when the target occurs literally in the item's source,
         with the target's opacity."""
         literal = item.literal_names()
+        items, order = self.items, self._order
         return tuple(
             DepEdge(
                 src=item.name,
                 dst=target,
                 visibility=Visibility.EXPLICIT if target in literal else Visibility.IMPLICIT,
-                opacity=self._by_name[target].opacity,
+                opacity=items[order[target]].opacity,
             )
             for target in targets
         )
 
     def accepts(self, item: Item, env: Environment) -> bool:
-        """Verdict-only check.  The minimizer tests the same verdict on
-        masks through ``_compile_check``."""
-        reason, _ = self._verify(item, env, False)
-        return reason is None
+        """Verdict-only check: the compiled check on ``env``'s mask."""
+        return self._compile_check(item)(self._bits_of(env))
 
     def _compile_check(self, item: Item) -> Callable[[int], bool]:
         """``item``'s verdict as a test of a mask over the corpus table.
 
-        The checks of ``_verify`` become position masks, read from the same
-        indexes:
-
-        * ``req``: the position of every statement and body symbol (its
-          notation's, for a notation token) and of every ``by`` reference.
-          A name that resolves nowhere requires position ``len(self)``,
-          which no corpus mask holds;
-        * ``pairs``: per free variable, one mask per reservation covering it
-          whose type symbol resolves, holding the reservation and that
-          symbol, in corpus order;
-        * ``hints``: for ``by auto``, the hints that share a symbol with
-          the statement.
-
-        ``bits`` is accepted when it holds all of ``req``, all of one pair
-        per variable, and for ``by auto`` some hint: the verdict of
-        ``accepts`` on the environment with mask ``bits``.
+        The item's ``_rules`` become ``req``, the OR of every ``needs`` bit,
+        one list of (reservation, type) pairs per free variable, and the
+        ``by auto`` hints mask.  ``bits`` is accepted when it holds all of
+        ``req``, all of one pair per variable, and for ``by auto`` some
+        hint: the verdict of ``check_item`` on the environment with mask
+        ``bits``.
         """
-        symbol_at = self._symbol_at
-        notation_at = self._notation_at
-        never = 1 << len(self.items)
+        needs, covers, hints = self._rules(item)
         req = 0
-        for ref in item.statement_symbols + item.body_symbols:
-            pos = symbol_at.get(ref, notation_at.get(ref))
-            req |= never if pos is None else 1 << pos
-        for ref in item.by_refs:
-            pos = symbol_at.get(ref)
-            req |= never if pos is None else 1 << pos
-        pairs = []
-        for var in item.free_vars:
-            var_pairs = []
-            for pos in self._reserving.get(var, ()):
-                type_at = symbol_at.get(self.items[pos].statement_symbols[0])
-                if type_at is not None:
-                    var_pairs.append(1 << pos | 1 << type_at)
-            pairs.append(var_pairs)
-        hints = None
-        if item.by_auto:
-            hints = 0
-            for sym in item.statement_symbols:
-                for pos in self._hinting.get(sym, ()):
-                    hints |= 1 << pos
+        for bit, _, _ in needs:
+            req |= bit
+        pairs = [[pair for pair, _ in var_pairs] for _, var_pairs in covers]
 
         def accepts(bits: int) -> bool:
             if bits & req != req:
@@ -952,85 +1007,6 @@ class Corpus:
                         found |= 1 << pos
                 bits |= found & kind_bits
         return bits
-
-    def _verify(
-        self, item: Item, env: Environment, collect: bool
-    ) -> tuple[RejectReason | None, dict[str, None]]:
-        """The first failing check of ``check_item``, or None, and the names
-        resolved so far (only when ``collect``).
-
-        Every lookup is a bit test on ``env`` as a mask over the corpus
-        table.  For an environment the corpus handed out that mask is the
-        environment itself; one built by name is matched to corpus
-        positions by name and kind, and its names outside the corpus are
-        ignored.  Reservations covering a variable and hints applicable
-        to a statement come from corpus-side indexes, so they are tried and
-        traced in corpus order, which is the environment's own order for
-        every environment the corpus hands out.
-        """
-        bits = self._bits_of(env)
-        symbol_at = self._symbol_at
-        resolved: dict[str, None] = {}
-
-        for ref in item.statement_symbols + item.body_symbols:
-            pos = symbol_at.get(ref)
-            if pos is None:
-                pos = self._notation_at.get(ref)
-                if pos is None:
-                    return RejectReason.UNRESOLVED_SYMBOL, resolved
-                if not bits >> pos & 1:
-                    return RejectReason.MISSING_NOTATION, resolved
-            elif not bits >> pos & 1:
-                return RejectReason.UNRESOLVED_SYMBOL, resolved
-            if collect:
-                resolved[ref] = None
-
-        for ref in item.by_refs:
-            pos = symbol_at.get(ref)
-            if pos is None or not bits >> pos & 1:
-                return RejectReason.BAD_JUSTIFICATION, resolved
-            if collect:
-                resolved[ref] = None
-
-        for var in item.free_vars:
-            witness = None
-            covered = False
-            for pos in self._reserving.get(var, ()):
-                if not bits >> pos & 1:
-                    continue
-                covered = True
-                res = self.items[pos]
-                type_at = symbol_at.get(res.statement_symbols[0])
-                if type_at is not None and bits >> type_at & 1:
-                    witness = res
-                    break
-            if witness is None:
-                reason = (
-                    RejectReason.UNRESOLVED_SYMBOL if covered else RejectReason.MISSING_RESERVATION
-                )
-                return reason, resolved
-            if collect:
-                resolved[witness.name] = None
-                resolved[witness.statement_symbols[0]] = None
-
-        if item.by_auto:
-            hinting = self._hinting
-            applicable = sorted(
-                {
-                    pos
-                    for sym in item.statement_symbols
-                    for pos in hinting.get(sym, ())
-                    if bits >> pos & 1
-                }
-            )
-            if not applicable:
-                return RejectReason.NO_APPLICABLE_HINT, resolved
-            # Deliberately exhaustive: every applicable hint is a dependency.
-            if collect:
-                for pos in applicable:
-                    resolved[self.items[pos].name] = None
-
-        return None, resolved
 
 
 def parse_corpus(root: str | Path) -> Corpus:

@@ -14,21 +14,25 @@ one final single-removal pass guarantees 1-minimality.  Chunks are tried
 from the back of each list first, which resolves ties (several sufficient
 hints, say) in favor of the earliest candidate in corpus order.
 
-Minimization works on corpus positions from the checker to the record
-writer.  Each item's check is compiled once into position masks
-(``Corpus._compile_check``): the names it requires, one (reservation, type)
-pair per free variable, and for ``by auto`` its applicable hints.  A trial
-of the search is then a plain int tested against those masks, with no
-``Environment`` built for it.  A minimal environment is read back as the
-names at the set positions of its mask, which ascend in corpus order, so
-edges and the trace/minimize comparison need no sort; and edge records are
-formatted as text, which is exact because the writer first checks every
-name against the lexical identifier rule.
+Both routes read one checker: the item's rules, written once as position
+masks by ``Corpus._rules``.  Tracing walks them through
+``Corpus.check_item``.  Minimization works on corpus positions from the
+checker to the record writer: each item's rules are compiled once
+(``Corpus._compile_check``) into the positions it requires, one
+(reservation, type) pair list per free variable, and for ``by auto`` its
+applicable hints, and a trial of the search is a plain int tested against
+those masks, with no ``Environment`` built for it.  A minimal environment
+is read back as the names at the set positions of its mask, which ascend
+in corpus order, so edges and the trace/minimize comparison need no sort;
+and edge records are formatted as text, which is exact because the writer
+first checks every name against the lexical identifier rule.
 
 The reader reads the records back by the same form: a block of lines that
 are all records exactly as ``edge_record`` writes them is read by one regex
 search, and any other block by ``json.loads`` per line, so a valid file in
 another layout reads the same and every malformed record names its line.
+Every record is checked before the method filter, so whether a file reads
+does not depend on the filter.
 """
 
 from __future__ import annotations
@@ -137,10 +141,11 @@ def minimize_env(
     its mask already, and one built by name is matched to corpus positions
     once, by name and kind, as the checker matches it, so its own order
     plays no part and names the corpus does not hold under that kind are
-    neither searched nor counted in ``removed``.  The item's check is
-    compiled once into position masks (``Corpus._compile_check``), so a
-    trial is one int and its verdict a few mask tests, with no
-    ``Environment`` built per trial.
+    neither searched nor counted in ``removed``.  The item's rules, the
+    ones ``check_item`` walks (``Corpus._rules``), are compiled once into
+    position masks (``Corpus._compile_check``), so a trial is one int and
+    its verdict a few mask tests, with no ``Environment`` built per trial.
+    A rejected candidate's reason comes from ``check_item``.
 
     Each kind's search starts from the ascending positions of its bits.
     Unless a seed restrict was kept, those bits are a prefix of the corpus
@@ -403,13 +408,14 @@ _RECORD_RE = re.compile(
 def _fold_records(records: Iterable, method: str, flags: dict[tuple[str, str], int]) -> None:
     """The record rule: OR each record's explicit (1) and transparent (2)
     flags into the entry of its (from, to) pair, skipping records of another
-    ``method`` unless it is ``"any"``.  The first record that breaks the
-    rule raises ``KeyError``, ``TypeError`` or ``ValueError``; a bad
-    ``vis`` or ``opacity`` raises the error of the enum lookup."""
+    ``method`` unless it is ``"any"``.  Every record is checked before it is
+    filtered, so whether a file is valid does not depend on ``method``.  The
+    first record that breaks the rule raises ``KeyError``, ``TypeError`` or
+    ``ValueError``; a bad ``vis`` or ``opacity`` raises the error of the
+    enum lookup, and a ``method`` other than ``trace`` or ``min`` a
+    ``ValueError``."""
     for rec in records:
-        if method != "any" and rec["method"] != method:
-            continue
-        src, dst = rec["from"], rec["to"]
+        src, dst, rec_method = rec["from"], rec["to"], rec["method"]
         if not (isinstance(src, str) and isinstance(dst, str)):
             raise TypeError("'from' and 'to' must be strings")
         vis, opacity = rec["vis"], rec["opacity"]
@@ -418,7 +424,10 @@ def _fold_records(records: Iterable, method: str, flags: dict[tuple[str, str], i
         except (KeyError, TypeError):
             Visibility(vis), Opacity(opacity)  # raises the lookup's ValueError
             raise
-        flags[src, dst] = flags.get((src, dst), 0) | bits
+        if rec_method != "trace" and rec_method != "min":
+            raise ValueError(f"unknown method {rec_method!r}")
+        if method == "any" or rec_method == method:
+            flags[src, dst] = flags.get((src, dst), 0) | bits
 
 
 def _canonical_records(block: Sequence[bytes]) -> list[tuple[str, ...]] | None:

@@ -13,9 +13,11 @@ means differ from it by exactly one.
 Plans are bit masks over node positions until the end, named once.  An
 item plan is one forward pass over the graph's dependency rows from the
 changed items (``_dependents``), so it computes only the rows it needs; a
-file plan ORs the file scopes of the changed items.  ``speedup_report``
-asks for hundreds of rows, so it counts the bits of the graph's
-``reverse_reach()`` rows and of the file scopes (``_scopes``).
+file plan ORs the file scopes of the changed items (``_file_scopes`` of the
+graph: a file's own items and the items of every file that depends on it).
+``speedup_report`` asks for hundreds of plans, so it costs an item pick by
+the graph's ``reverse_counts()`` and a file pick by the popcount of its
+file's scopes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 from statistics import median
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import Corpus, Opacity, bit_positions
 from .errors import DepkitError
@@ -63,18 +65,6 @@ class RebuildPlan:
 def _require_item_graph(g: DepGraph) -> None:
     if g.granularity is not Granularity.ITEM:
         raise ValueError("plan requires the item-granularity graph")
-
-
-def _scopes(g: DepGraph, granularity: Granularity) -> Callable[[int], tuple[int, int]]:
-    """Per node position: the items re-checked with it (itself, or its whole
-    file) and the items an edit of it invalidates, as two bitsets.  The item
-    scopes read the graph's ``reverse_reach()`` table."""
-    _require_item_graph(g)
-    if granularity is Granularity.ITEM:
-        rev = g.reverse_reach()
-        return lambda i: (1 << i, rev[i])
-    file_of, own, dependents = g._file_scopes()
-    return lambda i: (own[file_of[i]], dependents[file_of[i]])
 
 
 def _dependents(deps: Sequence[int], seeds: int, kept: int) -> tuple[int, int]:
@@ -128,12 +118,13 @@ def plan(
         full_bits, invalidated = _dependents(g.deps, changed_bits, kept_bits)
         recheck_bits = changed_bits | invalidated
     else:
-        scope = _scopes(g, granularity)
+        file_of, own, dependents = g._file_scopes()
         recheck_bits = full_bits = 0
         for i in bit_positions(changed_bits):
-            own, invalidated = scope(i)
-            full_bits |= own | invalidated
-            recheck_bits |= own | invalidated if kept_bits >> i & 1 else own
+            f = file_of[i]
+            scope = own[f] | dependents[f]
+            full_bits |= scope
+            recheck_bits |= scope if kept_bits >> i & 1 else own[f]
     to_recheck = tuple(g.nodes[i] for i in bit_positions(recheck_bits))
     return RebuildPlan(
         to_recheck=to_recheck,
@@ -195,8 +186,11 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
     Draws ``samples`` items uniformly (with replacement, seeded); when
     ``samples`` equals the node count every node is used exactly once
     instead (exhaustive mode).  All edits are statement-level, the
-    worst case for invalidation, so each cost is the popcount of the
-    changed and invalidated masks that ``plan`` would OR together.
+    worst case for invalidation, so each cost is that of ``plan``: an item
+    pick re-checks itself and its reverse dependents, ``1 +
+    reverse_counts()[i]`` (a reverse row never holds its own node, since
+    every edge points at an earlier node), and a file pick the items of
+    its file and of every file that depends on it.
     """
     if not g.nodes:
         raise DepkitError("speedup needs a graph with at least one item")
@@ -209,10 +203,12 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
         rng = random.Random(rng_seed)
         picks = [rng.randrange(n) for _ in range(samples)]
 
-    item_costs, file_costs = (
-        [(changed | invalidated).bit_count() for changed, invalidated in map(scope, picks)]
-        for scope in (_scopes(g, Granularity.ITEM), _scopes(g, Granularity.FILE))
-    )
+    _require_item_graph(g)
+    reverse = g.reverse_counts()
+    file_of, own, dependents = g._file_scopes()
+    file_scope = [(o | d).bit_count() for o, d in zip(own, dependents)]
+    item_costs = [1 + reverse[i] for i in picks]
+    file_costs = [file_scope[file_of[i]] for i in picks]
     item_total, file_total = sum(item_costs), sum(file_costs)
     item_mean = item_total / len(picks)
     file_mean = file_total / len(picks)

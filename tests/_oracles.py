@@ -346,7 +346,8 @@ def export_problems_by_full_sort(
 def read_edges_by_line(path: str | Path, method: str = "any") -> list[DepEdge]:
     """``read_edges_jsonl`` with one ``json.loads`` and two enum lookups per
     record: flags ORed per (from, to) pair, one edge per pair in first-seen
-    order, and ``ParseError`` naming the line of a malformed record."""
+    order, and ``ParseError`` naming the line of a malformed record.  Every
+    record is checked before the method filter, whatever ``method`` is."""
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
     flags: dict[tuple[str, str], int] = {}
@@ -355,16 +356,17 @@ def read_edges_by_line(path: str | Path, method: str = "any") -> list[DepEdge]:
             continue
         try:
             rec = json.loads(line)
-            if method != "any" and rec["method"] != method:
-                continue
             src, dst = rec["from"], rec["to"]
             if not (isinstance(src, str) and isinstance(dst, str)):
                 raise TypeError("'from' and 'to' must be strings")
             explicit = Visibility(rec["vis"]) is Visibility.EXPLICIT
             transparent = Opacity(rec["opacity"]) is Opacity.TRANSPARENT
+            if rec["method"] not in ("trace", "min"):
+                raise ValueError(f"unknown method {rec['method']!r}")
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
-        flags[src, dst] = flags.get((src, dst), 0) | explicit | transparent << 1
+        if method == "any" or rec["method"] == method:
+            flags[src, dst] = flags.get((src, dst), 0) | explicit | transparent << 1
     vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
     opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
     return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]

@@ -221,6 +221,27 @@ def test_gen_writes_requested_corpus(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--kinds"], "--kinds requires --corpus"),
+        (["--kinds", "--granularity", "file", "--corpus", "C"],
+         "--kinds requires --granularity item"),
+    ],
+)
+def test_stats_kinds_needs_an_item_graph_with_a_corpus(tmp_path, capsys, flags, message):
+    """Rejected before any input is read: first on real inputs, then on
+    paths that do not exist (``C`` stands for the corpus path)."""
+    deps = tmp_path / "d.jsonl"
+    corpus = str(FIXTURES / "redundant_hint")
+    run(["extract", corpus, "-o", str(deps)], capsys)
+    for deps_path, corpus_path in ((deps, corpus), (tmp_path / "no.jsonl", str(tmp_path / "no"))):
+        argv = [corpus_path if flag == "C" else flag for flag in flags]
+        code, out, err = run(["stats", str(deps_path), *argv], capsys)
+        assert code == 1 and out == ""
+        assert err == f"depkit: error: {message}\n"
+
+
 def test_missing_corpus_directory_exits_one(tmp_path, capsys):
     deps = tmp_path / "d.jsonl"
     code, _, err = run(["extract", str(tmp_path / "nowhere"), "-o", str(deps)], capsys)
@@ -453,6 +474,26 @@ def test_deps_record_with_non_string_end_exits_one_with_position(tmp_path, capsy
     lines[1] = json.dumps({**json.loads(lines[1]), **end})
     deps.write_text("\n".join(lines) + "\n")
     code, out, err = run(["stats", str(deps)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"depkit: error: {deps}:2: malformed edge record") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["any", "trace", "min"])
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"from": "t", "to": "d", "vis": "explicit", "opacity": "transparent"},
+        {"from": "t", "to": "d", "vis": "explicit", "opacity": "transparent", "method": "bogus"},
+        {"from": "t", "to": "d", "vis": "loud", "opacity": "transparent", "method": "min"},
+    ],
+)
+def test_deps_record_malformed_under_any_method_exits_one_with_position(
+    tmp_path, capsys, record, method
+):
+    deps, lines = _deps_lines(tmp_path, capsys)
+    lines[1] = json.dumps(record)
+    deps.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["stats", str(deps), "--method", method], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"depkit: error: {deps}:2: malformed edge record") and err.count("\n") == 1
 

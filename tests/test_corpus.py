@@ -31,7 +31,7 @@ from depkit.corpus import (
 from depkit.errors import DuplicateNameError, ParseError
 from depkit.gen import FAMILIES, generate_corpus
 
-from _oracles import parse_by_descent, tokenize_by_lines
+from _oracles import NaiveEnv, naive_check, parse_by_descent, tokenize_by_lines
 from conftest import corpus_from
 
 # One row per grammar production: source line -> the item fields it must yield.
@@ -517,29 +517,38 @@ def test_trace_soundness_on_fixtures_and_generated(five_file_corpus):
 # Corpora small enough to check every submask of every candidate
 # environment: a variable covered by two reservations, so that only a whole
 # (reservation, type) pair verifies it; notation tokens in a statement and
-# in a definition type; ``by auto`` with hints shared by several symbols;
-# and names that resolve nowhere, a variable with no reservation and
-# ``by auto`` with no hint.
+# in a definition type, and a ``by`` reference naming a notation; ``by
+# auto`` with hints shared by several symbols; and names that resolve
+# nowhere, a variable with no reservation, a variable whose only
+# reservation has a type that resolves nowhere, and ``by auto`` with no
+# hint.
 COMPILED_CHECK_SOURCES = [
     "def a := lit;\ndef b := lit;\nreserve x, y : a;\nreserve y : b;\n"
     "thm t : var y;\nthm u : var x var y by t;\n",
     "def plus := lit;\nnotation oplus for plus;\nthm t : uses oplus;\n"
-    "def d : oplus := plus;\nthm s : uses d uses oplus by t;\n",
+    "def d : oplus := plus;\nthm s : uses d uses oplus by t;\nthm r : uses plus by oplus;\n",
     "def f := lit;\ndef g := lit;\nhint h1 uses f;\nhint h2 uses f g;\n"
     "thm t : uses f uses g by auto;\nthm s : uses g by auto;\n",
     "def f := lit;\nthm t : uses missing;\nthm s : uses f by nowhere;\n"
-    "thm r : var z;\nthm q : uses f by auto;\n",
+    "thm r : var z;\nthm q : uses f by auto;\nreserve w : nowhere;\nthm p : var w;\n",
 ]
 
 
 def _assert_compiled_verdicts(corpus: Corpus, idx: int, masks) -> None:
-    """The compiled check of item ``idx`` against ``accepts`` (``_verify``)
-    on the environment of each mask over the corpus table."""
+    """Item ``idx`` on the environment of each mask over the corpus table,
+    against the independent ``naive_check``: ``check_item``'s reason and
+    traced names, and the verdict of ``accepts`` and of the compiled check."""
     item = corpus.items[idx]
     accepts = corpus._compile_check(item)
     env = corpus.candidate_environment(idx)
     for bits in masks:
-        assert accepts(bits) == corpus.accepts(item, env.with_mask(bits)), (item.name, bin(bits))
+        sub = env.with_mask(bits)
+        reason, resolved = naive_check(corpus, item, NaiveEnv({k: sub.names(k) for k in ItemKind}))
+        outcome = corpus.check_item(item, sub, trace_requested=True)
+        assert outcome.reason is reason, (item.name, bin(bits))
+        assert [edge.dst for edge in outcome.trace] == (resolved if reason is None else [])
+        assert accepts(bits) is (reason is None), (item.name, bin(bits))
+        assert corpus.accepts(item, sub) is (reason is None), (item.name, bin(bits))
 
 
 @pytest.mark.parametrize("source", COMPILED_CHECK_SOURCES)
@@ -552,15 +561,15 @@ def test_compiled_check_equals_verify_on_every_submask(source):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_compiled_check_on_full_candidates_agrees_with_verify(family):
     """On the whole candidate environment, raw and normalized, the compiled
-    verdict is ``_verify``'s: acceptance exactly when no reason is found."""
+    verdict is ``check_item``'s (acceptance exactly when no reason is
+    found), and both agree with ``naive_check``."""
     from depkit.normalize import normalize_corpus
 
     files = generate_corpus(items=150, seed=5, family=family)
     raw = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
     for corpus in (raw, normalize_corpus(raw)[0]):
-        for idx, item in enumerate(corpus.items):
-            reason, _ = corpus._verify(item, corpus.candidate_environment(idx), False)
-            assert corpus._compile_check(item)((1 << idx) - 1) is (reason is None), item.name
+        for idx in range(len(corpus)):
+            _assert_compiled_verdicts(corpus, idx, [(1 << idx) - 1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -606,6 +606,32 @@ def test_malformed_record_among_canonical_ones_names_its_line(long_deps_lines, a
     assert outcome[1].startswith(f"{outcome[2]}:{i + 1}: malformed edge record")
 
 
+# Records malformed under every method filter: no ``method``, an unknown
+# ``method``, and a bad ``vis`` on a ``min`` record.
+MALFORMED_WHATEVER_THE_METHOD = {
+    "no-method": '{"from":"t","to":"d","vis":"explicit","opacity":"transparent"}',
+    "unknown-method": (
+        '{"from":"t","to":"d","vis":"explicit","opacity":"transparent","method":"bogus"}'
+    ),
+    "bad-vis-min": '{"from":"t","to":"d","vis":"loud","opacity":"transparent","method":"min"}',
+}
+
+
+@pytest.mark.parametrize("method", ["any", "trace", "min"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_WHATEVER_THE_METHOD))
+def test_record_validity_does_not_depend_on_the_method_filter(tmp_path, name, method):
+    path = tmp_path / "deps.jsonl"
+    path.write_text(
+        '{"from":"t","to":"d","vis":"implicit","opacity":"opaque","method":"trace"}\n'
+        + MALFORMED_WHATEVER_THE_METHOD[name]
+        + "\n"
+    )
+    for read in (read_edges_jsonl, read_edges_by_line):
+        with pytest.raises(ParseError, match="malformed edge record") as err:
+            read(path, method=method)
+        assert err.value.line == 2
+
+
 def test_canonical_files_are_read_without_json(tmp_path, long_deps_lines, monkeypatch):
     path = tmp_path / "deps.jsonl"
     path.write_bytes(b"".join(line + b"\n" for line in long_deps_lines))
