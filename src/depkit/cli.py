@@ -8,7 +8,8 @@ thread: the checker and the planner are pure Python holding the interpreter
 lock, and thread pools measured slower than serial runs.  Flag combinations
 that cannot work (``extract --events`` without a trace, ``--compare``
 without both methods, ``stats --kinds`` without ``--corpus`` or at file
-granularity) exit 1 before any input is read.  ``simulate``
+granularity, ``--granularity file`` without ``--corpus``) exit 1 before
+any input is read.  ``simulate``
 re-checks each planned item under its full preceding environment.
 """
 
@@ -46,12 +47,11 @@ from .rebuild import ChangeKind, ChangeSet, execute, plan, speedup_report
 
 
 def _load_graph(args, granularity: Granularity):
+    if args.corpus is None and granularity is Granularity.FILE:
+        raise DepkitError("file granularity needs --corpus (edge records carry no file map)")
     edges = read_edges_jsonl(args.deps, method=args.method)
     if args.corpus is not None:
-        corpus = parse_corpus(args.corpus)
-        return build_graph(corpus, edges, granularity)
-    if granularity is Granularity.FILE:
-        raise DepkitError("file granularity needs --corpus (edge records carry no file map)")
+        return build_graph(parse_corpus(args.corpus), edges, granularity)
     return build_graph_from_edges(edges)
 
 

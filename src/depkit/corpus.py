@@ -191,7 +191,8 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # Kinds a symbol or ``by`` reference resolves to.
 _SYMBOL_KINDS = (ItemKind.DEFINITION, ItemKind.THEOREM)
 
-# Slot of each kind in a table's kind masks and an environment's name cache.
+# Slot of each kind in a table's kind masks, the corpus's kind lists and a
+# name-built environment's names.
 _SLOT = {kind: slot for slot, kind in enumerate(KIND_FIELDS)}
 
 
@@ -219,53 +220,17 @@ def bit_positions(bits: int) -> list[int]:
 
 class _Positions:
     """A position table: the name at each position, one mask per kind
-    (indexed by ``_SLOT``), and each name's position.  A corpus table also
-    lists each kind's positions in ascending order (``lists``, by slot); a
-    table built by name has no lists."""
+    (indexed by ``_SLOT``), and each name's position (``index``, built on
+    first use when not given)."""
 
-    __slots__ = ("names", "kinds", "lists", "_index")
+    __slots__ = ("names", "kinds", "_index")
 
     def __init__(
-        self,
-        names: tuple[str, ...],
-        kinds: tuple[int, ...],
-        index: dict[str, int] | None = None,
-        lists: tuple[list[int], ...] | None = None,
+        self, names: tuple[str, ...], kinds: tuple[int, ...], index: dict[str, int] | None = None
     ):
         self.names = names
         self.kinds = kinds
-        self.lists = lists
         self._index = index
-
-    def kind_positions(self, kind: ItemKind, bits: int) -> list[int]:
-        """The set positions of ``bits``, a submask of ``kind``'s mask, ascending.
-
-        When ``bits`` holds every position of the kind below its highest
-        one (a candidate environment's kind bits before any ``restrict``),
-        that is, when its popcount equals the number of list entries below
-        ``bits.bit_length()``, the positions are the first that many entries
-        of the kind's list, and the result is a slice of it.  Any other
-        mask, and every mask over a table built by name, goes through
-        ``bit_positions``.
-        """
-        if self.lists is not None:
-            positions = self.lists[_SLOT[kind]]
-            count = bits.bit_count()
-            if count == bisect_left(positions, bits.bit_length()):
-                return positions[:count]
-        return bit_positions(bits)
-
-    def kind_counts(self, bits: int) -> list[int]:
-        """How many positions of each kind ``bits`` holds, by slot.
-
-        A prefix mask ``(1 << n) - 1`` over a table with lists holds each
-        kind's list entries below ``n``, found by bisection; any other mask
-        is counted by a popcount per kind.
-        """
-        if self.lists is not None and not bits & (bits + 1):
-            stop = bits.bit_length()
-            return [bisect_left(positions, stop) for positions in self.lists]
-        return [(bits & kind_bits).bit_count() for kind_bits in self.kinds]
 
     def mask_of(self, names: Iterable[str]) -> int:
         """The positions of those of ``names`` the table holds."""
@@ -303,15 +268,16 @@ class Environment:
     are AND / AND-NOT, ``contains`` is a bit test and ``size`` a popcount.
     An environment thus costs one int, and extraction memory grows
     linearly in corpus size.  ``names(kind)``, ``all_names()`` and the
-    ``definitions`` ... ``reservations`` attributes are derived from the mask
-    on first use and cached; they list names in table order, which for a
-    corpus table is corpus order.
+    ``definitions`` ... ``reservations`` attributes list names in table
+    order, which for a corpus table is corpus order; they are derived from
+    the mask on each call.
 
     ``Environment(definitions=..., ...)`` builds a private table holding
     each kind's names contiguously, in the order given, so each kind mask
-    is one range.  A name may appear once in the whole environment.  The
-    checker matches such an environment to corpus positions by name and
-    kind; see ``Corpus._bits_of``.
+    is one range, and keeps the per-kind tuples it was given as its names.
+    A name may appear once in the whole environment.  The checker matches
+    such an environment to corpus positions by name and kind; see
+    ``Corpus._bits_of``.
     Environments are immutable.  Two are equal when they list the same
     names per kind in the same order, whichever tables they use.
     """
@@ -326,9 +292,9 @@ class Environment:
         hints: Iterable[str] = (),
         reservations: Iterable[str] = (),
     ):
-        parts = [
+        parts = (
             tuple(definitions), tuple(theorems), tuple(notations), tuple(hints), tuple(reservations)
-        ]
+        )
         names = parts[0] + parts[1] + parts[2] + parts[3] + parts[4]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate names in environment: {names}")
@@ -341,7 +307,7 @@ class Environment:
         kinds = (d_end - 1, t_end - d_end, n_end - t_end, h_end - n_end, r_end - h_end)
         self._table = _Positions(names, kinds)
         self._mask = r_end - 1
-        # The full mask of a fresh table selects exactly the given lists.
+        # The full mask of a fresh table selects exactly the given tuples.
         self._names = parts
 
     @classmethod
@@ -367,25 +333,15 @@ class Environment:
         """The positions of ``kind`` present."""
         return self._mask & self._table.kinds[_SLOT[kind]]
 
-    def kind_positions(self, kind: ItemKind) -> list[int]:
-        """The table positions of this environment's ``kind`` names, ascending;
-        see ``_Positions.kind_positions`` for which masks take a slice."""
-        return self._table.kind_positions(kind, self.kind_mask(kind))
-
     def with_mask(self, mask: int) -> "Environment":
         """The environment over the same table with positions ``mask``."""
         return Environment._of(self._table, mask)
 
     def _names_at(self, slot: int) -> tuple[str, ...]:
-        cache = self._names
-        if cache is None:
-            cache = self._names = [None] * len(_SLOT)
-        names = cache[slot]
-        if names is None:
-            bits = self._mask & self._table.kinds[slot]
-            names = tuple(compress(self._table.names, _bit_selectors(bits))) if bits else ()
-            cache[slot] = names
-        return names
+        if self._names is not None:
+            return self._names[slot]
+        bits = self._mask & self._table.kinds[slot]
+        return tuple(compress(self._table.names, _bit_selectors(bits))) if bits else ()
 
     def names(self, kind: ItemKind) -> tuple[str, ...]:
         return self._names_at(_SLOT[kind])
@@ -398,7 +354,7 @@ class Environment:
         return self._mask.bit_count()
 
     def all_names(self) -> tuple[str, ...]:
-        return tuple(chain.from_iterable(map(self._names_at, range(len(_SLOT)))))
+        return tuple(chain.from_iterable(self._key()))
 
     def replace_kind(self, kind: ItemKind, names: Iterable[str]) -> "Environment":
         """``kind``'s names replaced by ``names``, which must be names of
@@ -424,10 +380,7 @@ class Environment:
 
     def _key(self) -> tuple[tuple[str, ...], ...]:
         """The names per kind, in ``_SLOT`` order."""
-        cache = self._names
-        if cache is None or None in cache:
-            return tuple(map(self._names_at, range(len(_SLOT))))
-        return tuple(cache)
+        return self._names or tuple(map(self._names_at, range(len(_SLOT))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Environment):
@@ -777,7 +730,8 @@ class Corpus:
         self.items: tuple[Item, ...] = tuple(items)
         self._order: dict[str, int] = {}  # each name's corpus position
         kinds = [0] * len(_SLOT)
-        lists: tuple[list[int], ...] = tuple([] for _ in _SLOT)
+        # Each kind's positions, ascending, by slot.
+        self._kind_lists: tuple[list[int], ...] = tuple([] for _ in _SLOT)
         # Checker indexes.  Positions of the names a symbol can resolve to,
         # split into definitions/theorems and notations; in corpus order,
         # the positions of the reservations covering each variable and of
@@ -793,7 +747,7 @@ class Corpus:
             self._order[item.name] = idx
             slot = _SLOT[item.kind]
             kinds[slot] |= 1 << idx
-            lists[slot].append(idx)
+            self._kind_lists[slot].append(idx)
             if item.kind in _SYMBOL_KINDS:
                 self._symbol_at[item.name] = idx
             elif item.kind is ItemKind.NOTATION:
@@ -803,7 +757,7 @@ class Corpus:
                     self._hinting.setdefault(sym, []).append(idx)
             for var in item.reserved_vars:
                 self._reserving.setdefault(var, []).append(idx)
-        self._table = _Positions(tuple(self._order), tuple(kinds), self._order, lists)
+        self._table = _Positions(tuple(self._order), tuple(kinds), self._order)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -838,6 +792,23 @@ class Corpus:
         the prefix mask over the corpus table."""
         _, stop, _ = slice(index).indices(len(self.items))
         return Environment._of(self._table, (1 << stop) - 1)
+
+    def _kind_positions(self, kind: ItemKind, bits: int) -> list[int]:
+        """The set positions of ``bits``, a submask of ``kind``'s corpus mask,
+        ascending.
+
+        When ``bits`` holds every position of the kind below its highest
+        one (a candidate environment's kind bits before any ``restrict``),
+        that is, when its popcount equals the number of the kind's positions
+        below ``bits.bit_length()``, they are the first that many entries of
+        the kind's list, and the result is a slice of it.  Any other mask
+        goes through ``bit_positions``.
+        """
+        positions = self._kind_lists[_SLOT[kind]]
+        count = bits.bit_count()
+        if count == bisect_left(positions, bits.bit_length()):
+            return positions[:count]
+        return bit_positions(bits)
 
     # Checker -------------------------------------------------------------
 

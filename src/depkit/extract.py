@@ -148,11 +148,13 @@ def minimize_env(
     A rejected candidate's reason comes from ``check_item``.
 
     Each kind's search starts from the ascending positions of its bits.
-    Unless a seed restrict was kept, those bits are a prefix of the corpus
-    table's kind mask, and the positions are a slice of the table's
-    per-kind position list; after a kept restrict they are listed by
-    ``bit_positions``.  ``removed`` counts each kind of the candidate from
-    the same lists, less the positions the search kept.
+    Unless a seed restrict was kept, those bits are a prefix of the kind's
+    corpus mask, and the positions are a slice of the corpus's per-kind
+    position list; after a kept restrict they are listed by
+    ``bit_positions`` (``Corpus._kind_positions``).  ``removed[kind]`` is
+    the number of the candidate's positions of that kind that the minimal
+    mask lacks: the popcount of ``candidate & ~minimal`` within the kind's
+    mask.
     """
     item = micro.item
     table = corpus._table
@@ -171,10 +173,8 @@ def minimize_env(
             if accepts(restricted):
                 current = restricted
 
-    kept = [0] * len(_SLOT)
     for kind in KIND_MINIMIZATION_ORDER:
-        slot = _SLOT[kind]
-        kind_bits = current & table.kinds[slot]
+        kind_bits = current & table.kinds[_SLOT[kind]]
         if not kind_bits:
             continue
         others = current & ~kind_bits
@@ -184,17 +184,14 @@ def minimize_env(
             calls += 1
             return accepts(others | trial)
 
-        keep = table.kind_positions(kind, kind_bits)
-        current = others | _shrink(keep, kind_bits, still_ok)
-        kept[slot] = len(keep)
+        current = others | _shrink(corpus._kind_positions(kind, kind_bits), kind_bits, still_ok)
 
-    counts = table.kind_counts(candidate)
-    removed = {kind: counts[slot] - kept[slot] for kind, slot in _SLOT.items()}
+    dropped = candidate & ~current
     return MinimizationResult(
         item_name=item.name,
         minimal_env=Environment._of(table, current),
         oracle_calls=calls,
-        removed=removed,
+        removed={kind: (dropped & table.kinds[slot]).bit_count() for kind, slot in _SLOT.items()},
     )
 
 
@@ -405,29 +402,24 @@ _RECORD_RE = re.compile(
 )
 
 
-def _fold_records(records: Iterable, method: str, flags: dict[tuple[str, str], int]) -> None:
-    """The record rule: OR each record's explicit (1) and transparent (2)
-    flags into the entry of its (from, to) pair, skipping records of another
-    ``method`` unless it is ``"any"``.  Every record is checked before it is
-    filtered, so whether a file is valid does not depend on ``method``.  The
-    first record that breaks the rule raises ``KeyError``, ``TypeError`` or
-    ``ValueError``; a bad ``vis`` or ``opacity`` raises the error of the
-    enum lookup, and a ``method`` other than ``trace`` or ``min`` a
-    ``ValueError``."""
-    for rec in records:
-        src, dst, rec_method = rec["from"], rec["to"], rec["method"]
-        if not (isinstance(src, str) and isinstance(dst, str)):
-            raise TypeError("'from' and 'to' must be strings")
-        vis, opacity = rec["vis"], rec["opacity"]
-        try:
-            bits = _VIS_BITS[vis] | _OPACITY_BITS[opacity]
-        except (KeyError, TypeError):
-            Visibility(vis), Opacity(opacity)  # raises the lookup's ValueError
-            raise
-        if rec_method != "trace" and rec_method != "min":
-            raise ValueError(f"unknown method {rec_method!r}")
-        if method == "any" or rec_method == method:
-            flags[src, dst] = flags.get((src, dst), 0) | bits
+def _record_fields(rec) -> tuple[str, str, str, str, str]:
+    """The (from, to, vis, opacity, method) of one decoded record, checked
+    by the record rule.  A record that breaks it raises ``KeyError``,
+    ``TypeError`` or ``ValueError``; a bad ``vis`` or ``opacity`` raises the
+    error of the enum lookup, and a ``method`` other than ``trace`` or
+    ``min`` a ``ValueError``."""
+    src, dst, method = rec["from"], rec["to"], rec["method"]
+    if not (isinstance(src, str) and isinstance(dst, str)):
+        raise TypeError("'from' and 'to' must be strings")
+    vis, opacity = rec["vis"], rec["opacity"]
+    try:
+        _VIS_BITS[vis], _OPACITY_BITS[opacity]
+    except (KeyError, TypeError):
+        Visibility(vis), Opacity(opacity)  # raises the lookup's ValueError
+        raise
+    if method != "trace" and method != "min":
+        raise ValueError(f"unknown method {method!r}")
+    return src, dst, vis, opacity, method
 
 
 def _canonical_records(block: Sequence[bytes]) -> list[tuple[str, ...]] | None:
@@ -457,11 +449,15 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     order.  A malformed record raises ``ParseError`` naming its line.
 
     Lines are read ``_BLOCK_LINES`` at a time.  A block whose every line is
-    a record exactly as ``edge_record`` writes it is folded from the fields
-    of one regex search (``_canonical_records``).  Any other block is
-    decoded one line at a time with ``json.loads``, so a valid record in
-    another layout reads the same, a malformed record is reported with its
-    own line, and blank lines are skipped.
+    a record exactly as ``edge_record`` writes it gives its records' fields
+    by one regex search (``_canonical_records``).  Any other block is
+    decoded one line at a time with ``json.loads`` and checked by
+    ``_record_fields``, so a valid record in another layout reads the same,
+    a malformed record is reported with its own line, and blank lines are
+    skipped.  One loop then folds the block's records, skipping those of
+    another ``method`` unless it is ``"any"``; every record of the block is
+    checked before any is filtered, so whether a file reads does not depend
+    on ``method``.
     """
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
@@ -470,19 +466,20 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
         records = _canonical_records(block)
-        if records is not None:
-            for src, dst, vis, opacity, rec_method in records:
-                if method == "any" or rec_method == method:
-                    bits = _VIS_BITS[vis] | _OPACITY_BITS[opacity]
-                    flags[src, dst] = flags.get((src, dst), 0) | bits
-            continue
-        for lineno, line in enumerate(block, start + 1):
-            if not line.strip():
-                continue
-            try:
-                _fold_records((json.loads(line),), method, flags)
-            except (KeyError, TypeError, ValueError) as err:
-                raise ParseError(f"malformed edge record ({err!r})", str(path), lineno) from None
+        if records is None:
+            records = []
+            for lineno, line in enumerate(block, start + 1):
+                if line.strip():
+                    try:
+                        records.append(_record_fields(json.loads(line)))
+                    except (KeyError, TypeError, ValueError) as err:
+                        raise ParseError(
+                            f"malformed edge record ({err!r})", str(path), lineno
+                        ) from None
+        for src, dst, vis, opacity, rec_method in records:
+            if method == "any" or rec_method == method:
+                bits = _VIS_BITS[vis] | _OPACITY_BITS[opacity]
+                flags[src, dst] = flags.get((src, dst), 0) | bits
     vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
     opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
     return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -29,8 +30,11 @@ from graphlib import CycleError, TopologicalSorter
 from statistics import median
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, bit_positions
+from .corpus import IDENTIFIER_RE, Corpus, DepEdge, ItemKind, Opacity, Visibility, bit_positions
 from .errors import CycleDetectedError, DepkitError, UnknownItemError
+
+# A file name that ``to_dot`` can write between quotes unescaped.
+_DOT_PATH_RE = re.compile(r'[^"\\]+')
 
 
 class Granularity(str, Enum):
@@ -168,13 +172,12 @@ class DepGraph:
         if self._edges is None:
             edges: list[DepEdge] = []
             for src, row, trans, expl in zip(self.nodes, self.deps, self.transparent, self.explicit):
-                trans_at, expl_at = set(bit_positions(trans)), set(bit_positions(expl))
                 edges.extend(
                     DepEdge(
                         src,
                         self.nodes[j],
-                        Visibility.EXPLICIT if j in expl_at else Visibility.IMPLICIT,
-                        Opacity.TRANSPARENT if j in trans_at else Opacity.OPAQUE,
+                        Visibility.EXPLICIT if expl >> j & 1 else Visibility.IMPLICIT,
+                        Opacity.TRANSPARENT if trans >> j & 1 else Opacity.OPAQUE,
                     )
                     for j in bit_positions(row)
                 )
@@ -386,8 +389,19 @@ def load_set(g: DepGraph, target: str) -> list[str]:
 
 
 def to_dot(g: DepGraph) -> str:
+    """The graph in DOT: one quoted line per node, then per edge.
+
+    Names are written between quotes as they are, since in a DOT quoted
+    string only ``\\"`` is an escape and a name ending in ``\\`` cannot be
+    written at all.  So an item name must match the lexical identifier rule,
+    and a file name must hold neither ``"`` nor ``\\``; the first node that
+    does not raises ``DepkitError`` naming it, so no text is returned.
+    """
+    writable = (IDENTIFIER_RE if g.granularity is Granularity.ITEM else _DOT_PATH_RE).fullmatch
     lines = [f"digraph deps {{  // granularity={g.granularity.value}"]
     for name in g.nodes:
+        if not writable(name):
+            raise DepkitError(f"{g.granularity.value} name {name!r} cannot be written to DOT")
         kind = g.kinds.get(name)
         label = f"{name}\\n{kind.value}" if kind else name
         lines.append(f'  "{name}" [label="{label}"];')

@@ -134,6 +134,47 @@ def test_stats_file_granularity_requires_corpus(tmp_path, capsys):
     assert "corpus" in err
 
 
+@pytest.mark.parametrize(
+    "command,output", [("stats", "--json"), ("export", "--dot"), ("cumulative", "--csv")]
+)
+def test_file_granularity_without_corpus_exits_one_before_reading_deps(
+    tmp_path, capsys, command, output
+):
+    missing = tmp_path / "nowhere.jsonl"
+    out_path = tmp_path / "out"
+    argv = [command, str(missing), "--granularity", "file", output, str(out_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        "depkit: error: file granularity needs --corpus (edge records carry no file map)\n"
+    )
+    assert not out_path.exists()
+
+
+def test_export_rejects_a_name_dot_cannot_quote(tmp_path, capsys):
+    deps = tmp_path / "d.jsonl"
+    records = [
+        {"from": 'b"x', "to": "a", "vis": "explicit", "opacity": "transparent", "method": "trace"},
+        {"from": "c", "to": "a", "vis": "explicit", "opacity": "transparent", "method": "trace"},
+    ]
+    deps.write_text("".join(json.dumps(record) + "\n" for record in records))
+    dot = tmp_path / "g.dot"
+    code, out, err = run(["export", str(deps), "--dot", str(dot)], capsys)
+    assert code == 1 and out == ""
+    assert err == "depkit: error: item name 'b\"x' cannot be written to DOT\n"
+    assert not dot.exists()
+    # a name ending in a backslash cannot be written either
+    records[0]["from"] = "b\\"
+    deps.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert run(["export", str(deps), "--dot", str(dot)], capsys)[0] == 1
+    assert not dot.exists()
+    # identifier names are written as before
+    records[0]["from"] = "b"
+    deps.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert run(["export", str(deps), "--dot", str(dot)], capsys)[0] == 0
+    assert '  "b" -> "a" [style=solid];' in dot.read_text().splitlines()
+
+
 def test_export_and_cumulative(tmp_path, capsys):
     deps = tmp_path / "d.jsonl"
     run(["extract", str(FIXTURES / "five_files"), "-o", str(deps), "--mode", "trace"], capsys)

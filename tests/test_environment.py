@@ -90,50 +90,30 @@ def test_masks_match_name_tuple_model_both_constructions():
 
 
 def test_kind_positions_equal_bit_positions_on_every_path():
-    """The position helper lists exactly ``bit_positions(bits)``: on every
-    kind's prefix masks at every cut, which take the slice of the kind's
-    position list, and on masks after ``restrict`` and ``replace_kind`` and
-    of a name-built environment, which do not all."""
+    """The corpus position helper lists exactly ``bit_positions(bits)``: on
+    every kind's prefix masks at every cut, which take the slice of the
+    kind's position list, and on the kind masks of environments after
+    ``restrict`` and ``replace_kind``, which do not all."""
     rng = random.Random(17)
     prefixes = 0
     for corpus in _corpora():
         n = len(corpus.items)
-        table = corpus.candidate_environment(n)._table
-        assert table.lists is not None
         for kind in ItemKind:
             kind_bits = corpus.candidate_environment(n).kind_mask(kind)
             for cut in range(n + 2):
                 bits = kind_bits & ((1 << cut) - 1)
-                assert table.kind_positions(kind, bits) == bit_positions(bits)
+                assert corpus._kind_positions(kind, bits) == bit_positions(bits)
                 prefixes += bits != 0
         for idx in range(n + 1):
             full = corpus.candidate_environment(idx)
-            full_model = _prefix_model(corpus, idx)
-            keep = _random_keep(rng, full_model)
+            keep = _random_keep(rng, _prefix_model(corpus, idx))
             swapped = rng.choice(list(ItemKind))
             own = [name for name in full.names(swapped) if rng.random() < 0.5]
-            built = full_model.restrict(keep).build()
-            assert built._table.lists is None
-            envs = (full, full.restrict(keep), full.replace_kind(swapped, own), built)
-            for env in envs:
+            for env in (full, full.restrict(keep), full.replace_kind(swapped, own)):
                 for kind in ItemKind:
-                    assert env.kind_positions(kind) == bit_positions(env.kind_mask(kind))
+                    bits = env.kind_mask(kind)
+                    assert corpus._kind_positions(kind, bits) == bit_positions(bits)
     assert prefixes > 1000
-
-
-def test_kind_counts_equal_popcounts_on_prefix_and_other_masks():
-    """``kind_counts`` bisects the position lists for a prefix mask of a
-    corpus table and pops the count of any other mask or table."""
-    rng = random.Random(23)
-    for corpus in _corpora():
-        n = len(corpus.items)
-        table = corpus.candidate_environment(n)._table
-        built = _prefix_model(corpus, n).build()._table
-        for cut in range(n + 2):
-            prefix = (1 << cut) - 1
-            other = prefix & rng.getrandbits(n + 1)
-            for t, bits in ((table, prefix), (table, other), (built, prefix)):
-                assert t.kind_counts(bits) == [(bits & kind).bit_count() for kind in t.kinds]
 
 
 def test_checker_agrees_across_constructions_and_with_model():

@@ -236,6 +236,33 @@ def test_minimize_matches_a_candidate_environment_built_by_name_to_corpus_positi
         assert got.removed == expected.removed
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_removed_counts_the_candidate_names_the_minimal_environment_lacks(family):
+    """Per kind, ``removed`` is the number of the candidate's names of that
+    kind that the minimal environment lacks, counting only names the corpus
+    holds under that kind: for seeded and unseeded runs, and for candidates
+    built by name that also list a name the corpus lacks."""
+    corpus = _generated(items=80, seed=9, family=family)
+    seeds: dict[str, list[str]] = {}
+    for edge in trace_extract(corpus):
+        seeds.setdefault(edge.src, []).append(edge.dst)
+    for micro in decompose(corpus):
+        env = micro.candidate_env
+        lists = {attr: env.names(kind) + (f"no_{attr}",) for kind, attr in KIND_FIELDS.items()}
+        by_name = Microarticle(item=micro.item, candidate_env=Environment(**lists))
+        for candidate in (micro, by_name):
+            for seed in (None, seeds.get(micro.item.name, [])):
+                result = minimize_env(corpus, candidate, seed_targets=seed)
+                for kind in ItemKind:
+                    held = {
+                        name
+                        for name in candidate.candidate_env.names(kind)
+                        if name in corpus and corpus.item(name).kind is kind
+                    }
+                    expected = len(held - set(result.minimal_env.names(kind)))
+                    assert result.removed[kind] == expected, (micro.item.name, kind, seed)
+
+
 # trace_extract ---------------------------------------------------------------
 
 

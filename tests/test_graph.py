@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from depkit import extract
 from depkit.corpus import Corpus, DepEdge, Opacity, Visibility, parse_source
-from depkit.errors import CycleDetectedError, UnknownItemError
+from depkit.errors import CycleDetectedError, DepkitError, UnknownItemError
 from depkit.extract import edge_record, extract_corpus, read_edges_jsonl, trace_extract
 from depkit.gen import FAMILIES, generate_corpus
 from depkit.graph import (
@@ -467,3 +468,19 @@ def test_dot_and_csv_exports_are_deterministic(redundant_hint_corpus):
     assert cumulative_csv(g1) == cumulative_csv(g2)
     assert to_dot(g1).startswith("digraph deps {")
     assert cumulative_csv(g1).splitlines()[0] == "threshold,item_count"
+
+
+@pytest.mark.parametrize("bad", ['q"x.art', "q\\.art"])
+def test_dot_rejects_a_file_name_it_cannot_quote(bad):
+    """A file node is written between quotes as it is, so a path holding
+    ``"`` or ``\\`` is rejected by name; other paths are written."""
+    items = parse_source("def a := lit;\n", "sub/a.art") + parse_source(
+        "thm b : uses a by a;\n", bad
+    )
+    corpus = Corpus(items)
+    g = build_graph(corpus, trace_extract(corpus), Granularity.FILE)
+    with pytest.raises(DepkitError, match=re.escape(repr(bad))):
+        to_dot(g)
+    good = Corpus(items[:1] + parse_source("thm b : uses a by a;\n", "q x.art"))
+    dot = to_dot(build_graph(good, trace_extract(good), Granularity.FILE))
+    assert '  "q x.art" -> "sub/a.art" [style=solid];' in dot.splitlines()
