@@ -25,6 +25,7 @@ from . import gen as gen_mod
 from .corpus import parse_corpus, render_corpus
 from .errors import DepkitError
 from .extract import (
+    compare_json,
     compare_methods,
     event_lines,
     extract_corpus,
@@ -88,9 +89,7 @@ def _cmd_extract(args) -> int:
         )
     if args.compare:
         report = compare_methods(corpus, result.trace_edges, result.minimization)
-        Path(args.compare).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(args.compare).write_text(compare_json(report), encoding="utf-8")
     return 0
 
 

@@ -343,6 +343,44 @@ def compare_methods(
     return {"per_item": per_item, "totals": totals}
 
 
+def compare_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\n"`` for a report of
+    ``compare_methods``, built by formatting.
+
+    With ``indent`` set, ``json.dumps`` takes its pure-Python encoder.  Here
+    each item name is quoted once, by ``json.dumps`` itself, so names are
+    escaped exactly as in the full dump; every name in the report's lists
+    is one of its items.
+    """
+    quoted = {name: json.dumps(name) for name in report["per_item"]}
+
+    def names(values: list[str]) -> str:
+        if not values:
+            return "[]"
+        return "[\n        " + ",\n        ".join(map(quoted.__getitem__, values)) + "\n      ]"
+
+    entries = ",\n".join(
+        f"    {quoted[name]}: {{\n"
+        f'      "common": {names(entry["common"])},\n'
+        f'      "min_only": {names(entry["min_only"])},\n'
+        f'      "trace_only": {names(entry["trace_only"])}\n'
+        "    }"
+        for name, entry in sorted(report["per_item"].items())
+    )
+    per_item = "{\n" + entries + "\n  }" if entries else "{}"
+    totals = report["totals"]
+    return (
+        "{\n"
+        f'  "per_item": {per_item},\n'
+        '  "totals": {\n'
+        f'    "common": {totals["common"]},\n'
+        f'    "min_only": {totals["min_only"]},\n'
+        f'    "trace_only": {totals["trace_only"]}\n'
+        "  }\n"
+        "}\n"
+    )
+
+
 # JSON-lines edge records -----------------------------------------------------
 
 

@@ -17,11 +17,14 @@ Ranking never scores every candidate (the sparse design of MaSh,
 Kühlwein, Blanchette, Kaliszyk and Urban, ITP 2013).  A candidate with no
 co-occurrence count for any feature of the conjecture scores by its prior
 alone, and a conjecture's symbols co-occur with only a few premises.  So
-the model keeps an inverted index from feature to co-occurring premises,
+the model keeps premise rows (feature to co-occurring premise to count),
 and the ranker keeps its candidates in prior buckets, in corpus order.  A
 ranking scores each co-occurring candidate (a "hit") and each bucket once,
-with the same ``score_premise`` call and float arithmetic, so every score
-is bit-identical to scoring the candidates one by one.  Ties still break by
+inline, with the float operations of ``score_premise`` in the same feature
+order: ``w * count`` once per feature, the two logarithms of a prior once
+per prior, ``ln(c + a)`` once per count c, and ``ln(a)`` as every
+co-occurrence term of a bucket's key.  So every score is bit-identical to
+``score_premise`` on the candidates one by one.  Ties still break by
 earlier corpus order: the top k is a lazy merge of the sorted hits and the
 buckets on (-score, corpus position), and the position of a true
 dependency is counted from bucket sizes and a bisection in the buckets
@@ -100,14 +103,14 @@ class BayesModel:
     cooccurrence: dict[tuple[str, str], int] = field(default_factory=dict)
     vocabulary: set[str] = field(default_factory=set)
     horizon: int = 0
-    # Inverted index, derived from ``cooccurrence``: feature -> the premises
-    # with a co-occurrence count for it.
-    premises: dict[str, set[str]] = field(init=False, repr=False, compare=False)
+    # Premise rows, derived from ``cooccurrence``: feature -> premise -> its
+    # co-occurrence count, one entry per ``cooccurrence`` key.
+    premises: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.premises = {}
-        for feature, premise in self.cooccurrence:
-            self.premises.setdefault(feature, set()).add(premise)
+        for (feature, premise), count in self.cooccurrence.items():
+            self.premises.setdefault(feature, {})[premise] = count
 
     def update(self, features: Counter, deps: Sequence[str]) -> None:
         """Fold in one item's dependencies and features."""
@@ -116,10 +119,10 @@ class BayesModel:
                 self.prior[premise] = self.prior.get(premise, 0) + 1
             for feature, count in features.items():
                 self.vocabulary.add(feature)
-                self.premises.setdefault(feature, set()).update(deps)
+                row = self.premises.setdefault(feature, {})
                 for premise in deps:
                     key = (feature, premise)
-                    self.cooccurrence[key] = self.cooccurrence.get(key, 0) + count
+                    row[premise] = self.cooccurrence[key] = self.cooccurrence.get(key, 0) + count
         self.horizon += 1
 
     def scaled(self, factor: int) -> "BayesModel":
@@ -192,13 +195,28 @@ def score_premise(
     return total
 
 
+class _Logs(dict):
+    """``math.log(count + alpha)`` per integer count, computed on first use."""
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: float):
+        super().__init__()
+        self.alpha = alpha
+
+    def __missing__(self, count: int) -> float:
+        value = self[count] = math.log(count + self.alpha)
+        return value
+
+
 class _Ranker:
     """The candidate premises of one model, in prior buckets, ranked sparsely.
 
     ``buckets`` maps each prior count to the corpus positions of the
     candidates with that prior, ascending, and ``prior_of`` maps each
     candidate position to its bucket.  ``update`` trains the model and moves
-    the dependencies between buckets as their priors change.
+    the dependencies between buckets as their priors change.  ``logs`` keeps
+    ``log(count + alpha)`` for every count scored so far.
     """
 
     def __init__(
@@ -219,6 +237,7 @@ class _Ranker:
         self.corpus = corpus
         self.alpha = alpha
         self.weight = weight
+        self.logs = _Logs(alpha)
         self.prior_of: dict[int, int] = {}
         self.buckets: dict[int, list[int]] = {}
         for name in candidates:
@@ -247,44 +266,68 @@ class _Ranker:
         self.prior_of[position] = prior
         insort(self.buckets.setdefault(prior, []), position)
 
-    def _score(self, name: str, features: Counter) -> float:
-        # Finite alpha and weight can still overflow a score (a weight near
-        # 1e308 times a log ratio), and infinite or NaN scores tie or order
-        # nothing, so every score the ranker computes is checked.
-        score = score_premise(self.model, name, features, self.alpha, self.weight)
-        if not math.isfinite(score):
-            raise NonFiniteScoreError(
-                f"alpha {self.alpha!r} and weight {self.weight!r} give premise {name!r} "
-                f"the score {score!r}, which orders nothing"
-            )
-        return score
-
     def _scored(self, features: Counter):
         """The hits' ``(-score, position)`` keys, sorted, and per prior the
-        bucket's ``(-score, positions, hit positions)``.
+        bucket's ``(-score, positions, hit positions)``; a bucket whose
+        members are all hits is left out.
 
-        A bucket is scored through one member that is not a hit; a bucket
-        whose members are all hits is left out.
+        Each key is the float ``score_premise`` gives, computed inline term
+        for term in the same feature order (see the module docstring).
         """
+        model = self.model
+        alpha = self.alpha
+        logs = self.logs
+        vocab = max(1, len(model.vocabulary))
+        rows = [
+            (model.premises.get(feature, {}), self.weight * count)
+            for feature, count in features.items()
+        ]
+        prior_logs = {
+            prior: (math.log(prior + alpha), math.log(prior + alpha * vocab))
+            for prior in self.buckets
+        }
         names: set[str] = set()
-        for feature in features:
-            names.update(self.model.premises.get(feature, ()))
-        hits = sorted(
-            (-self._score(name, features), position)
-            for name in names
-            if (position := self.corpus.index_of(name)) in self.prior_of
-        )
+        for row, _ in rows:
+            names.update(row)
+        index_of = self.corpus.index_of
+        prior_of = self.prior_of
+        hits = []
         own: dict[int, set[int]] = {}
-        for _, position in hits:
-            own.setdefault(self.prior_of[position], set()).add(position)
+        for name in names:
+            position = index_of(name)
+            prior = prior_of.get(position)
+            if prior is None:
+                continue
+            total, base = prior_logs[prior]
+            for row, scale in rows:
+                total += scale * (logs[row.get(name, 0)] - base)
+            if not math.isfinite(total):
+                raise self._non_finite(name, total)
+            hits.append((-total, position))
+            own.setdefault(prior, set()).add(position)
+        hits.sort()
         items = self.corpus.items
         buckets = {}
         for prior, positions in self.buckets.items():
             skip = own.get(prior, frozenset())
             if len(skip) < len(positions):
-                member = next(p for p in positions if p not in skip)
-                buckets[prior] = (-self._score(items[member].name, features), positions, skip)
+                total, base = prior_logs[prior]
+                for _, scale in rows:
+                    total += scale * (logs[0] - base)
+                if not math.isfinite(total):
+                    member = next(p for p in positions if p not in skip)
+                    raise self._non_finite(items[member].name, total)
+                buckets[prior] = (-total, positions, skip)
         return hits, buckets
+
+    def _non_finite(self, name: str, score: float) -> NonFiniteScoreError:
+        # Finite alpha and weight can still overflow a score (a weight near
+        # 1e308 times a log ratio), and infinite or NaN scores tie or order
+        # nothing, so every score the ranker computes is checked.
+        return NonFiniteScoreError(
+            f"alpha {self.alpha!r} and weight {self.weight!r} give premise {name!r} "
+            f"the score {score!r}, which orders nothing"
+        )
 
     def order(self, features: Counter) -> Iterator[tuple[float, int]]:
         """Every candidate's ``(-score, position)``, best first, lazily."""

@@ -20,11 +20,13 @@ from depkit.corpus import (
     ItemKind,
     Opacity,
     Visibility,
+    parse_corpus,
     parse_source,
 )
 from depkit.errors import CorpusMismatchError, NotVerifiableError, ParseError
 from depkit.extract import (
     Microarticle,
+    compare_json,
     compare_methods,
     decompose,
     edge_record,
@@ -332,6 +334,36 @@ def test_compare_empty_corpus():
     report = compare_methods(corpus, result.trace_edges, result.minimization)
     assert report["per_item"] == {}
     assert report["totals"] == {"trace_only": 0, "min_only": 0, "common": 0}
+
+
+@pytest.mark.parametrize("source", ["redundant_hint", "five_files", "opaque_chain", "gen", "empty"])
+def test_compare_json_equals_the_indented_dump(fixtures_dir, source):
+    """``compare_json`` writes the bytes of ``json.dumps(indent=2,
+    sort_keys=True)`` plus a line end, on items with empty and nonempty lists."""
+    if source == "gen":
+        corpus = _generated(items=300, seed=3, family="mixed")
+    elif source == "empty":
+        corpus = Corpus([])
+    else:
+        corpus = parse_corpus(fixtures_dir / source)
+    result = extract_corpus(corpus, mode="both")
+    report = compare_methods(corpus, result.trace_edges, result.minimization)
+    assert compare_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    lists = [names for entry in report["per_item"].values() for names in entry.values()]
+    if source == "gen":
+        assert any(not names for names in lists) and any(len(names) > 1 for names in lists)
+
+
+def test_compare_json_escapes_names_as_the_dump_does():
+    names = ['q"x', "back\\slash", "caf\u00e9", "tab\tname", "plain"]
+    report = {
+        "per_item": {
+            name: {"trace_only": names[:i], "min_only": [], "common": names[i:]}
+            for i, name in enumerate(names)
+        },
+        "totals": {"trace_only": 10, "min_only": 0, "common": 15},
+    }
+    assert compare_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_compare_rejects_mismatched_corpora(redundant_hint_corpus):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from depkit.cli import main
 from depkit.corpus import Corpus, ItemKind, parse_source
 from depkit.errors import CorpusMismatchError
 from depkit.extract import trace_extract
@@ -95,16 +96,17 @@ def test_train_is_incrementally_consistent(five_file_corpus):
 
 
 def test_ranking_indexes_match_a_rebuild(five_file_corpus):
-    """The model's inverted index and the ranker's prior buckets equal ones
-    rebuilt from ``cooccurrence`` and ``prior``, after ``train``, ``scaled``
-    and every stepwise ``update``, including one that lists a premise twice."""
+    """The model's premise rows (counts included) and the ranker's prior
+    buckets equal ones rebuilt from ``cooccurrence`` and ``prior``, after
+    ``train``, ``scaled`` and every stepwise ``update``, including one that
+    lists a premise twice."""
     corpus, _ = normalize_corpus(five_file_corpus)
     deps = dependency_map(trace_extract(corpus))
 
     def inverted(model):
-        out: dict[str, set[str]] = {}
-        for feature, premise in model.cooccurrence:
-            out.setdefault(feature, set()).add(premise)
+        out: dict[str, dict[str, int]] = {}
+        for (feature, premise), count in model.cooccurrence.items():
+            out.setdefault(feature, {})[premise] = count
         return out
 
     def buckets(model, names):
@@ -122,7 +124,8 @@ def test_ranking_indexes_match_a_rebuild(five_file_corpus):
 
     trained = train(corpus, deps, upto=len(corpus.items))
     assert trained.premises and trained.premises == inverted(trained)
-    assert trained.scaled(3).premises == inverted(trained)
+    scaled = trained.scaled(3)
+    assert scaled.premises == inverted(scaled) != inverted(trained)
 
     ranker = _Ranker(BayesModel(), corpus, 1.0, 1.0)
     names: list[str] = []
@@ -253,6 +256,57 @@ def test_sparse_ranking_matches_the_full_sort(family):
     assert checked > 0
 
 
+def _dense_model(rng: random.Random, names: list[str], features: list[str]) -> BayesModel:
+    """A model with hundreds of co-occurring premises per conjecture: every
+    feature has a row of 20-120 premises, and priors repeat so that buckets
+    hold many members."""
+    return BayesModel(
+        prior={name: rng.randint(1, 12) for name in rng.sample(names, k=len(names) * 3 // 4)},
+        cooccurrence={
+            (feature, name): rng.randint(1, 9)
+            for feature in features
+            for name in rng.sample(names, k=rng.randint(20, 120))
+        },
+        vocabulary=set(features) | {f"unused{i}" for i in range(rng.randint(0, 40))},
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ranker_keys_are_the_floats_of_score_premise_at_density(seed):
+    """Every hit key and bucket key of the ranker equals ``-score_premise``
+    exactly, and ``rank`` equals the full sort, on models far denser than the
+    generated families (about 2 features and 8 hits per conjecture there),
+    also after scaling every count."""
+    rng = random.Random(seed)
+    names = [f"p{i}" for i in range(400)]
+    corpus = corpus_from("".join(f"def {name} := lit;\n" for name in names))
+    features = [f"f{i}" for i in range(40)]
+    model = _dense_model(rng, names, features)
+    candidates = rng.sample(names, k=350)
+    checked = 0
+    for current in (model, model.scaled(3)):
+        for alpha, weight in product((1.0, 0.5, 3.0), (1.0, 2.0, 0.0, -1.5)):
+            conjecture = Counter(
+                {f: rng.randint(1, 3) for f in rng.sample(features, k=rng.randint(10, 30))}
+            )
+            conjecture[f"unseen{checked}"] = rng.randint(1, 3)
+            ranker = _Ranker(current, corpus, alpha, weight, candidates)
+            hits, buckets = ranker._scored(conjecture)
+            assert len(hits) > 100
+            for key, position in hits:
+                name = corpus.items[position].name
+                assert key == -score_premise(current, name, conjecture, alpha, weight), name
+            for key, positions, skip in buckets.values():
+                for position in positions:
+                    if position not in skip:
+                        name = corpus.items[position].name
+                        assert key == -score_premise(current, name, conjecture, alpha, weight), name
+                        checked += 1
+            args = (current, "q", conjecture, candidates, corpus, alpha, weight)
+            assert rank(*args) == rank_by_full_sort(*args)
+    assert checked > 0
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_chrono_and_export_equal_the_full_sort_loops(tmp_path, seed):
     """Evaluation results and problem files equal those of the loops that
@@ -353,6 +407,60 @@ def test_rankings_reject_finite_weights_whose_scores_overflow(tmp_path, weight):
     names = [other.name for other in corpus.items[:-1]]
     with pytest.raises(NonFiniteScoreError):
         rank(model, item.name, features_of(item).counts(), names, corpus, weight=weight)
+
+
+# Weight 1.5e308 overflows a term exactly when its log ratio is larger than
+# about 1.2 in size.  When b (feature d, vocabulary size 2) is ranked, e has a
+# prior of 10 or 11 and co-occurs with d at most once, so its ratio
+# ln(c + 1) - ln(prior + 2) is -1.87 or less; every other ratio stays within ln 3.
+_OVERFLOW_WEIGHT = 1.5e308
+_E_BY_TEN = "".join(f"thm a{i} : uses e by e;\n" for i in range(10))
+_HEAD = "def d := lit;\ndef e := lit;\n"
+_OVERFLOW_CORPORA = {
+    # e co-occurs with d (through c), so its score is a hit key
+    "hit": _HEAD + _E_BY_TEN + "def c : d e := lit;\nthm b : uses d by d;\n",
+    # e does not co-occur with d, so it is scored by its bucket's key
+    "bucket": _HEAD + "thm c : uses d by d;\n" + _E_BY_TEN + "thm b : uses d by d;\n",
+}
+
+
+@pytest.mark.parametrize("reached", sorted(_OVERFLOW_CORPORA))
+def test_an_overflow_that_reaches_one_kind_of_key_is_rejected(tmp_path, capsys, reached):
+    """An overflow in a hit key alone, or in a bucket key alone, stops the
+    ranking with an error that names the premise, and the CLI exits 2."""
+    source = _OVERFLOW_CORPORA[reached]
+    corpus = corpus_from(source)
+    edges = trace_extract(corpus)
+    deps = dependency_map(edges)
+    b = corpus.index_of("b")
+    model = train(corpus, deps, upto=b)
+    features = features_of(corpus.items[b]).counts()
+    overflowing = {
+        item.name
+        for item in corpus.items[:b]
+        if not math.isfinite(score_premise(model, item.name, features, weight=_OVERFLOW_WEIGHT))
+    }
+    assert overflowing == {"e"}
+    assert (("d", "e") in model.cooccurrence) == (reached == "hit")
+    with pytest.raises(NonFiniteScoreError, match="premise 'e'"):
+        evaluate_chrono(corpus, edges, [1], weight=_OVERFLOW_WEIGHT)
+    with pytest.raises(NonFiniteScoreError, match="premise 'e'"):
+        export_problems(corpus, edges, 1, tmp_path / "lib", weight=_OVERFLOW_WEIGHT)
+
+    corpus_dir, deps_path = tmp_path / "corpus", tmp_path / "d.jsonl"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.art").write_text(source, encoding="utf-8")
+    assert main(["extract", str(corpus_dir), "-o", str(deps_path)]) == 0
+    for command in ("eval", "export"):
+        argv = ["learn", command, str(corpus_dir), "--deps", str(deps_path)]
+        argv.append(f"--weight={_OVERFLOW_WEIGHT}")
+        if command == "export":
+            argv += ["-o", str(tmp_path / "out")]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "premise 'e'" in capsys.readouterr().err
 
 
 def test_negative_cutoffs_are_rejected(tmp_path):
