@@ -10,25 +10,26 @@ for a conjecture with feature multiset F as
 
 with Laplace pseudo-count ``a``, feature weight ``w`` and vocabulary size
 V.  Features come from statement symbols only: a fresh conjecture has no
-body yet.  Evaluation replays library growth, training only on items that
-precede the conjecture under evaluation.
+body yet.  The model stores each count once, in premise rows (feature to
+co-occurring premise to count), and V is the number of rows.  Evaluation
+replays library growth, training only on items that precede the
+conjecture under evaluation.
 
 Ranking never scores every candidate (the sparse design of MaSh,
 Kühlwein, Blanchette, Kaliszyk and Urban, ITP 2013).  A candidate with no
 co-occurrence count for any feature of the conjecture scores by its prior
-alone, and a conjecture's symbols co-occur with only a few premises.  So
-the model keeps premise rows (feature to co-occurring premise to count),
-and the ranker keeps its candidates in prior buckets, in corpus order.  A
-ranking scores each co-occurring candidate (a "hit") and each bucket once,
-inline, with the float operations of ``score_premise`` in the same feature
-order: ``w * count`` once per feature, the two logarithms of a prior once
-per prior, ``ln(c + a)`` once per count c, and ``ln(a)`` as every
-co-occurrence term of a bucket's key.  So every score is bit-identical to
-``score_premise`` on the candidates one by one.  Ties still break by
-earlier corpus order: the top k is a lazy merge of the sorted hits and the
-buckets on (-score, corpus position), and the position of a true
-dependency is counted from bucket sizes and a bisection in the buckets
-that tie with it, with no full sort.
+alone, and a conjecture's symbols co-occur with only a few premises, the
+union of its features' rows.  So the ranker keeps its candidates in prior
+buckets, in corpus order.  A ranking scores each co-occurring candidate
+(a "hit") and each bucket once, inline, with the float operations of
+``score_premise`` in the same feature order: ``w * count`` once per
+feature, the two logarithms of a prior once per prior, ``ln(c + a)`` once
+per count c, and ``ln(a)`` as every co-occurrence term of a bucket's key.
+So every score is bit-identical to ``score_premise`` on the candidates one
+by one.  Ties still break by earlier corpus order: the top k is a lazy
+merge of the sorted hits and the buckets on (-score, corpus position), and
+the position of a true dependency is counted from bucket sizes and a
+bisection in the buckets that tie with it, with no full sort.
 
 The seeded random baseline of ``evaluate_chrono`` counts a true dependency
 in the top k when ``random.Random(seed).shuffle`` of the candidate list
@@ -97,20 +98,22 @@ def dependency_map(
 
 @dataclass
 class BayesModel:
-    """Counts accumulated over all items before the training horizon."""
+    """Counts accumulated over all items before the training horizon: the
+    premise rows (feature -> premise -> count) are the one store of the
+    co-occurrence counts, V is their number (empty rows included), and
+    ``cooccurrence`` and ``vocabulary`` are read-only views of them."""
 
     prior: dict[str, int] = field(default_factory=dict)
-    cooccurrence: dict[tuple[str, str], int] = field(default_factory=dict)
-    vocabulary: set[str] = field(default_factory=set)
+    premises: dict[str, dict[str, int]] = field(default_factory=dict)
     horizon: int = 0
-    # Premise rows, derived from ``cooccurrence``: feature -> premise -> its
-    # co-occurrence count, one entry per ``cooccurrence`` key.
-    premises: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.premises = {}
-        for (feature, premise), count in self.cooccurrence.items():
-            self.premises.setdefault(feature, {})[premise] = count
+    @property
+    def cooccurrence(self) -> dict[tuple[str, str], int]:
+        return {(f, p): count for f, row in self.premises.items() for p, count in row.items()}
+
+    @property
+    def vocabulary(self) -> set[str]:
+        return set(self.premises)
 
     def update(self, features: Counter, deps: Sequence[str]) -> None:
         """Fold in one item's dependencies and features."""
@@ -118,11 +121,9 @@ class BayesModel:
             for premise in deps:
                 self.prior[premise] = self.prior.get(premise, 0) + 1
             for feature, count in features.items():
-                self.vocabulary.add(feature)
                 row = self.premises.setdefault(feature, {})
                 for premise in deps:
-                    key = (feature, premise)
-                    row[premise] = self.cooccurrence[key] = self.cooccurrence.get(key, 0) + count
+                    row[premise] = row.get(premise, 0) + count
         self.horizon += 1
 
     def scaled(self, factor: int) -> "BayesModel":
@@ -131,8 +132,7 @@ class BayesModel:
             raise ValueError("scale factor must be a positive integer")
         return BayesModel(
             prior={k: v * factor for k, v in self.prior.items()},
-            cooccurrence={k: v * factor for k, v in self.cooccurrence.items()},
-            vocabulary=set(self.vocabulary),
+            premises={f: {p: c * factor for p, c in row.items()} for f, row in self.premises.items()},
             horizon=self.horizon,
         )
 
@@ -186,11 +186,11 @@ def score_premise(
     weight: float = DEFAULT_WEIGHT,
 ) -> float:
     prior = model.prior.get(premise, 0)
-    vocab = max(1, len(model.vocabulary))
+    vocab = max(1, len(model.premises))
     total = math.log(prior + alpha)
     base = math.log(prior + alpha * vocab)
     for feature, count in features.items():
-        cooc = model.cooccurrence.get((feature, premise), 0)
+        cooc = model.premises.get(feature, {}).get(premise, 0)
         total += weight * count * (math.log(cooc + alpha) - base)
     return total
 
@@ -277,7 +277,7 @@ class _Ranker:
         model = self.model
         alpha = self.alpha
         logs = self.logs
-        vocab = max(1, len(model.vocabulary))
+        vocab = max(1, len(model.premises))
         rows = [
             (model.premises.get(feature, {}), self.weight * count)
             for feature, count in features.items()
@@ -449,8 +449,7 @@ def evaluate_chrono(
     recall_sums = {k: 0.0 for k in ks}
     baseline_sums = {k: 0.0 for k in ks} if baseline_seed is not None else None
     rng = random.Random(baseline_seed) if baseline_seed is not None else None
-    rank_positions: list[int] = []
-    evaluated = 0
+    rank_total = rank_count = evaluated = 0
 
     for index, item in enumerate(corpus.items):
         features = features_of(item).counts()
@@ -459,7 +458,8 @@ def evaluate_chrono(
             positions = ranker.positions(features, true_deps)
             for k in ks:
                 recall_sums[k] += sum(p <= k for p in positions) / len(true_deps)
-            rank_positions.extend(positions)
+            rank_total += sum(positions)
+            rank_count += len(positions)
             if rng is not None:
                 shuffled = _shuffled_positions(rng, index, [corpus.index_of(d) for d in true_deps])
                 for k in ks:
@@ -473,7 +473,7 @@ def evaluate_chrono(
         "recall_at_k": {
             k: (recall_sums[k] / evaluated if evaluated else 0.0) for k in ks
         },
-        "mean_rank": (sum(rank_positions) / len(rank_positions)) if rank_positions else 0.0,
+        "mean_rank": rank_total / rank_count if rank_count else 0.0,
     }
     if baseline_sums is not None:
         result["baseline_recall_at_k"] = {

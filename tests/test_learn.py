@@ -96,17 +96,18 @@ def test_train_is_incrementally_consistent(five_file_corpus):
 
 
 def test_ranking_indexes_match_a_rebuild(five_file_corpus):
-    """The model's premise rows (counts included) and the ranker's prior
-    buckets equal ones rebuilt from ``cooccurrence`` and ``prior``, after
-    ``train``, ``scaled`` and every stepwise ``update``, including one that
-    lists a premise twice."""
+    """The model's premise rows (counts included) equal the rows of an
+    independent tally, after ``train``, ``scaled`` and every stepwise
+    ``update``, and so do the ranker's prior buckets rebuilt from ``prior``,
+    also after an update that lists a premise twice."""
     corpus, _ = normalize_corpus(five_file_corpus)
     deps = dependency_map(trace_extract(corpus))
 
-    def inverted(model):
-        out: dict[str, dict[str, int]] = {}
-        for (feature, premise), count in model.cooccurrence.items():
-            out.setdefault(feature, {})[premise] = count
+    def tallied_rows(upto, factor=1):
+        _, cooc, vocab = tally_training_counts(corpus, deps, upto)
+        out: dict[str, dict[str, int]] = {feature: {} for feature in vocab}
+        for (feature, premise), count in cooc.items():
+            out[feature][premise] = count * factor
         return out
 
     def buckets(model, names):
@@ -116,16 +117,16 @@ def test_ranking_indexes_match_a_rebuild(five_file_corpus):
         return {prior: sorted(positions) for prior, positions in out.items()}
 
     def check(ranker, names):
-        assert ranker.model.premises == inverted(ranker.model)
         assert ranker.buckets == buckets(ranker.model, names)
         assert ranker.prior_of == {
             position: prior for prior, positions in ranker.buckets.items() for position in positions
         }
 
     trained = train(corpus, deps, upto=len(corpus.items))
-    assert trained.premises and trained.premises == inverted(trained)
+    assert trained.premises and trained.premises == tallied_rows(len(corpus.items))
     scaled = trained.scaled(3)
-    assert scaled.premises == inverted(scaled) != inverted(trained)
+    assert scaled.premises == tallied_rows(len(corpus.items), 3) != trained.premises
+    assert scaled.prior == {name: 3 * count for name, count in trained.prior.items()}
 
     ranker = _Ranker(BayesModel(), corpus, 1.0, 1.0)
     names: list[str] = []
@@ -133,12 +134,53 @@ def test_ranking_indexes_match_a_rebuild(five_file_corpus):
         ranker.update(features_of(item).counts(), deps.get(item.name, ()))
         ranker.add(item.name)
         names.append(item.name)
+        assert ranker.model.premises == tallied_rows(len(names))
         check(ranker, names)
     first, second = names[:2]
     before = ranker.model.prior.get(first, 0)
     ranker.update(Counter({"fresh": 2}), [first, second, first])
     assert ranker.model.prior[first] == before + 2
+    assert ranker.model.premises["fresh"] == {first: 4, second: 2}
     check(ranker, names)
+
+
+def test_a_hand_built_model_counts_its_empty_rows_in_v():
+    """V is the number of premise rows, an empty one included, and
+    ``score_premise`` and ``rank`` both give the module docstring's formula
+    with that V; models that differ in one row count are unequal."""
+    corpus = corpus_from("def p := lit;\ndef q := lit;\ndef r := lit;\n")
+    rows = {"f": {"p": 2, "q": 1}, "g": {"q": 4}, "unused": {}}
+    model = BayesModel(prior={"p": 3, "q": 5}, premises=rows)
+    assert model.vocabulary == {"f", "g", "unused"}
+    assert model.cooccurrence == {("f", "p"): 2, ("f", "q"): 1, ("g", "q"): 4}
+    assert model.scaled(2).premises == {"f": {"p": 4, "q": 2}, "g": {"q": 8}, "unused": {}}
+    features = Counter({"f": 2, "g": 1, "h": 1})
+    alpha, weight, vocab = 0.5, 1.5, 3
+
+    def formula(premise):
+        prior = model.prior.get(premise, 0)
+        return math.log(prior + alpha) + sum(
+            weight * n * (math.log(rows.get(f, {}).get(premise, 0) + alpha)
+                          - math.log(prior + alpha * vocab))
+            for f, n in features.items()
+        )
+
+    expected = {name: formula(name) for name in "pqr"}
+    for name in "pqr":
+        assert score_premise(model, name, features, alpha, weight) == pytest.approx(expected[name])
+    without_empty = BayesModel(prior=model.prior, premises={"f": rows["f"], "g": rows["g"]})
+    assert score_premise(without_empty, "r", features, alpha, weight) != pytest.approx(
+        expected["r"]
+    )
+    ranked = rank(model, "c", features, ["r", "q", "p"], corpus, alpha, weight)
+    assert ranked.names() == tuple(sorted("pqr", key=lambda name: -expected[name]))
+    for name, score in ranked.ranking:
+        assert score == pytest.approx(expected[name])
+
+    assert model == BayesModel(prior=dict(model.prior), premises={f: dict(r) for f, r in rows.items()})
+    bumped = {f: dict(r) for f, r in rows.items()}
+    bumped["g"]["q"] += 1
+    assert model != BayesModel(prior=dict(model.prior), premises=bumped)
 
 
 def test_explicit_only_filter_drops_hint_edges(redundant_hint_corpus):
@@ -259,16 +301,15 @@ def test_sparse_ranking_matches_the_full_sort(family):
 def _dense_model(rng: random.Random, names: list[str], features: list[str]) -> BayesModel:
     """A model with hundreds of co-occurring premises per conjecture: every
     feature has a row of 20-120 premises, and priors repeat so that buckets
-    hold many members."""
-    return BayesModel(
-        prior={name: rng.randint(1, 12) for name in rng.sample(names, k=len(names) * 3 // 4)},
-        cooccurrence={
-            (feature, name): rng.randint(1, 9)
-            for feature in features
-            for name in rng.sample(names, k=rng.randint(20, 120))
-        },
-        vocabulary=set(features) | {f"unused{i}" for i in range(rng.randint(0, 40))},
-    )
+    hold many members.  Up to 40 more features have empty rows, which count
+    in V but co-occur with nothing."""
+    prior = {name: rng.randint(1, 12) for name in rng.sample(names, k=len(names) * 3 // 4)}
+    premises = {
+        feature: {name: rng.randint(1, 9) for name in rng.sample(names, k=rng.randint(20, 120))}
+        for feature in features
+    }
+    premises.update((f"unused{i}", {}) for i in range(rng.randint(0, 40)))
+    return BayesModel(prior=prior, premises=premises)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
