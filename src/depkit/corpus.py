@@ -18,10 +18,14 @@ where ``str.splitlines`` ends them.  ``lit`` is the literal atom: a
 definition body of ``lit`` references nothing.
 
 The parser is the grammar's recursive descent flattened into one function,
-``_parse_file``: one regex gives a file's tokens and their lines, and one
-loop walks the token list with a local index, parses one item per turn and
-builds each ``Item`` at one construction site, with no method call per
-token.  Every ``ParseError`` names its file and line, and a name declared
+``_parse_file``: one regex gives a file's tokens, without their lines, and
+one loop walks the token list with a local index, parses one item per turn
+and builds each ``Item`` at one construction site, with no method call per
+token.  A file is lexically clean when its tokens cover every character
+that is neither a blank nor in a comment, a test that is linear in the
+text; a file that is not is tokenized again with lines (``_tokenize``),
+which raises at the stray character's line.  Lines are computed only for an
+error: every ``ParseError`` names its file and line, and a name declared
 twice in one file raises ``DuplicateNameError`` at its second line.
 
 The checker is a pure function of (item, environment).  It is deliberately
@@ -51,9 +55,10 @@ reservations and hints are tried in corpus order.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import chain, compress, count
 from pathlib import Path
@@ -86,6 +91,9 @@ _TOKEN_RE = re.compile(
     r"|(\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
     r"|(\S)"
 )
+# The same rule without lines: a comment up to its line end, and a token.
+_COMMENT_RE = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_TOKENS_ONLY_RE = re.compile(rf"{IDENTIFIER_RE.pattern}|:=|[:;{{}},]")
 # A token is an identifier exactly when it is none of these.
 _NOT_NAMES = KEYWORDS | {":=", ":", ";", "{", "}", ","}
 
@@ -126,7 +134,17 @@ KIND_FIELDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    A frozen dataclass's generated ``__init__`` sets each field by
+    ``object.__setattr__``, about twice the cost of calling the slot's own
+    descriptor; a hand-written ``__init__`` sets the fields through these.
+    """
+    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Item:
     """One toplevel corpus construct.
 
@@ -136,6 +154,10 @@ class Item:
     ``reserved_vars`` the variables a reservation introduces (exactly one
     after normalization).  Justification is either ``by_auto`` or a tuple of
     ``by_refs``; both empty means no justification.
+
+    ``__init__`` is written by hand, with the generated one's parameters and
+    defaults, to set the fields through their slot descriptors
+    (``_slot_setters``): the parser builds one item per declaration.
     """
 
     name: str
@@ -152,6 +174,42 @@ class Item:
     anonymous: bool = False
     linked: bool = False
     block_id: int | None = None
+
+    def __init__(
+        self,
+        name: str,
+        kind: ItemKind,
+        statement_symbols: tuple[str, ...] = (),
+        body_symbols: tuple[str, ...] = (),
+        free_vars: tuple[str, ...] = (),
+        reserved_vars: tuple[str, ...] = (),
+        by_refs: tuple[str, ...] = (),
+        by_auto: bool = False,
+        opacity: Opacity = Opacity.TRANSPARENT,
+        source_file: str = "<memory>",
+        index_in_file: int = 0,
+        anonymous: bool = False,
+        linked: bool = False,
+        block_id: int | None = None,
+    ):
+        (
+            set_name, set_kind, set_statement, set_body, set_free, set_reserved, set_by_refs,
+            set_by_auto, set_opacity, set_file, set_index, set_anonymous, set_linked, set_block,
+        ) = _ITEM_SETTERS
+        set_name(self, name)
+        set_kind(self, kind)
+        set_statement(self, statement_symbols)
+        set_body(self, body_symbols)
+        set_free(self, free_vars)
+        set_reserved(self, reserved_vars)
+        set_by_refs(self, by_refs)
+        set_by_auto(self, by_auto)
+        set_opacity(self, opacity)
+        set_file(self, source_file)
+        set_index(self, index_in_file)
+        set_anonymous(self, anonymous)
+        set_linked(self, linked)
+        set_block(self, block_id)
 
     @property
     def justification(self) -> str | tuple[str, ...] | None:
@@ -172,17 +230,33 @@ class Item:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DepEdge:
-    """A directed dependency: ``src`` needs ``dst``."""
+    """A directed dependency: ``src`` needs ``dst``.
+
+    ``__init__`` is written by hand, with the generated one's parameters, to
+    set the fields through their slot descriptors (``_slot_setters``): the
+    edge reader and the tracer build one edge per dependency.
+    """
 
     src: str
     dst: str
     visibility: Visibility
     opacity: Opacity
 
+    def __init__(self, src: str, dst: str, visibility: Visibility, opacity: Opacity):
+        set_src, set_dst, set_visibility, set_opacity = _EDGE_SETTERS
+        set_src(self, src)
+        set_dst(self, dst)
+        set_visibility(self, visibility)
+        set_opacity(self, opacity)
+
     def pair(self) -> tuple[str, str]:
         return (self.src, self.dst)
+
+
+_ITEM_SETTERS = _slot_setters(Item)
+_EDGE_SETTERS = _slot_setters(DepEdge)
 
 
 # bin() digits as bytes 0/1, so that a mask selects with itertools.compress.
@@ -426,6 +500,26 @@ def _tokenize(text: str, source_file: str) -> tuple[list[str], list[int]]:
     return tokens, lines
 
 
+def _tokens(text: str, source_file: str) -> list[str]:
+    """The tokens of ``text``, as ``_tokenize`` gives them, without lines.
+
+    Comments are cut, then one ``findall`` lists the tokens.  At each
+    position both scans try a token first, so they list the same tokens
+    unless some character that is neither a blank nor in a comment starts
+    no token, which ``_tokenize`` reports as stray.  Such a character is
+    counted by ``str.split``, which splits at the blanks the regex skips
+    (``str.isspace``), and by no token, so the text is clean exactly when
+    the tokens' lengths sum to those of its blank-separated words.
+    Otherwise ``_tokenize`` raises at the stray character's line.  Both
+    tests are linear in the text.
+    """
+    code = _COMMENT_RE.sub("", text) if "#" in text else text
+    tokens = _TOKENS_ONLY_RE.findall(code)
+    if sum(map(len, tokens)) == sum(map(len, code.split())):
+        return tokens
+    return _tokenize(text, source_file)[0]
+
+
 def file_tag(relpath: str) -> str:
     """Stable identifier fragment derived from a corpus-relative path."""
     stem = relpath[: -len(ART_SUFFIX)] if relpath.endswith(ART_SUFFIX) else relpath
@@ -455,10 +549,16 @@ _STOPS = _NOT_NAMES | {None}
 _OPACITIES = {opacity.value: opacity for opacity in Opacity}
 
 
-def _parse_error(message: str, lines: list[int], pos: int, source_file: str) -> ParseError:
-    """``message`` at the line of token ``pos``; past the end, at the line
-    of the last token."""
-    return ParseError(message, source_file, lines[min(pos, len(lines) - 1)] if lines else 1)
+def _token_line(text: str, pos: int, source_file: str) -> int:
+    """The line of token ``pos`` of ``text``, a clean file; past the end,
+    the line of the last token.  Lines are computed here, for errors only."""
+    lines = _tokenize(text, source_file)[1]
+    return lines[min(pos, len(lines) - 1)] if lines else 1
+
+
+def _parse_error(message: str, text: str, pos: int, source_file: str) -> ParseError:
+    """``message`` at the line of token ``pos`` of ``text`` (``_token_line``)."""
+    return ParseError(message, source_file, _token_line(text, pos, source_file))
 
 
 def _found(tok: str | None, what: str) -> str:
@@ -500,11 +600,13 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
     the reserved prefix that is not a fresh label of this file is in
     ``bad``, found once per file.  A name position rejects the tokens of
     ``stops``, the non-names and ``bad``; a run of names ends at the first
-    of them, an error when it is in ``bad``.  Anonymous theorems are named after the loop, skipping the fresh labels
-    the file uses.  A name declared twice raises ``DuplicateNameError`` at
-    the line of its second name token, once the whole file has parsed.
+    of them, an error when it is in ``bad``.  Anonymous theorems are named
+    after the loop, skipping the fresh labels the file uses.  A name
+    declared twice raises ``DuplicateNameError`` at the line of its second
+    name token, once the whole file has parsed.  Tokens carry no lines: an
+    error computes its line from the token's position (``_token_line``).
     """
-    tokens, lines = _tokenize(text, source_file)
+    tokens = _tokens(text, source_file)
     labels = FRESH_PREFIX in text  # else no token has the reserved prefix
     bad = {
         tok
@@ -515,7 +617,7 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
     tokens.append(None)
     items: list[Item] = []
     named: set[str] = set()
-    duplicate = None  # the first name declared twice, and its second line
+    duplicate = None  # the first name declared twice, and its second token's position
     anonymous_at: list[int] = []
     used: set[int] = set()  # the counters of the file's fresh labels
     block = None  # the open defblock's id
@@ -525,18 +627,18 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
         if block is not None:
             if tok == "}":
                 if len(items) == block_start:
-                    raise _parse_error("empty defblock", lines, pos, source_file)
+                    raise _parse_error("empty defblock", text, pos, source_file)
                 pos += 1
                 block = None
                 continue
             if tok != "def":
-                raise _parse_error("defblock may only contain definitions", lines, pos, source_file)
+                raise _parse_error("defblock may only contain definitions", text, pos, source_file)
         elif tok is None:
             break
         elif tok == "defblock":
             pos += 1
             if tokens[pos] != "{":
-                raise _parse_error(_found(tokens[pos], "'{'"), lines, pos, source_file)
+                raise _parse_error(_found(tokens[pos], "'{'"), text, pos, source_file)
             pos += 1
             block = blocks
             blocks += 1
@@ -563,7 +665,7 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
                 pos += 1
                 linked = True
                 if tokens[pos] != "thm":
-                    raise _parse_error("'then' may only prefix a theorem", lines, pos, source_file)
+                    raise _parse_error("'then' may only prefix a theorem", text, pos, source_file)
             pos += 1
             opacity = _OPACITIES.get(tokens[pos], Opacity.OPAQUE)
             if tokens[pos] in _OPACITIES:
@@ -579,15 +681,15 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
             kind, what = ItemKind.RESERVATION, "reserved variable"
             pos += 1
         else:
-            raise _parse_error(_found(tok, "an item keyword"), lines, pos, source_file)
+            raise _parse_error(_found(tok, "an item keyword"), text, pos, source_file)
 
         name = ""
         if not anonymous:
             name = tokens[pos]
             if name in stops:
-                raise _parse_error(_name_message(name, what), lines, pos, source_file)
+                raise _parse_error(_name_message(name, what), text, pos, source_file)
             if name in named:
-                duplicate = duplicate or (name, lines[pos])
+                duplicate = duplicate or (name, pos)
             named.add(name)
             if labels and name.startswith(FRESH_PREFIX):
                 used.add(_fresh_label_index(name, tag))
@@ -600,25 +702,25 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
                 while tokens[pos] not in stops:
                     pos += 1
                 if tokens[pos] in bad:
-                    raise _parse_error(_reserved(tokens[pos]), lines, pos, source_file)
+                    raise _parse_error(_reserved(tokens[pos]), text, pos, source_file)
                 stmt = tokens[start:pos]
             if tokens[pos] != ":=":
-                raise _parse_error(_found(tokens[pos], "':='"), lines, pos, source_file)
+                raise _parse_error(_found(tokens[pos], "':='"), text, pos, source_file)
             start = pos = pos + 1
             while tokens[pos] not in stops or tokens[pos] == "lit":
                 pos += 1
             tok = tokens[pos]
             if tok is None:
-                raise _parse_error("unterminated definition body", lines, pos, source_file)
+                raise _parse_error("unterminated definition body", text, pos, source_file)
             if tok in bad:
-                raise _parse_error(_reserved(tok), lines, pos, source_file)
+                raise _parse_error(_reserved(tok), text, pos, source_file)
             if tok != ";":
                 message = f"unexpected token {tok!r} in definition body"
-                raise _parse_error(message, lines, pos, source_file)
+                raise _parse_error(message, text, pos, source_file)
             body = [tok for tok in tokens[start:pos] if tok != "lit"]
         elif kind is ItemKind.THEOREM:
             if tokens[pos] != ":":
-                raise _parse_error(_found(tokens[pos], "':'"), lines, pos, source_file)
+                raise _parse_error(_found(tokens[pos], "':'"), text, pos, source_file)
             pos += 1
             tok = tokens[pos]
             while tok == "uses" or tok == "var":
@@ -626,7 +728,7 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
                 ref = tokens[pos]
                 if ref in stops:
                     what = "symbol after 'uses'" if tok == "uses" else "variable after 'var'"
-                    raise _parse_error(_name_message(ref, what), lines, pos, source_file)
+                    raise _parse_error(_name_message(ref, what), text, pos, source_file)
                 (stmt if tok == "uses" else free_vars).append(ref)
                 pos += 1
                 tok = tokens[pos]
@@ -638,35 +740,35 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
                     by_auto = True
                     if linked:
                         message = "'then' cannot be combined with 'by auto'"
-                        raise _parse_error(message, lines, pos, source_file)
+                        raise _parse_error(message, text, pos, source_file)
                 else:
                     start = pos
                     while tokens[pos] not in stops:
                         pos += 1
                     if tokens[pos] in bad:
-                        raise _parse_error(_reserved(tokens[pos]), lines, pos, source_file)
+                        raise _parse_error(_reserved(tokens[pos]), text, pos, source_file)
                     if pos == start:
                         message = "'by' requires 'auto' or at least one reference"
-                        raise _parse_error(message, lines, pos, source_file)
+                        raise _parse_error(message, text, pos, source_file)
                     by_refs = tuple(dict.fromkeys(tokens[start:pos]))
         elif kind is ItemKind.NOTATION:
             if tokens[pos] != "for":
-                raise _parse_error(_found(tokens[pos], "'for'"), lines, pos, source_file)
+                raise _parse_error(_found(tokens[pos], "'for'"), text, pos, source_file)
             pos += 1
             tok = tokens[pos]
             if tok in stops:
-                raise _parse_error(_name_message(tok, "notation target"), lines, pos, source_file)
+                raise _parse_error(_name_message(tok, "notation target"), text, pos, source_file)
             stmt.append(tok)
             pos += 1
         elif kind is ItemKind.HINT:
             if tokens[pos] != "uses":
-                raise _parse_error(_found(tokens[pos], "'uses'"), lines, pos, source_file)
+                raise _parse_error(_found(tokens[pos], "'uses'"), text, pos, source_file)
             start = pos = pos + 1
             while tokens[pos] not in stops:
                 pos += 1
             if pos == start or tokens[pos] in bad:
                 message = _name_message(tokens[pos], "symbol in hint")
-                raise _parse_error(message, lines, pos, source_file)
+                raise _parse_error(message, text, pos, source_file)
             stmt = tokens[start:pos]
         else:
             names = [name]
@@ -674,23 +776,23 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
                 pos += 1
                 tok = tokens[pos]
                 if tok in stops:
-                    raise _parse_error(_name_message(tok, what), lines, pos, source_file)
+                    raise _parse_error(_name_message(tok, what), text, pos, source_file)
                 names.append(tok)
                 pos += 1
             if tokens[pos] != ":":
-                raise _parse_error(_found(tokens[pos], "':'"), lines, pos, source_file)
+                raise _parse_error(_found(tokens[pos], "':'"), text, pos, source_file)
             pos += 1
             tok = tokens[pos]
             if tok in stops:
                 message = _name_message(tok, "reservation type symbol")
-                raise _parse_error(message, lines, pos, source_file)
+                raise _parse_error(message, text, pos, source_file)
             stmt.append(tok)
             pos += 1
             reserved = tuple(dict.fromkeys(names))
             if len(reserved) != len(names):
-                raise _parse_error("repeated variable in reservation", lines, pos, source_file)
+                raise _parse_error("repeated variable in reservation", text, pos, source_file)
         if tokens[pos] != ";":
-            raise _parse_error(_found(tokens[pos], "';'"), lines, pos, source_file)
+            raise _parse_error(_found(tokens[pos], "';'"), text, pos, source_file)
         pos += 1
 
         if anonymous:
@@ -704,7 +806,9 @@ def _parse_file(text: str, source_file: str, tag: str) -> list[Item]:
         )
 
     if duplicate is not None:
-        raise DuplicateNameError(duplicate[0], source_file, source_file, line=duplicate[1])
+        name, pos = duplicate
+        line = _token_line(text, pos, source_file)
+        raise DuplicateNameError(name, source_file, source_file, line=line)
     # Fresh labels cannot collide with a declared name: the counter skips
     # every label the file declares.
     counter = 0
@@ -989,9 +1093,15 @@ def parse_corpus(root: str | Path) -> Corpus:
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    relpaths = sorted(
-        p.relative_to(root).as_posix() for p in root.rglob(f"*{ART_SUFFIX}") if p.is_file()
-    )
+    # Symlinked directories are not descended, symlinked files are read.
+    relpaths = []
+    for dirpath, _, filenames in os.walk(root, followlinks=False):
+        rel = Path(dirpath).relative_to(root).as_posix()
+        prefix = "" if rel == "." else rel + "/"
+        for name in filenames:
+            if name.endswith(ART_SUFFIX) and os.path.isfile(os.path.join(dirpath, name)):
+                relpaths.append(prefix + name)
+    relpaths.sort()
     items: list[Item] = []
     for rel, tag in zip(relpaths, _label_tags(relpaths)):
         data = (root / rel).read_bytes()

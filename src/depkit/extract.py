@@ -423,52 +423,73 @@ def write_edges_jsonl(path: str | Path, result: ExtractionResult) -> None:
 # they are folded, so this bounds the reader's extra memory.
 _BLOCK_LINES = 256
 
-_VIS_BITS = {Visibility.IMPLICIT.value: 0, Visibility.EXPLICIT.value: 1}
-_OPACITY_BITS = {Opacity.OPAQUE.value: 0, Opacity.TRANSPARENT.value: 2}
+_METHODS = ("trace", "min")
+
+
+def _tail(vis: str, opacity: str, method: str) -> str:
+    """A record's text between its names and its closing brace."""
+    return f'"vis":"{vis}","opacity":"{opacity}","method":"{method}"'
+
+
+# The tail of each (vis, opacity, method), with the record's flag bits
+# (explicit 1, transparent 2) and its method.
+_TAILS = {
+    _tail(vis.value, opacity.value, method): (
+        (vis is Visibility.EXPLICIT) | (opacity is Opacity.TRANSPARENT) << 1,
+        method,
+    )
+    for vis in Visibility
+    for opacity in Opacity
+    for method in _METHODS
+}
 
 # One record exactly as ``edge_record`` writes it, with names under the
-# identifier rule.  In MULTILINE mode a match spans one whole line, since
-# nothing in a record matches a line end.
+# identifier rule: its from, its to and its tail.  The tail's pattern is
+# ``_tail`` of one alternation per field, so it matches exactly the keys of
+# ``_TAILS``.  In MULTILINE mode a match spans one whole line, since nothing
+# in a record matches a line end.
 _RECORD_RE = re.compile(
-    r'^\{{"from":"({name})","to":"({name})","vis":"({vis})","opacity":"({opacity})",'
-    r'"method":"(trace|min)"\}}$'.format(
+    r'^\{{"from":"({name})","to":"({name})",({tail})\}}$'.format(
         name=IDENTIFIER_RE.pattern,
-        vis="|".join(_VIS_BITS),
-        opacity="|".join(_OPACITY_BITS),
+        tail=_tail(
+            *(
+                "(?:" + "|".join(values) + ")"
+                for values in ([v.value for v in Visibility], [o.value for o in Opacity], _METHODS)
+            )
+        ),
     ),
     re.MULTILINE,
 )
 
 
-def _record_fields(rec) -> tuple[str, str, str, str, str]:
-    """The (from, to, vis, opacity, method) of one decoded record, checked
-    by the record rule.  A record that breaks it raises ``KeyError``,
-    ``TypeError`` or ``ValueError``; a bad ``vis`` or ``opacity`` raises the
-    error of the enum lookup, and a ``method`` other than ``trace`` or
-    ``min`` a ``ValueError``."""
+def _record_fields(rec) -> tuple[str, str, str]:
+    """The (from, to, tail) of one decoded record, checked by the record
+    rule; the tail is the ``_TAILS`` key of its vis, opacity and method.  A
+    record that breaks the rule raises ``KeyError``, ``TypeError`` or
+    ``ValueError``; a bad ``vis`` or ``opacity`` raises the error of the enum
+    lookup, and a ``method`` other than ``trace`` or ``min`` a
+    ``ValueError``."""
     src, dst, method = rec["from"], rec["to"], rec["method"]
     if not (isinstance(src, str) and isinstance(dst, str)):
         raise TypeError("'from' and 'to' must be strings")
     vis, opacity = rec["vis"], rec["opacity"]
-    try:
-        _VIS_BITS[vis], _OPACITY_BITS[opacity]
-    except (KeyError, TypeError):
-        Visibility(vis), Opacity(opacity)  # raises the lookup's ValueError
-        raise
-    if method != "trace" and method != "min":
+    Visibility(vis), Opacity(opacity)  # raises the lookup's error
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return src, dst, vis, opacity, method
+    return src, dst, _tail(vis, opacity, method)
 
 
-def _canonical_records(block: Sequence[bytes]) -> list[tuple[str, ...]] | None:
-    """The (from, to, vis, opacity, method) of each line of ``block`` when
-    every line is a canonical record (``_RECORD_RE``), else None.
+def _canonical_records(block: Sequence[bytes]) -> list[tuple[str, str, str]] | None:
+    """The (from, to, tail) of each line of ``block`` when every line is a
+    canonical record (``_RECORD_RE``), else None.
 
     The lines hold no line end, so joined by ``\n`` each is one line of the
     search, and the matches are as many as the lines only when every line
-    matches.  A canonical record decodes under ``json.loads`` to exactly
-    these five strings, none of them escaped.  The block is decoded as
-    strict UTF-8, so a block that is not UTF-8 fails here, never replaced.
+    matches.  A canonical record decodes under ``json.loads`` to five
+    strings, none of them escaped: its from, its to, and the vis, opacity
+    and method its tail spells, the tail ``_record_fields`` would build
+    from them.  The block is decoded as strict UTF-8, so a block that is
+    not UTF-8 fails here, never replaced.
     """
     try:
         text = b"\n".join(block).decode("utf-8")
@@ -486,13 +507,16 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     over opaque, and one ``DepEdge`` is built per pair, in first-seen
     order.  A malformed record raises ``ParseError`` naming its line.
 
-    Lines are read ``_BLOCK_LINES`` at a time.  A block whose every line is
-    a record exactly as ``edge_record`` writes it gives its records' fields
-    by one regex search (``_canonical_records``).  Any other block is
-    decoded one line at a time with ``json.loads`` and checked by
-    ``_record_fields``, so a valid record in another layout reads the same,
-    a malformed record is reported with its own line, and blank lines are
-    skipped.  One loop then folds the block's records, skipping those of
+    Lines are read ``_BLOCK_LINES`` at a time, and each record is read as
+    its from, its to and its tail: the text of its vis, opacity and method,
+    one of the eight keys of ``_TAILS``.  A block whose every line is a
+    record exactly as ``edge_record`` writes it gives these by one regex
+    search (``_canonical_records``).  Any other block is decoded one line at
+    a time with ``json.loads`` and checked by ``_record_fields``, which
+    builds the same tail, so a valid record in another layout reads the
+    same, a malformed record is reported with its own line, and blank lines
+    are skipped.  One loop then folds the block's records, looking up each
+    tail's flag bits and method in ``_TAILS`` and skipping the records of
     another ``method`` unless it is ``"any"``; every record of the block is
     checked before any is filtered, so whether a file reads does not depend
     on ``method``.
@@ -514,9 +538,9 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
                         raise ParseError(
                             f"malformed edge record ({err!r})", str(path), lineno
                         ) from None
-        for src, dst, vis, opacity, rec_method in records:
+        for src, dst, tail in records:
+            bits, rec_method = _TAILS[tail]
             if method == "any" or rec_method == method:
-                bits = _VIS_BITS[vis] | _OPACITY_BITS[opacity]
                 flags[src, dst] = flags.get((src, dst), 0) | bits
     vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
     opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)

@@ -358,13 +358,25 @@ def stats(g: DepGraph) -> GraphStats:
 
 
 def kind_table(g: DepGraph) -> dict[str, dict[str, int]]:
-    """Direct-edge counts by source kind and by target kind."""
+    """Direct-edge counts by source kind and by target kind, from the rows:
+    a source's edges are its row's popcount, and the edges into a kind are
+    the popcounts of every row masked by the kind's nodes.  Every end of an
+    edge needs a kind (``KeyError`` otherwise)."""
     if g.granularity is not Granularity.ITEM:
         raise ValueError("kind_table requires an item-granularity graph")
     table = {kind.value: {"from": 0, "to": 0} for kind in ItemKind}
-    for edge in g.edges:
-        table[g.kinds[edge.src].value]["from"] += 1
-        table[g.kinds[edge.dst].value]["to"] += 1
+    targets = 0
+    for row in g.deps:
+        targets |= row
+    masks = dict.fromkeys(ItemKind, 0)
+    for i, (name, row) in enumerate(zip(g.nodes, g.deps)):
+        if row or targets >> i & 1:
+            kind = g.kinds[name]
+            masks[kind] |= 1 << i
+            table[kind.value]["from"] += row.bit_count()
+    for kind, mask in masks.items():
+        if mask:
+            table[kind.value]["to"] = sum((row & mask).bit_count() for row in g.deps)
     return table
 
 
@@ -405,9 +417,12 @@ def to_dot(g: DepGraph) -> str:
         kind = g.kinds.get(name)
         label = f"{name}\\n{kind.value}" if kind else name
         lines.append(f'  "{name}" [label="{label}"];')
-    for edge in g.edges:
-        style = "solid" if edge.visibility is Visibility.EXPLICIT else "dashed"
-        lines.append(f'  "{edge.src}" -> "{edge.dst}" [style={style}];')
+    # The edges of ``g.edges``, in its order, read from the rows.
+    nodes = g.nodes
+    for src, row, explicit in zip(nodes, g.deps, g.explicit):
+        for j in bit_positions(row):
+            style = "solid" if explicit >> j & 1 else "dashed"
+            lines.append(f'  "{src}" -> "{nodes[j]}" [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

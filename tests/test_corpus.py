@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from depkit.corpus import (
     KEYWORDS,
     Corpus,
+    DepEdge,
     Environment,
+    Item,
     ItemKind,
     Opacity,
     RejectReason,
@@ -110,12 +114,60 @@ def test_defblock_members_are_items():
     assert [it.index_in_file for it in items] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("cls", [Item, DepEdge])
+def test_hand_written_inits_match_the_dataclass_fields(cls):
+    """Each hand-written ``__init__`` takes the fields, in order, with their
+    defaults, and sets every one; instances stay frozen and ``replace``
+    rebuilds them."""
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in fields
+    ]
+    values = [f"v{i}" for i in range(len(fields))]
+    obj = cls(*values)
+    assert [getattr(obj, f.name) for f in fields] == values
+    assert dataclasses.replace(obj, **{fields[0].name: "other"}) == cls("other", *values[1:])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, fields[0].name, "other")
+
+
 def test_parse_corpus_orders_files_then_positions(tmp_path):
     (tmp_path / "b.art").write_text("def later := lit;\n")
     (tmp_path / "a.art").write_text("def first := lit;\ndef second := lit;\n")
     corpus = parse_corpus(tmp_path)
     assert [it.name for it in corpus.items] == ["first", "second", "later"]
     assert [it.index_in_file for it in corpus.items] == [0, 1, 0]
+
+
+def test_parse_corpus_finds_art_files_in_posix_relpath_order(tmp_path):
+    """Nested directories in posix relpath order; a directory named like a
+    source is not read as one (its files are) and a file of another suffix
+    is skipped; a symlinked directory is not descended and a symlinked
+    source file is read."""
+    root, outside = tmp_path / "corpus", tmp_path / "outside"
+    (root / "b" / "c").mkdir(parents=True)
+    (root / "b" / "c" / "z.art").write_text("def in_bc := lit;\n")
+    (root / "b" / "a.art").write_text("def in_b := lit;\n")
+    (root / "b.art").write_text("def top_b := lit;\n")
+    (root / "a-b.art").write_text("def top_a_dash := lit;\n")
+    (root / "x.art").mkdir()
+    (root / "x.art" / "inside.art").write_text("def inside_x := lit;\n")
+    (root / "notes.txt").write_text("def ignored := lit;\n")
+    outside.mkdir()
+    (outside / "far.art").write_text("def far := lit;\n")
+    (root / "linked_dir").symlink_to(outside, target_is_directory=True)
+    (root / "linked.art").symlink_to(outside / "far.art")
+    corpus = parse_corpus(root)
+    # Sorted as strings: "." sorts before "/".
+    assert corpus.files() == (
+        "a-b.art", "b.art", "b/a.art", "b/c/z.art", "linked.art", "x.art/inside.art"
+    )
+    assert [it.name for it in corpus.items] == [
+        "top_a_dash", "top_b", "in_b", "in_bc", "far", "inside_x"
+    ]
 
 
 def test_duplicate_name_in_one_file_names_its_second_line():
@@ -220,7 +272,7 @@ _PARSER_ITEMS = [
     "notation f for g ;", "hint g uses f x ;", "reserve x , g : f ;",
     "defblock { def f := g ; def g := lit ; }", "thm __n0_p : ;", "thm : ;",
 ]
-_SEPARATORS = [" ", " ", "\n", "\n\n", " # note\n", "\r\n"]
+_SEPARATORS = [" ", " ", "\n", "\n\n", " # note\n", "\r\n", "\u2028", "\v", "\x85", "~"]
 
 
 def _parse_outcome(parse, text: str):
@@ -250,6 +302,15 @@ def test_parser_matches_the_descent_reference(parts):
     type and message, line included."""
     text = "".join(token + separator for token, separator in parts)
     assert _parse_outcome(_parse_file, text) == _parse_outcome(parse_by_descent, text)
+
+
+def test_a_stray_character_after_a_long_name_fails_in_linear_time():
+    """The lexical test is linear: a stray ``~`` after a 5,000-letter name
+    is reported at once, at its line."""
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"def {'a' * 5000}~ := lit;", "long.art")
+    assert exc.value.line == 1
+    assert "unexpected character '~'" in str(exc.value)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -697,3 +698,32 @@ def test_canonical_files_are_read_without_json(tmp_path, long_deps_lines, monkey
     expected = read_edges_by_line(path)
     monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("json.loads"))
     assert read_edges_jsonl(path) == expected
+
+
+# Every (vis, opacity, method) combination once, each on its own pair.
+_TAIL_RECORDS = [
+    {"from": f"s{i}", "to": f"d{i}", "vis": vis.value, "opacity": opacity.value, "method": method}
+    for i, (vis, opacity, method) in enumerate(product(Visibility, Opacity, ("trace", "min")))
+]
+
+
+@pytest.mark.parametrize("method", ["any", "trace", "min"])
+def test_every_record_tail_reads_alike_in_both_layouts(tmp_path, monkeypatch, method):
+    """All eight record tails, written canonically (one regex search, no
+    ``json.loads``) and in ``json.dumps``'s spaced layout (decoded per
+    line), read as the same edges under every method filter."""
+    edges = [
+        DepEdge(rec["from"], rec["to"], Visibility(rec["vis"]), Opacity(rec["opacity"]))
+        for rec in _TAIL_RECORDS
+    ]
+    canonical, spaced = tmp_path / "canonical.jsonl", tmp_path / "spaced.jsonl"
+    canonical.write_text(
+        "".join(edge_record(edge, rec["method"]) + "\n" for edge, rec in zip(edges, _TAIL_RECORDS))
+    )
+    spaced.write_text("".join(json.dumps(rec) + "\n" for rec in _TAIL_RECORDS))
+    expected = [
+        edge for edge, rec in zip(edges, _TAIL_RECORDS) if method in ("any", rec["method"])
+    ]
+    assert read_edges_jsonl(spaced, method) == expected
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("json.loads"))
+    assert read_edges_jsonl(canonical, method) == expected

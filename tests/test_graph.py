@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from depkit import extract
-from depkit.corpus import Corpus, DepEdge, Opacity, Visibility, parse_source
+from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
 from depkit.errors import CycleDetectedError, DepkitError, UnknownItemError
 from depkit.extract import edge_record, extract_corpus, read_edges_jsonl, trace_extract
 from depkit.gen import FAMILIES, generate_corpus
@@ -295,6 +295,23 @@ def test_kind_table_from_counts_partition_deps(five_file_corpus):
     table = kind_table(g)
     assert sum(row["from"] for row in table.values()) == len(g.edges)
     assert sum(row["to"] for row in table.values()) == len(g.edges)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kind_table_from_rows_counts_the_edges(family):
+    """The table read from the rows equals one count per edge of ``g.edges``,
+    on the traced and the minimized graphs of every family."""
+    for seed in (5, 6):
+        files = generate_corpus(items=60, seed=seed, family=family, per_file=10)
+        corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+        result = extract_corpus(corpus)
+        for edges in (result.trace_edges, result.min_edges):
+            g = build_graph(corpus, edges)
+            expected = {kind.value: {"from": 0, "to": 0} for kind in ItemKind}
+            for edge in g.edges:
+                expected[g.kinds[edge.src].value]["from"] += 1
+                expected[g.kinds[edge.dst].value]["to"] += 1
+            assert kind_table(g) == expected
 
 
 def _generated_graph(family: str, seed: int, granularity: Granularity):
