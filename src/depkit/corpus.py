@@ -48,16 +48,16 @@ positions it needs (with the reason each one's absence gives), the
 reservations covering each free variable with their types, and the hints
 of ``by auto``, all masks over the corpus table read from corpus-side
 indexes.  ``check_item`` walks them for a reason and a trace, and
-``_compile_check`` ORs them into the masks that ``accepts`` and the
-minimizer test, so tracing and minimization consult one checker, and
-reservations and hints are tried in corpus order.
+``_compile_local`` compiles them over one local bit per position they read
+into the test that ``accepts`` and the minimizer run, so tracing and
+minimization consult one checker, and reservations and hints are tried in
+corpus order.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import chain, compress, count
@@ -834,8 +834,13 @@ class Corpus:
         self.items: tuple[Item, ...] = tuple(items)
         self._order: dict[str, int] = {}  # each name's corpus position
         kinds = [0] * len(_SLOT)
-        # Each kind's positions, ascending, by slot.
-        self._kind_lists: tuple[list[int], ...] = tuple([] for _ in _SLOT)
+        # Each position's kind slot, and per cut 0..len(items) the number of
+        # positions of each kind below it, five entries per cut by slot: so
+        # ``_kind_counts[5 * pos + slot]`` is the index of ``pos`` among the
+        # positions of its kind.
+        slot_at = bytearray()
+        counts = [0] * len(_SLOT)
+        kind_counts: list[int] = []
         # Checker indexes.  Positions of the names a symbol can resolve to,
         # split into definitions/theorems and notations; in corpus order,
         # the positions of the reservations covering each variable and of
@@ -851,7 +856,9 @@ class Corpus:
             self._order[item.name] = idx
             slot = _SLOT[item.kind]
             kinds[slot] |= 1 << idx
-            self._kind_lists[slot].append(idx)
+            slot_at.append(slot)
+            kind_counts += counts
+            counts[slot] += 1
             if item.kind in _SYMBOL_KINDS:
                 self._symbol_at[item.name] = idx
             elif item.kind is ItemKind.NOTATION:
@@ -861,6 +868,8 @@ class Corpus:
                     self._hinting.setdefault(sym, []).append(idx)
             for var in item.reserved_vars:
                 self._reserving.setdefault(var, []).append(idx)
+        self._slot_at = bytes(slot_at)
+        self._kind_counts = kind_counts + counts
         self._table = _Positions(tuple(self._order), tuple(kinds), self._order)
 
     def __len__(self) -> int:
@@ -897,22 +906,41 @@ class Corpus:
         _, stop, _ = slice(index).indices(len(self.items))
         return Environment._of(self._table, (1 << stop) - 1)
 
-    def _kind_positions(self, kind: ItemKind, bits: int) -> list[int]:
-        """The set positions of ``bits``, a submask of ``kind``'s corpus mask,
-        ascending.
+    def _kind_counts_below(self, cut: int) -> list[int]:
+        """Per kind slot, the number of positions of that kind below ``cut``."""
+        return self._kind_counts[5 * cut : 5 * cut + 5]
 
-        When ``bits`` holds every position of the kind below its highest
-        one (a candidate environment's kind bits before any ``restrict``),
-        that is, when its popcount equals the number of the kind's positions
-        below ``bits.bit_length()``, they are the first that many entries of
-        the kind's list, and the result is a slice of it.  Any other mask
-        goes through ``bit_positions``.
+    def _index_reads(
+        self, reads: dict[int, int], cut: int, positions: list[int] | None
+    ) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """The positions held, per kind slot: how many of that kind, and
+        ``(index, local bit)`` of each position of ``reads`` held, by
+        ascending index, ``index`` being its index among the positions
+        held of its kind.
+
+        The positions held are ``positions``, ascending, or when it is None
+        every position below ``cut``, whose counts and indices are read from
+        ``_kind_counts``, so nothing is listed.
         """
-        positions = self._kind_lists[_SLOT[kind]]
-        count = bits.bit_count()
-        if count == bisect_left(positions, bits.bit_length()):
-            return positions[:count]
-        return bit_positions(bits)
+        slot_at = self._slot_at
+        held: list[list[tuple[int, int]]] = [[] for _ in _SLOT]
+        if positions is None:
+            kind_counts = self._kind_counts
+            for pos, local in reads.items():
+                if pos < cut:
+                    slot = slot_at[pos]
+                    held[slot].append((kind_counts[5 * pos + slot], local))
+            for kind_held in held:
+                kind_held.sort()
+            return self._kind_counts_below(cut), held
+        counts = [0] * len(_SLOT)
+        for pos in positions:
+            slot = slot_at[pos]
+            local = reads.get(pos)
+            if local is not None:
+                held[slot].append((counts[slot], local))
+            counts[slot] += 1
+        return counts, held
 
     # Checker -------------------------------------------------------------
 
@@ -926,9 +954,9 @@ class Corpus:
           (``BAD_JUSTIFICATION``).  A name that resolves nowhere has bit
           ``1 << len(self)``, which no corpus mask holds;
         * ``covers``: per free variable, the mask of the reservations
-          covering it and, in corpus order, one ``(pair, position)`` per such
-          reservation whose type symbol resolves, ``pair`` holding the
-          reservation and that symbol;
+          covering it and, in corpus order, one ``(pair, position,
+          type_position)`` per such reservation whose type symbol resolves,
+          ``pair`` holding the reservation and that symbol;
         * ``hints``: for ``by auto``, the mask of the hints sharing a symbol
           with the statement; None otherwise.
         """
@@ -956,7 +984,7 @@ class Corpus:
                 covering |= 1 << pos
                 type_at = symbol_at.get(self.items[pos].statement_symbols[0])
                 if type_at is not None:
-                    pairs.append((1 << pos | 1 << type_at, pos))
+                    pairs.append((1 << pos | 1 << type_at, pos, type_at))
             covers.append((covering, pairs))
         hints = None
         if item.by_auto:
@@ -987,34 +1015,40 @@ class Corpus:
 
         The checks are the item's ``_rules``, tested against ``env`` as a
         mask over the corpus table (``_bits_of``); ``accepts`` and the
-        minimizer's compiled check read the same rules.
+        minimizer's compiled check read the same rules.  The resolved names
+        are listed only when a trace is requested.
         """
         bits = self._bits_of(env)
         needs, covers, hints = self._rules(item)
-        resolved: dict[str, None] = {}
-        for bit, reason, name in needs:
+        for bit, reason, _ in needs:
             if not bits & bit:
                 return CheckOutcome(False, reason, ())
-            resolved[name] = None
+        witnesses = []
         for covering, pairs in covers:
-            for pair, pos in pairs:
+            for pair, pos, _ in pairs:
                 if bits & pair == pair:
-                    witness = self.items[pos]
-                    resolved[witness.name] = None
-                    resolved[witness.statement_symbols[0]] = None
+                    witnesses.append(pos)
                     break
             else:
                 if bits & covering:
                     return CheckOutcome(False, RejectReason.UNRESOLVED_SYMBOL, ())
                 return CheckOutcome(False, RejectReason.MISSING_RESERVATION, ())
-        if hints is not None:
-            if not bits & hints:
-                return CheckOutcome(False, RejectReason.NO_APPLICABLE_HINT, ())
-            # Deliberately exhaustive: every applicable hint is a dependency.
-            for pos in bit_positions(bits & hints):
-                resolved[self.items[pos].name] = None
+        if hints is not None and not bits & hints:
+            return CheckOutcome(False, RejectReason.NO_APPLICABLE_HINT, ())
         if not trace_requested:
             return CheckOutcome(True, None, ())
+        items = self.items
+        resolved: dict[str, None] = {}
+        for _, _, name in needs:
+            resolved[name] = None
+        for pos in witnesses:
+            witness = items[pos]
+            resolved[witness.name] = None
+            resolved[witness.statement_symbols[0]] = None
+        if hints is not None:
+            # Deliberately exhaustive: every applicable hint is a dependency.
+            for pos in bit_positions(bits & hints):
+                resolved[items[pos].name] = None
         return CheckOutcome(True, None, self.dep_edges(item, resolved))
 
     def dep_edges(self, item: Item, targets: Iterable[str]) -> tuple[DepEdge, ...]:
@@ -1022,13 +1056,14 @@ class Corpus:
         explicit when the target occurs literally in the item's source,
         with the target's opacity."""
         literal = item.literal_names()
-        items, order = self.items, self._order
+        items, order, src = self.items, self._order, item.name
+        explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
         return tuple(
             DepEdge(
-                src=item.name,
-                dst=target,
-                visibility=Visibility.EXPLICIT if target in literal else Visibility.IMPLICIT,
-                opacity=items[order[target]].opacity,
+                src,
+                target,
+                explicit if target in literal else implicit,
+                items[order[target]].opacity,
             )
             for target in targets
         )
@@ -1038,33 +1073,73 @@ class Corpus:
         return self._compile_check(item)(self._bits_of(env))
 
     def _compile_check(self, item: Item) -> Callable[[int], bool]:
-        """``item``'s verdict as a test of a mask over the corpus table.
-
-        The item's ``_rules`` become ``req``, the OR of every ``needs`` bit,
-        one list of (reservation, type) pairs per free variable, and the
-        ``by auto`` hints mask.  ``bits`` is accepted when it holds all of
-        ``req``, all of one pair per variable, and for ``by auto`` some
-        hint: the verdict of ``check_item`` on the environment with mask
-        ``bits``.
-        """
-        needs, covers, hints = self._rules(item)
-        req = 0
-        for bit, _, _ in needs:
-            req |= bit
-        pairs = [[pair for pair, _ in var_pairs] for _, var_pairs in covers]
+        """``item``'s verdict as a test of a mask over the corpus table: the
+        compiled check (``_compile_local``) of the local bits of the read
+        positions that ``bits`` holds."""
+        reads, _, verifies = self._compile_local(item)
 
         def accepts(bits: int) -> bool:
-            if bits & req != req:
+            state = 0
+            for pos, local in reads.items():
+                if bits >> pos & 1:
+                    state |= local
+            return verifies(state)
+
+        return accepts
+
+    def _compile_local(self, item: Item) -> tuple[dict[int, int], int, Callable[[int], bool]]:
+        """``item``'s verdict over local bits: ``(reads, required, verifies)``.
+
+        Each position that the item's ``_rules`` read gets one local bit,
+        and ``reads`` maps the position to it.  The rules become
+        ``required``, the local bits of every ``needs`` position, one list
+        of (reservation, type) pair masks per free variable, and the ``by
+        auto`` hints mask.  ``verifies(state)`` is true when ``state``, the
+        local bits of the read positions present, holds all of
+        ``required``, all of one pair per variable, and for ``by auto``
+        some hint: the verdict of ``check_item`` on any environment holding
+        exactly those read positions.  A name that resolves nowhere gets a
+        required local bit at no position, so no state holds it.  Positions
+        come from the rules as ints: a ``needs`` bit's is its
+        ``bit_length() - 1``.
+        """
+        needs, covers, hints = self._rules(item)
+        local: dict[int, int] = {}  # position -> local bit, in first-read order
+        for bit, _, _ in needs:
+            pos = bit.bit_length() - 1
+            if pos not in local:
+                local[pos] = 1 << len(local)
+        required = (1 << len(local)) - 1
+        pairs = []
+        for _, var_pairs in covers:
+            pairs.append([])
+            for _, pos, type_at in var_pairs:
+                if pos not in local:
+                    local[pos] = 1 << len(local)
+                if type_at not in local:
+                    local[type_at] = 1 << len(local)
+                pairs[-1].append(local[pos] | local[type_at])
+        hint_bits = None
+        if hints is not None:
+            hint_bits = 0
+            for pos in bit_positions(hints):
+                if pos not in local:
+                    local[pos] = 1 << len(local)
+                hint_bits |= local[pos]
+        local.pop(len(self.items), None)  # the position of names that resolve nowhere
+
+        def verifies(state: int) -> bool:
+            if state & required != required:
                 return False
             for var_pairs in pairs:
                 for pair in var_pairs:
-                    if bits & pair == pair:
+                    if state & pair == pair:
                         break
                 else:
                     return False
-            return hints is None or bits & hints != 0
+            return hint_bits is None or state & hint_bits != 0
 
-        return accepts
+        return local, required, verifies
 
     def _bits_of(self, env: Environment) -> int:
         """``env`` as a mask over the corpus table: each present name at
@@ -1104,7 +1179,8 @@ def parse_corpus(root: str | Path) -> Corpus:
     relpaths.sort()
     items: list[Item] = []
     for rel, tag in zip(relpaths, _label_tags(relpaths)):
-        data = (root / rel).read_bytes()
+        with open(os.path.join(root, rel), "rb") as source:
+            data = source.read()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as err:

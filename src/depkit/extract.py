@@ -16,13 +16,16 @@ hints, say) in favor of the earliest candidate in corpus order.
 
 Both routes read one checker: the item's rules, written once as position
 masks by ``Corpus._rules``.  Tracing walks them through
-``Corpus.check_item``.  Minimization works on corpus positions from the
-checker to the record writer: each item's rules are compiled once
-(``Corpus._compile_check``) into the positions it requires, one
-(reservation, type) pair list per free variable, and for ``by auto`` its
-applicable hints, and a trial of the search is a plain int tested against
-those masks, with no ``Environment`` built for it.  A minimal environment
-is read back as the names at the set positions of its mask, which ascend
+``Corpus.check_item``.  Minimization compiles them once per item
+(``Corpus._compile_local``) over local bits, one per position the rules
+read, and searches each kind over indices: the kind's number of positions
+and the index of each read position among them.  A trial's verdict can
+only change when its chunk removes a read position, so a chunk holding
+none is counted and dropped, a chunk holding a required position fails,
+and only a chunk holding an alternative (a reservation pair or a hint)
+runs the compiled check; the trials, and their order, are those of a
+search that checks every chunk.  A minimal environment is a mask over the
+corpus table, read back as the names at its set positions, which ascend
 in corpus order, so edges and the trace/minimize comparison need no sort;
 and edge records are formatted as text, which is exact because the writer
 first checks every name against the lexical identifier rule.
@@ -41,7 +44,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import (
     IDENTIFIER_RE,
@@ -65,6 +68,7 @@ KIND_MINIMIZATION_ORDER = (
     ItemKind.NOTATION,
     ItemKind.HINT,
 )
+_SEARCH_SLOTS = tuple(_SLOT[kind] for kind in KIND_MINIMIZATION_ORDER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,34 +95,64 @@ def decompose(corpus: Corpus) -> list[Microarticle]:
     ]
 
 
-def _shrink(keep: list[int], bits: int, still_ok) -> int:
-    """Greedy monotone reduction of one kind's positions.
+def _shrink(
+    n: int,
+    reads: list[tuple[int, int]],
+    state: int,
+    required: int,
+    verifies: Callable[[int], bool],
+) -> tuple[int, int]:
+    """Greedy monotone reduction of one kind's ``n`` positions, by index:
+    the new ``state`` and the number of trials.
 
-    ``keep`` lists the set positions of ``bits`` in ascending order.  Tries
-    removing chunks of half the list, then quarters, and so on down to
-    pairs, scanning chunks back to front, then finishes with one
-    single-removal pass.  A chunk is a run of ``keep``, so its trial is
-    ``bits`` minus the position range from the run's first to its last
-    entry.  ``still_ok`` is called with the trial mask and must be
-    monotone in the set of surviving positions.
+    The search tries removing chunks of half the kind's positions, then
+    quarters, and so on down to pairs, scanning chunks back to front, then
+    finishes with one single-removal pass.  It keeps only ``n`` and, per
+    position that the item's rules read, its index among the kind's
+    positions and its local bit (``reads``, ascending).  ``state`` holds
+    the local bits present, and a trial's verdict is ``verifies`` of the
+    state without the chunk's local bits, which is monotone.  Only a chunk
+    holding a read position can change the verdict: the others are counted
+    as trials and dropped, since the state verified before and so verifies
+    again; a chunk holding a ``required`` local bit fails without a check;
+    the rest run ``verifies``.  A chunk that verifies is removed, and the
+    reads after it move down by its length, so the trials are those of a
+    search over the positions themselves, in the same order.  The last pass
+    removes every unread position, so the kept positions are the reads
+    whose local bits ``state`` still holds.
     """
-    size = (len(keep) + 1) // 2
-    while size >= 2:
-        start = ((len(keep) - 1) // size) * size if keep else -1
-        while start >= 0:
-            end = min(start + size, len(keep)) - 1
-            trial = bits & ~((2 << keep[end]) - (1 << keep[start]))
-            if still_ok(trial):
-                bits = trial
-                del keep[start : end + 1]
-            start -= size
+    trials = 0
+    size = (n + 1) // 2
+    while n:
+        trials += -(-n // size)
+        # Back to front, the chunks holding reads: ``reads[start:end]``, in
+        # the chunk that starts at index ``first``.
+        kept = []
+        end = len(reads)
+        while end:
+            start = end - 1
+            first = reads[start][0] // size * size
+            bits = reads[start][1]
+            while start and reads[start - 1][0] >= first:
+                start -= 1
+                bits |= reads[start][1]
+            if bits & required or not verifies(state & ~bits):
+                kept.append((first, start, end))
+            else:
+                state &= ~bits
+            end = start
+        if size == 1:
+            break
+        # The kept chunks close up, front to back.
+        moved = []
+        length = 0
+        for first, start, end in reversed(kept):
+            for index, local in reads[start:end]:
+                moved.append((index - first + length, local))
+            length += min(size, n - first)
+        n, reads = length, moved
         size = (size + 1) // 2 if size > 2 else 1
-    for i in range(len(keep) - 1, -1, -1):
-        trial = bits & ~(1 << keep[i])
-        if still_ok(trial):
-            bits = trial
-            del keep[i]
-    return bits
+    return state, trials
 
 
 def minimize_env(
@@ -132,9 +166,10 @@ def minimize_env(
     verification.  ``seed_targets`` (typically the targets of a previously
     captured trace) short-circuits the search: if the environment
     restricted to the seed verifies, minimization proceeds inside it only.
-    ``oracle_calls`` counts the verification attempts made during the
-    search itself (the upfront validation of the full environment is not a
-    search step).
+    ``oracle_calls`` counts the trials of the search itself, the seed
+    restrict and every chunk of the chunked search, whether a count
+    decided a trial or the compiled check did (the upfront validation of
+    the full environment is not a search step).
 
     The search runs on corpus positions.  The candidate environment becomes
     one mask over the corpus table: an environment the corpus handed out is
@@ -143,55 +178,74 @@ def minimize_env(
     plays no part and names the corpus does not hold under that kind are
     neither searched nor counted in ``removed``.  The item's rules, the
     ones ``check_item`` walks (``Corpus._rules``), are compiled once into
-    position masks (``Corpus._compile_check``), so a trial is one int and
-    its verdict a few mask tests, with no ``Environment`` built per trial.
-    A rejected candidate's reason comes from ``check_item``.
+    one local bit per position they read (``Corpus._compile_local``), so a
+    state is a small int of the read positions present and its verdict a
+    few tests of it.  A rejected candidate's reason comes from
+    ``check_item``.
 
-    Each kind's search starts from the ascending positions of its bits.
-    Unless a seed restrict was kept, those bits are a prefix of the kind's
-    corpus mask, and the positions are a slice of the corpus's per-kind
-    position list; after a kept restrict they are listed by
-    ``bit_positions`` (``Corpus._kind_positions``).  ``removed[kind]`` is
-    the number of the candidate's positions of that kind that the minimal
-    mask lacks: the popcount of ``candidate & ~minimal`` within the kind's
-    mask.
+    Each kind is searched over indices (``_shrink``): its number of
+    positions and the index of each read position among them
+    (``Corpus._index_reads``).  For a candidate environment, a prefix mask, both
+    are read from the corpus's per-cut kind counts; after a kept restrict,
+    from the seed targets' positions, looked up by name; no kind's
+    positions are listed per item.  Only a candidate mask that is no
+    prefix, such as a restricted environment's, is listed by
+    ``bit_positions``.  The last pass of each search drops every position
+    the rules do not read, so the minimal mask is the read positions kept,
+    and ``removed[kind]`` is the number of the candidate's positions of that
+    kind less the number kept.
     """
     item = micro.item
-    table = corpus._table
     candidate = corpus._bits_of(micro.candidate_env)
-    accepts = corpus._compile_check(item)
-    if not accepts(candidate):
+    cut = candidate.bit_length()
+    reads, required, verifies = corpus._compile_local(item)
+    # The candidate's positions: all below ``cut`` for a prefix mask (a
+    # candidate environment), else listed; ``holds(pos)`` tests one.
+    listed = bit_positions(candidate) if candidate & (candidate + 1) else None
+    holds = cut.__gt__ if listed is None else set(listed).__contains__
+    if listed is None:
+        candidate_counts = corpus._kind_counts_below(cut)
+    else:
+        candidate_counts = corpus._index_reads({}, cut, listed)[0]
+    state = 0
+    for pos, local in reads.items():
+        if holds(pos):
+            state |= local
+    if not verifies(state):
         outcome = corpus.check_item(item, micro.candidate_env)
         raise NotVerifiableError(item.name, outcome.reason.value if outcome.reason else "rejected")
 
     calls = 0
-    current = candidate
+    searched = listed
     if seed_targets is not None:
-        restricted = candidate & table.mask_of(seed_targets)
-        if restricted != candidate:
+        index = corpus._table.index
+        seeds = sorted(filter(holds, {index[name] for name in seed_targets if name in index}))
+        if len(seeds) != sum(candidate_counts):
             calls += 1
-            if accepts(restricted):
-                current = restricted
+            restricted = 0
+            for pos in seeds:
+                restricted |= reads.get(pos, 0)
+            if verifies(restricted):
+                state, searched = restricted, seeds
 
-    for kind in KIND_MINIMIZATION_ORDER:
-        kind_bits = current & table.kinds[_SLOT[kind]]
-        if not kind_bits:
-            continue
-        others = current & ~kind_bits
+    counts, held = corpus._index_reads(reads, cut, searched)
+    for slot in _SEARCH_SLOTS:
+        if counts[slot]:
+            state, trials = _shrink(counts[slot], held[slot], state, required, verifies)
+            calls += trials
 
-        def still_ok(trial: int, others=others) -> bool:
-            nonlocal calls
-            calls += 1
-            return accepts(others | trial)
-
-        current = others | _shrink(corpus._kind_positions(kind, kind_bits), kind_bits, still_ok)
-
-    dropped = candidate & ~current
+    slot_at = corpus._slot_at
+    minimal = 0
+    kept_counts = [0] * len(_SLOT)
+    for pos, local in reads.items():
+        if state & local:
+            minimal |= 1 << pos
+            kept_counts[slot_at[pos]] += 1
     return MinimizationResult(
         item_name=item.name,
-        minimal_env=Environment._of(table, current),
+        minimal_env=Environment._of(corpus._table, minimal),
         oracle_calls=calls,
-        removed={kind: (dropped & table.kinds[slot]).bit_count() for kind, slot in _SLOT.items()},
+        removed={kind: candidate_counts[slot] - kept_counts[slot] for kind, slot in _SLOT.items()},
     )
 
 

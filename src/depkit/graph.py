@@ -170,14 +170,23 @@ class DepGraph:
     def edges(self) -> tuple[DepEdge, ...]:
         """The direct edges, ordered by (source, target) node position."""
         if self._edges is None:
+            nodes = self.nodes
+            explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
+            transparent, opaque = Opacity.TRANSPARENT, Opacity.OPAQUE
             edges: list[DepEdge] = []
-            for src, row, trans, expl in zip(self.nodes, self.deps, self.transparent, self.explicit):
+            for src, row, trans, expl in zip(nodes, self.deps, self.transparent, self.explicit):
+                # Each row's attributes are read once, as little-endian bytes
+                # as long as the row's (they are submasks of it): bit j is
+                # bit j % 8 of byte j // 8.
+                size = (row.bit_length() + 7) // 8
+                expl_bytes = expl.to_bytes(size, "little")
+                trans_bytes = trans.to_bytes(size, "little")
                 edges.extend(
                     DepEdge(
                         src,
-                        self.nodes[j],
-                        Visibility.EXPLICIT if expl >> j & 1 else Visibility.IMPLICIT,
-                        Opacity.TRANSPARENT if trans >> j & 1 else Opacity.OPAQUE,
+                        nodes[j],
+                        explicit if expl_bytes[j >> 3] >> (j & 7) & 1 else implicit,
+                        transparent if trans_bytes[j >> 3] >> (j & 7) & 1 else opaque,
                     )
                     for j in bit_positions(row)
                 )

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to validate the real implementations.
 
 Everything here is deliberately naive: full subset enumeration for minimal
-environments, plain DFS for reachability, straightforward recounting for
-model training, scoring every candidate and sorting for premise ranking,
-one line at a time for tokenizing and for reading edge records, and a
-recursive-descent parser with a method call per token.
+environments, a check of every chunk of the minimizer's chunked search,
+plain DFS for reachability, straightforward recounting for model training,
+scoring every candidate and sorting for premise ranking, one line at a time
+for tokenizing and for reading edge records, and a recursive-descent parser
+with a method call per token.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
@@ -33,8 +34,10 @@ from depkit.corpus import (
     Opacity,
     RejectReason,
     Visibility,
+    bit_positions,
 )
 from depkit.errors import DuplicateNameError, ParseError
+from depkit.extract import KIND_MINIMIZATION_ORDER
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
 
 
@@ -108,6 +111,76 @@ def brute_force_minimal_env(corpus: Corpus, item: Item, env: Environment) -> Env
             best_mask = mask
     assert best_mask is not None, "item should verify under the full environment"
     return env_from_mask(pairs, best_mask)
+
+
+def shrink_per_trial(keep: list[int], bits: int, still_ok) -> int:
+    """Greedy monotone reduction of one kind's positions.
+
+    ``keep`` lists the set positions of ``bits`` in ascending order.  Tries
+    removing chunks of half the list, then quarters, and so on down to
+    pairs, scanning chunks back to front, then finishes with one
+    single-removal pass.  A chunk is a run of ``keep``, so its trial is
+    ``bits`` minus the position range from the run's first to its last
+    entry.  ``still_ok`` is called with the trial mask and must be
+    monotone in the set of surviving positions.
+    """
+    size = (len(keep) + 1) // 2
+    while size >= 2:
+        start = ((len(keep) - 1) // size) * size if keep else -1
+        while start >= 0:
+            end = min(start + size, len(keep)) - 1
+            trial = bits & ~((2 << keep[end]) - (1 << keep[start]))
+            if still_ok(trial):
+                bits = trial
+                del keep[start : end + 1]
+            start -= size
+        size = (size + 1) // 2 if size > 2 else 1
+    for i in range(len(keep) - 1, -1, -1):
+        trial = bits & ~(1 << keep[i])
+        if still_ok(trial):
+            bits = trial
+            del keep[i]
+    return bits
+
+
+def minimize_per_trial(
+    corpus: Corpus, item: Item, candidate: Environment, seed_targets=None
+) -> tuple[int, int, dict[ItemKind, int]]:
+    """``(minimal mask, oracle calls, removed per kind)`` of the search that
+    tries every chunk: each trial a mask over the corpus table, run through
+    ``shrink_per_trial`` over the kind's listed positions, its verdict that
+    of ``check_item`` on the environment of the mask.  The seed restrict
+    counts one call when it changes the candidate and is kept when it
+    verifies."""
+    full = corpus.candidate_environment(len(corpus))
+    kinds = {kind: full.kind_mask(kind) for kind in ItemKind}
+
+    def verifies(bits: int) -> bool:
+        return corpus.check_item(item, full.with_mask(bits)).accepted
+
+    candidate_bits = corpus._bits_of(candidate)
+    assert verifies(candidate_bits)
+    calls = 0
+    current = candidate_bits
+    if seed_targets is not None:
+        seeds = {corpus.index_of(name) for name in seed_targets if name in corpus}
+        restricted = candidate_bits & sum(1 << pos for pos in seeds)
+        if restricted != candidate_bits:
+            calls += 1
+            if verifies(restricted):
+                current = restricted
+    for kind in KIND_MINIMIZATION_ORDER:
+        kind_bits = current & kinds[kind]
+        others = current & ~kind_bits
+
+        def still_ok(trial: int, others=others) -> bool:
+            nonlocal calls
+            calls += 1
+            return verifies(others | trial)
+
+        current = others | shrink_per_trial(bit_positions(kind_bits), kind_bits, still_ok)
+    dropped = candidate_bits & ~current
+    return current, calls, {kind: (dropped & kinds[kind]).bit_count() for kind in ItemKind}
 
 
 class NaiveEnv:

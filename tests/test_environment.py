@@ -13,6 +13,7 @@ import random
 import pytest
 
 from depkit.corpus import (
+    _SLOT,
     Corpus,
     Environment,
     ItemKind,
@@ -89,30 +90,46 @@ def test_masks_match_name_tuple_model_both_constructions():
     assert pairs > 300
 
 
-def test_kind_positions_equal_bit_positions_on_every_path():
-    """The corpus position helper lists exactly ``bit_positions(bits)``: on
-    every kind's prefix masks at every cut, which take the slice of the
-    kind's position list, and on the kind masks of environments after
-    ``restrict`` and ``replace_kind``, which do not all."""
+def _assert_kind_indices(corpus: Corpus, bits: int) -> int:
+    """The minimizer's per-kind counts and per-position indices of the
+    positions of ``bits`` (``Corpus._index_reads``, with every position
+    read) against ``bit_positions`` of each kind's bits; the number of
+    positions checked."""
+    cut = bits.bit_length()
+    listed = bit_positions(bits) if bits & (bits + 1) else None
+    reads = {pos: 1 << pos for pos in range(len(corpus.items))}
+    counts, held = corpus._index_reads(reads, cut, listed)
+    checked = 0
+    for kind in ItemKind:
+        slot = _SLOT[kind]
+        kind_positions = bit_positions(bits & corpus._table.kinds[slot])
+        assert counts[slot] == len(kind_positions)
+        assert [local.bit_length() - 1 for _, local in held[slot]] == kind_positions
+        for index, local in held[slot]:
+            assert index == kind_positions.index(local.bit_length() - 1)
+            checked += 1
+    return checked
+
+
+def test_kind_index_equals_bit_positions_index_on_every_path():
+    """The index of each position among its kind's positions in a mask is
+    ``bit_positions(kind_bits).index(pos)``: on the prefix masks of every
+    cut, read from the corpus's per-cut kind counts, and on the masks of
+    environments after ``restrict`` and ``replace_kind``, whose positions
+    are listed."""
     rng = random.Random(17)
     prefixes = 0
     for corpus in _corpora():
         n = len(corpus.items)
-        for kind in ItemKind:
-            kind_bits = corpus.candidate_environment(n).kind_mask(kind)
-            for cut in range(n + 2):
-                bits = kind_bits & ((1 << cut) - 1)
-                assert corpus._kind_positions(kind, bits) == bit_positions(bits)
-                prefixes += bits != 0
+        for cut in range(n + 1):
+            prefixes += _assert_kind_indices(corpus, corpus.candidate_environment(cut).mask)
         for idx in range(n + 1):
             full = corpus.candidate_environment(idx)
             keep = _random_keep(rng, _prefix_model(corpus, idx))
             swapped = rng.choice(list(ItemKind))
             own = [name for name in full.names(swapped) if rng.random() < 0.5]
-            for env in (full, full.restrict(keep), full.replace_kind(swapped, own)):
-                for kind in ItemKind:
-                    bits = env.kind_mask(kind)
-                    assert corpus._kind_positions(kind, bits) == bit_positions(bits)
+            for env in (full.restrict(keep), full.replace_kind(swapped, own)):
+                _assert_kind_indices(corpus, env.mask)
     assert prefixes > 1000
 
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import tempfile
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depkit.corpus import (
@@ -27,6 +28,7 @@ from depkit.corpus import (
 from depkit.errors import CorpusMismatchError, NotVerifiableError, ParseError
 from depkit.extract import (
     Microarticle,
+    _shrink,
     compare_json,
     compare_methods,
     decompose,
@@ -42,7 +44,12 @@ from depkit.extract import (
 from depkit.gen import FAMILIES, generate_corpus
 from depkit.normalize import normalize_corpus
 
-from _oracles import brute_force_minimal_env, read_edges_by_line
+from _oracles import (
+    brute_force_minimal_env,
+    minimize_per_trial,
+    read_edges_by_line,
+    shrink_per_trial,
+)
 from conftest import corpus_from
 
 
@@ -201,6 +208,120 @@ def test_exact_minimization_effort(items, seed, seeded_calls, unseeded_calls, un
     assert sum(r.oracle_calls for r in seeded) == seeded_calls
     assert sum(r.oracle_calls for r in unseeded) == unseeded_calls
     assert sum(sum(r.removed.values()) for r in unseeded) == unseeded_removed
+
+
+@st.composite
+def _rule_sets(draw):
+    """A kind of ``n`` positions, the indices of the ones some rule reads
+    (local bits ``0 .. m-1``), a few read positions of other kinds (local
+    bits from ``m`` on, each held or not), and monotone rules over those
+    bits: required bits, per variable a list of alternative pairs, and
+    maybe a hints mask.  The state of every held bit verifies."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    read = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=min(n, 8))))
+    m = len(read)
+    outside = draw(st.integers(min_value=0, max_value=3))
+    width = m + outside
+    held = (1 << m) - 1 | draw(st.integers(0, (1 << outside) - 1)) << m
+    bits = st.integers(min_value=1, max_value=(1 << width) - 1) if width else st.just(0)
+    required = draw(st.integers(0, (1 << width) - 1)) & held if width else 0
+    pairs = draw(st.lists(st.lists(bits, min_size=1, max_size=3), max_size=3))
+    hints = draw(st.one_of(st.none(), st.integers(1, (1 << m) - 1))) if m else None
+    return n, read, held, required, pairs, hints
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=_rule_sets())
+def test_index_search_equals_the_per_trial_search_on_random_rules(rules):
+    """On random monotone rules, the search over indices keeps the same
+    positions and counts the same trials as the per-trial search over
+    positions (``_oracles.shrink_per_trial``), whose every trial tests the
+    rules on the local bits of the read positions it holds."""
+    n, read, held, required, pairs, hints = rules
+
+    def verifies(state: int) -> bool:
+        if state & required != required:
+            return False
+        if not all(any(state & pair == pair for pair in alternatives) for alternatives in pairs):
+            return False
+        return hints is None or state & hints != 0
+
+    assume(verifies(held))
+    outside = held >> len(read) << len(read)
+    trials = 0
+
+    def still_ok(trial: int) -> bool:
+        nonlocal trials
+        trials += 1
+        state = outside
+        for bit, pos in enumerate(read):
+            state |= (trial >> pos & 1) << bit
+        return verifies(state)
+
+    kept = shrink_per_trial(list(range(n)), (1 << n) - 1, still_ok)
+    reads = [(pos, 1 << bit) for bit, pos in enumerate(read)]
+    state, calls = _shrink(n, reads, held, required, verifies)
+    assert calls == trials
+    assert kept == sum(1 << pos for bit, pos in enumerate(read) if state >> bit & 1)
+    assert state >> len(read) << len(read) == outside
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    items=st.integers(min_value=30, max_value=90),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_minimize_equals_the_per_trial_search_on_every_family(family, items, seed):
+    """Per item of every family, seeded by its trace and unseeded, and on a
+    candidate cut to a random part of it that still verifies (a mask that
+    is no prefix): ``minimal_env``, ``oracle_calls`` and ``removed`` equal
+    those of the search that tries every chunk
+    (``_oracles.minimize_per_trial``)."""
+    corpus = _generated(items=items, seed=seed, family=family)
+    rng = random.Random(seed)
+    seeds: dict[str, list[str]] = {}
+    for edge in trace_extract(corpus):
+        seeds.setdefault(edge.src, []).append(edge.dst)
+    for micro in decompose(corpus):
+        traced = seeds.get(micro.item.name, [])
+        part = micro.candidate_env.restrict(
+            frozenset(traced) | {n for n in micro.candidate_env.all_names() if rng.random() < 0.5}
+        )
+        for candidate in (micro, Microarticle(item=micro.item, candidate_env=part)):
+            for seed_targets in (None, traced):
+                result = minimize_env(corpus, candidate, seed_targets=seed_targets)
+                mask, calls, removed = minimize_per_trial(
+                    corpus, micro.item, candidate.candidate_env, seed_targets
+                )
+                assert corpus._bits_of(result.minimal_env) == mask, micro.item.name
+                assert result.oracle_calls == calls, micro.item.name
+                assert result.removed == removed, micro.item.name
+
+
+def test_unseeded_minimization_checks_few_of_its_trials(monkeypatch):
+    """Most trials of an unseeded run are decided by counting: their chunk
+    holds no position the item's rules read, or a required one.  The
+    compiled check runs fewer times than a quarter of ``oracle_calls``."""
+    corpus = _generated(items=150, seed=11)
+    evaluations = 0
+    compile_local = Corpus._compile_local
+
+    def counting_compile(self, item):
+        reads, required, verifies = compile_local(self, item)
+
+        def counted(state: int) -> bool:
+            nonlocal evaluations
+            evaluations += 1
+            return verifies(state)
+
+        return reads, required, counted
+
+    monkeypatch.setattr(Corpus, "_compile_local", counting_compile)
+    minimization = extract_corpus(corpus, mode="minimize").minimization
+    calls = sum(r.oracle_calls for r in minimization)
+    assert calls == 3048
+    assert 0 < evaluations < calls / 4
 
 
 def test_unseeded_minimization_builds_no_environment_per_trial(monkeypatch):

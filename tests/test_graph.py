@@ -44,6 +44,46 @@ def _edge(src, dst, vis=Visibility.EXPLICIT, opa=Opacity.TRANSPARENT) -> DepEdge
     return DepEdge(src, dst, vis, opa)
 
 
+def _edges_by_shifts(g: DepGraph) -> tuple[DepEdge, ...]:
+    """``g``'s direct edges by the rule of the rows, bit by bit: for each
+    set bit ``j`` of a row, explicit when bit ``j`` of its explicit row is
+    set and transparent when bit ``j`` of its transparent row is."""
+    return tuple(
+        DepEdge(
+            src,
+            g.nodes[j],
+            Visibility.EXPLICIT if expl >> j & 1 else Visibility.IMPLICIT,
+            Opacity.TRANSPARENT if trans >> j & 1 else Opacity.OPAQUE,
+        )
+        for src, row, trans, expl in zip(g.nodes, g.deps, g.transparent, g.explicit)
+        for j in range(row.bit_length())
+        if row >> j & 1
+    )
+
+
+@given(
+    nodes=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    density=st.sampled_from([0.02, 0.1, 0.4, 0.9]),
+)
+def test_edges_equal_the_shift_rule_on_random_graphs(nodes, seed, density):
+    """``DepGraph.edges`` reads each row's attributes once; its edges, in
+    order and with their attributes, are those of the shift rule, on random
+    graphs with duplicate records and on their transitive closures."""
+    rng = random.Random(seed)
+    names = [f"n{i}" for i in range(nodes)]
+    records = [
+        DepEdge(names[i], names[j], rng.choice(list(Visibility)), rng.choice(list(Opacity)))
+        for i in range(nodes)
+        for j in range(i)
+        for _ in range(rng.choice((1, 1, 2)))
+        if rng.random() < density
+    ]
+    g = DepGraph(names, records, Granularity.ITEM)
+    for graph in (g, transitive_closure(g)):
+        assert graph.edges == _edges_by_shifts(graph)
+
+
 # build_graph -----------------------------------------------------------------
 
 
