@@ -1159,6 +1159,23 @@ class Corpus:
         return bits
 
 
+def source_relpaths(root: str | Path) -> list[str]:
+    """Sorted posix paths, relative to ``root``, of the ``.art`` files under it.
+
+    These are the files ``parse_corpus`` reads: symlinked directories are not
+    descended, symlinked files are listed.
+    """
+    relpaths = []
+    for dirpath, _, filenames in os.walk(root, followlinks=False):
+        rel = Path(dirpath).relative_to(root).as_posix()
+        prefix = "" if rel == "." else rel + "/"
+        for name in filenames:
+            if name.endswith(ART_SUFFIX) and os.path.isfile(os.path.join(dirpath, name)):
+                relpaths.append(prefix + name)
+    relpaths.sort()
+    return relpaths
+
+
 def parse_corpus(root: str | Path) -> Corpus:
     """Parse every ``.art`` file under ``root`` (path order, then position).
 
@@ -1168,15 +1185,7 @@ def parse_corpus(root: str | Path) -> Corpus:
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    # Symlinked directories are not descended, symlinked files are read.
-    relpaths = []
-    for dirpath, _, filenames in os.walk(root, followlinks=False):
-        rel = Path(dirpath).relative_to(root).as_posix()
-        prefix = "" if rel == "." else rel + "/"
-        for name in filenames:
-            if name.endswith(ART_SUFFIX) and os.path.isfile(os.path.join(dirpath, name)):
-                relpaths.append(prefix + name)
-    relpaths.sort()
+    relpaths = source_relpaths(root)
     items: list[Item] = []
     for rel, tag in zip(relpaths, _label_tags(relpaths)):
         with open(os.path.join(root, rel), "rb") as source:

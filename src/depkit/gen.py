@@ -16,12 +16,21 @@ Families:
                  learner's favorite diet);
 * ``mixed``    - a weighted blend of every construct, including notations,
                  reservations, free variables and ``auto`` justifications.
+
+Generation takes time linear in the number of items. ``mixed`` draws names
+through read-only views over its live name lists (``_Joined``), which give
+the random generator the same calls and results as copies of the lists
+would, and it tests ``by auto`` against one set of every symbol a hint uses.
+Nothing copies or scans the earlier items once per item.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from pathlib import Path
+
+from .corpus import source_relpaths
 
 FAMILIES = ("chain", "diamond", "hints", "symbols", "mixed")
 
@@ -49,7 +58,19 @@ def generate_corpus(
 
 
 def write_corpus(files: dict[str, str], out_dir: str | Path) -> list[Path]:
+    """Write ``files`` under ``out_dir``, which may hold this corpus already.
+
+    Raises ``FileExistsError``, before writing anything, when ``out_dir``
+    holds a source file that ``files`` does not write: ``parse_corpus``
+    would read it as part of the new corpus.
+    """
     out_dir = Path(out_dir)
+    for rel in source_relpaths(out_dir):
+        if rel not in files:
+            raise FileExistsError(
+                f"{out_dir / rel}: source file that this corpus does not write; "
+                "generate into an empty directory"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for rel in sorted(files):
@@ -127,16 +148,41 @@ def _symbols(items: int, rng: random.Random) -> list[str]:
     return lines
 
 
+class _Joined(Sequence[str]):
+    """Read-only view of name lists laid end to end, in their current state.
+
+    ``rng.sample`` and ``rng.choice`` read only ``len`` and nonnegative
+    indexing, so drawing from a view draws exactly what drawing from the
+    concatenated copy would, without copying the earlier items per draw.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, *parts: list[str]):
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def __getitem__(self, index: int) -> str:
+        if index < 0:
+            raise IndexError(index)
+        for part in self._parts:
+            if index < len(part):
+                return part[index]
+            index -= len(part)
+        raise IndexError(index)
+
+
 def _mixed(items: int, rng: random.Random) -> list[str]:
     lines: list[str] = []
     defs: list[str] = []
     thms: list[str] = []
     notations: list[str] = []
-    hints: list[tuple[str, list[str]]] = []
+    hinted: set[str] = set()  # every symbol some hint uses
     reserved: list[str] = []
-
-    def statement_pool() -> list[str]:
-        return defs + thms + notations
+    statements = _Joined(defs, thms, notations)
+    referable = _Joined(defs, thms)
 
     for i in range(items):
         choices = ["def"]
@@ -150,8 +196,8 @@ def _mixed(items: int, rng: random.Random) -> list[str]:
             name = f"d{i}"
             opac = "opaque " if rng.random() < 0.15 else ""
             type_part = ""
-            if statement_pool() and rng.random() < 0.6:
-                refs = rng.sample(statement_pool(), k=min(len(statement_pool()), rng.randint(1, 2)))
+            if statements and rng.random() < 0.6:
+                refs = rng.sample(statements, k=min(len(statements), rng.randint(1, 2)))
                 type_part = f" : {' '.join(refs)}"
             body_part = "lit"
             if defs and rng.random() < 0.4:
@@ -161,30 +207,29 @@ def _mixed(items: int, rng: random.Random) -> list[str]:
         elif kind == "thm":
             name = f"t{i}"
             opac = "transparent " if rng.random() < 0.3 else ""
-            uses = rng.sample(statement_pool(), k=min(len(statement_pool()), rng.randint(1, 3)))
+            uses = rng.sample(statements, k=min(len(statements), rng.randint(1, 3)))
             clause = " ".join(f"uses {sym}" for sym in uses)
             if reserved and rng.random() < 0.3:
                 clause += f" var {rng.choice(reserved)}"
             just = ""
-            applicable = [h for h, syms in hints if set(syms) & set(uses)]
             roll = rng.random()
-            if applicable and roll < 0.35:
+            if not hinted.isdisjoint(uses) and roll < 0.35:
                 just = " by auto"
-            elif (defs or thms) and roll < 0.75:
-                refs = rng.sample(defs + thms, k=min(len(defs + thms), rng.randint(1, 2)))
+            elif referable and roll < 0.75:
+                refs = rng.sample(referable, k=min(len(referable), rng.randint(1, 2)))
                 just = f" by {' '.join(refs)}"
             lines.append(f"thm {opac}{name} : {clause}{just};")
             thms.append(name)
         elif kind == "notation":
             name = f"n{i}"
-            target = rng.choice(defs + thms)
+            target = rng.choice(referable)
             lines.append(f"notation {name} for {target};")
             notations.append(name)
         elif kind == "hint":
             name = f"h{i}"
-            syms = rng.sample(defs + thms, k=min(len(defs + thms), rng.randint(1, 2)))
+            syms = rng.sample(referable, k=min(len(referable), rng.randint(1, 2)))
             lines.append(f"hint {name} uses {' '.join(syms)};")
-            hints.append((name, syms))
+            hinted.update(syms)
         else:  # reserve
             var = f"v{i}"
             lines.append(f"reserve {var} : {rng.choice(defs)};")

@@ -4,8 +4,9 @@ Everything here is deliberately naive: full subset enumeration for minimal
 environments, a check of every chunk of the minimizer's chunked search,
 plain DFS for reachability, straightforward recounting for model training,
 scoring every candidate and sorting for premise ranking, one line at a time
-for tokenizing and for reading edge records, and a recursive-descent parser
-with a method call per token.
+for tokenizing and for reading edge records, a recursive-descent parser
+with a method call per token, and a ``mixed`` corpus generator that copies
+and rescans every earlier name for each item.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
@@ -702,3 +703,71 @@ def parse_by_descent(text: str, source_file: str, tag: str) -> list[Item]:
             raise DuplicateNameError(item.name, source_file, source_file, line=line)
         seen.add(item.name)
     return named
+
+
+def mixed_by_rescan(items: int, rng: random.Random) -> list[str]:
+    """The ``mixed`` family as first written: per item it copies the name
+    lists it draws from and tests every hint for an applicable one, so it
+    takes time quadratic in ``items``."""
+    lines: list[str] = []
+    defs: list[str] = []
+    thms: list[str] = []
+    notations: list[str] = []
+    hints: list[tuple[str, list[str]]] = []
+    reserved: list[str] = []
+
+    def statement_pool() -> list[str]:
+        return defs + thms + notations
+
+    for i in range(items):
+        choices = ["def"]
+        if defs or thms:
+            choices += ["thm", "thm", "notation", "hint"]
+        if defs:
+            choices.append("reserve")
+        kind = rng.choice(choices)
+
+        if kind == "def":
+            name = f"d{i}"
+            opac = "opaque " if rng.random() < 0.15 else ""
+            type_part = ""
+            if statement_pool() and rng.random() < 0.6:
+                refs = rng.sample(statement_pool(), k=min(len(statement_pool()), rng.randint(1, 2)))
+                type_part = f" : {' '.join(refs)}"
+            body_part = "lit"
+            if defs and rng.random() < 0.4:
+                body_part = rng.choice(defs)
+            lines.append(f"def {opac}{name}{type_part} := {body_part};")
+            defs.append(name)
+        elif kind == "thm":
+            name = f"t{i}"
+            opac = "transparent " if rng.random() < 0.3 else ""
+            uses = rng.sample(statement_pool(), k=min(len(statement_pool()), rng.randint(1, 3)))
+            clause = " ".join(f"uses {sym}" for sym in uses)
+            if reserved and rng.random() < 0.3:
+                clause += f" var {rng.choice(reserved)}"
+            just = ""
+            applicable = [h for h, syms in hints if set(syms) & set(uses)]
+            roll = rng.random()
+            if applicable and roll < 0.35:
+                just = " by auto"
+            elif (defs or thms) and roll < 0.75:
+                refs = rng.sample(defs + thms, k=min(len(defs + thms), rng.randint(1, 2)))
+                just = f" by {' '.join(refs)}"
+            lines.append(f"thm {opac}{name} : {clause}{just};")
+            thms.append(name)
+        elif kind == "notation":
+            name = f"n{i}"
+            target = rng.choice(defs + thms)
+            lines.append(f"notation {name} for {target};")
+            notations.append(name)
+        elif kind == "hint":
+            name = f"h{i}"
+            syms = rng.sample(defs + thms, k=min(len(defs + thms), rng.randint(1, 2)))
+            lines.append(f"hint {name} uses {' '.join(syms)};")
+            hints.append((name, syms))
+        else:  # reserve
+            var = f"v{i}"
+            lines.append(f"reserve {var} : {rng.choice(defs)};")
+            reserved.append(var)
+    return lines

@@ -402,6 +402,19 @@ def test_zero_gen_per_file_exits_two(tmp_path, capsys):
     assert "--per-file" in capsys.readouterr().err
 
 
+def test_gen_refuses_to_keep_an_earlier_larger_corpus(tmp_path, capsys):
+    """The second run would leave six files of the first in place; it exits 1
+    naming the first of them and writes nothing, and regenerating the first
+    corpus in place still works."""
+    out = tmp_path / "c"
+    assert run(["gen", "--items", "100", "--seed", "1", "-o", str(out)], capsys)[0] == 0
+    code, _, err = run(["gen", "--items", "40", "--seed", "1", "-o", str(out)], capsys)
+    assert code == 1
+    assert "art0004.art" in err
+    assert len(list(out.iterdir())) == 10
+    assert run(["gen", "--items", "100", "--seed", "1", "-o", str(out)], capsys)[0] == 0
+
+
 def test_zero_gen_items_writes_an_empty_corpus(tmp_path, capsys):
     code, _, _ = run(["gen", "--items", "0", "-o", str(tmp_path / "c")], capsys)
     assert code == 0

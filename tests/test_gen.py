@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
+import math
+import random
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depkit import gen
 from depkit.corpus import Corpus, ItemKind, parse_source
 from depkit.extract import trace_extract
 from depkit.gen import FAMILIES, generate_corpus, write_corpus
 from depkit.normalize import normalize_corpus
+
+from _oracles import mixed_by_rescan
 
 
 def _parse(files: dict[str, str]) -> Corpus:
@@ -80,3 +91,56 @@ def test_bad_arguments_rejected():
         generate_corpus(items=-1, seed=0)
     with pytest.raises(ValueError):
         generate_corpus(items=5, seed=0, per_file=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.integers(0, 400), seed=st.integers(0, 2**32))
+def test_mixed_matches_the_rescanning_reference(items, seed):
+    """The same lines, and the generator left in the same state, so every
+    draw was the same call."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert gen._mixed(items, rng) == mixed_by_rescan(items, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "items,seed,digest",
+    [
+        # The benchmark corpora, then the 10k corpus of the scaling rows.
+        (3000, 42, "9d64c075122885f9e0c7ae943a17150dfcc1216807fd0d439d2549666ab0d75f"),
+        (3000, 7, "f3761644d7e435fee8a1257f529112383802e6034b381daa3105b0ce71ee0c36"),
+        (10000, 42, "9bd7431dea27568b9c3564ab90b5807f50191f475c159be6fdef02c91ba3a91b"),
+    ],
+)
+def test_mixed_corpora_are_pinned(items, seed, digest):
+    files = generate_corpus(items, seed)
+    assert hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_generation_time_grows_linearly():
+    """Best of three at 2,500 and 25,000 items: a log-log slope below 1.5
+    (about 1 when linear, about 2 when each item rescans the earlier ones)."""
+
+    def best(items: int) -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            generate_corpus(items, 42)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = best(2500), best(25000)
+    assert math.log10(large / small) < 1.5, (small, large)
+
+
+def test_write_corpus_refuses_a_directory_with_other_sources(tmp_path):
+    """Stale sources at any depth would be read as part of the new corpus;
+    nothing is written when one is found."""
+    first = generate_corpus(items=30, seed=1)
+    write_corpus(first, tmp_path)
+    write_corpus(first, tmp_path)  # the same corpus again
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "old.art").write_text("def old := lit;\n", encoding="utf-8")
+    with pytest.raises(FileExistsError, match="sub/old.art"):
+        write_corpus(generate_corpus(items=30, seed=2), tmp_path)
+    assert (tmp_path / "art0000.art").read_text(encoding="utf-8") == first["art0000.art"]
