@@ -60,11 +60,7 @@ def _cmd_normalize(args) -> int:
     corpus = parse_corpus(args.in_dir)
     normalized, reports = normalize_corpus(corpus)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for rel, text in render_corpus(normalized).items():
-        path = out_dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    gen_mod.write_corpus(render_corpus(normalized), out_dir)
     report = {rel: rep.as_dict() for rel, rep in sorted(reports.items())}
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"

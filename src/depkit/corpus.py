@@ -46,12 +46,15 @@ is a bit test; per-kind name lists are derived only when asked for.
 The checker's rules are written once, in ``Corpus._rules``: per item, the
 positions it needs (with the reason each one's absence gives), the
 reservations covering each free variable with their types, and the hints
-of ``by auto``, all masks over the corpus table read from corpus-side
-indexes.  ``check_item`` walks them for a reason and a trace, and
-``_compile_local`` compiles them over one local bit per position they read
-into the test that ``accepts`` and the minimizer run, so tracing and
-minimization consult one checker, and reservations and hints are tried in
-corpus order.
+of ``by auto``, all corpus positions.  A name resolves through the
+corpus's one name index and the kind slot of its position; a name that
+resolves nowhere gets the position past the last item, which no mask
+holds.  ``check_item`` bit-tests the positions for a reason and collects a
+trace as positions, and ``_compile_local`` gives each position it reads one
+local bit, compiling the rules into the test that ``accepts`` and the
+minimizer run, so tracing and minimization consult one checker, and
+reservations and hints are tried in corpus order.  ``dep_edges`` builds
+the edges of both from positions.
 """
 
 from __future__ import annotations
@@ -261,9 +264,6 @@ _EDGE_SETTERS = _slot_setters(DepEdge)
 
 # bin() digits as bytes 0/1, so that a mask selects with itertools.compress.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-# Kinds a symbol or ``by`` reference resolves to.
-_SYMBOL_KINDS = (ItemKind.DEFINITION, ItemKind.THEOREM)
 
 # Slot of each kind in a table's kind masks, the corpus's kind lists and a
 # name-built environment's names.
@@ -841,12 +841,8 @@ class Corpus:
         slot_at = bytearray()
         counts = [0] * len(_SLOT)
         kind_counts: list[int] = []
-        # Checker indexes.  Positions of the names a symbol can resolve to,
-        # split into definitions/theorems and notations; in corpus order,
-        # the positions of the reservations covering each variable and of
-        # the hints mentioning each symbol.
-        self._symbol_at: dict[str, int] = {}
-        self._notation_at: dict[str, int] = {}
+        # Checker indexes: in corpus order, the positions of the reservations
+        # covering each variable and of the hints mentioning each symbol.
         self._reserving: dict[str, list[int]] = {}
         self._hinting: dict[str, list[int]] = {}
         for idx, item in enumerate(self.items):
@@ -859,15 +855,14 @@ class Corpus:
             slot_at.append(slot)
             kind_counts += counts
             counts[slot] += 1
-            if item.kind in _SYMBOL_KINDS:
-                self._symbol_at[item.name] = idx
-            elif item.kind is ItemKind.NOTATION:
-                self._notation_at[item.name] = idx
-            elif item.kind is ItemKind.HINT:
+            if item.kind is ItemKind.HINT:
                 for sym in item.statement_symbols:
                     self._hinting.setdefault(sym, []).append(idx)
             for var in item.reserved_vars:
                 self._reserving.setdefault(var, []).append(idx)
+        # Position ``len(items)``, where the checker's rules put a name that
+        # resolves nowhere, has a slot of no kind: no mask holds it.
+        slot_at.append(len(_SLOT))
         self._slot_at = bytes(slot_at)
         self._kind_counts = kind_counts + counts
         self._table = _Positions(tuple(self._order), tuple(kinds), self._order)
@@ -944,54 +939,53 @@ class Corpus:
 
     # Checker -------------------------------------------------------------
 
-    def _rules(self, item: Item) -> tuple[list[tuple[int, RejectReason, str]], list, int | None]:
-        """``item``'s checks as position masks over the corpus table, read
-        from the four checker indexes in the order of ``check_item``:
+    def _rules(self, item: Item) -> tuple[list[tuple[int, RejectReason]], list, list[int] | None]:
+        """``item``'s checks as corpus positions, in the order of
+        ``check_item``.  A name resolves through the name index and the slot
+        of its position; one that resolves nowhere, or to an item of another
+        kind, gets position ``len(self)``, which no corpus mask holds.
 
-        * ``needs``: one ``(bit, reason, name)`` per statement and body
-          symbol (its notation's bit and ``MISSING_NOTATION`` for a notation
-          token, else ``UNRESOLVED_SYMBOL``), then one per ``by`` reference
-          (``BAD_JUSTIFICATION``).  A name that resolves nowhere has bit
-          ``1 << len(self)``, which no corpus mask holds;
-        * ``covers``: per free variable, the mask of the reservations
-          covering it and, in corpus order, one ``(pair, position,
-          type_position)`` per such reservation whose type symbol resolves,
-          ``pair`` holding the reservation and that symbol;
-        * ``hints``: for ``by auto``, the mask of the hints sharing a symbol
-          with the statement; None otherwise.
+        * ``needs``: one ``(position, reason)`` per statement and body
+          symbol (its notation's position and ``MISSING_NOTATION`` for a
+          notation token, else ``UNRESOLVED_SYMBOL``), then one per ``by``
+          reference (``BAD_JUSTIFICATION``);
+        * ``covers``: per free variable, the positions of the reservations
+          covering it and, in corpus order, one ``(position,
+          type_position)`` per such reservation whose type symbol resolves;
+        * ``hints``: for ``by auto``, the positions of the hints sharing a
+          symbol with the statement, ascending; None otherwise.
         """
-        symbol_at = self._symbol_at
-        notation_at = self._notation_at
-        never = 1 << len(self.items)
+        order, slot_at, never = self._order, self._slot_at, len(self.items)
+        # Symbols resolve to definitions and theorems, whose slots lie below it.
+        notation = _SLOT[ItemKind.NOTATION]
         unresolved, bad = RejectReason.UNRESOLVED_SYMBOL, RejectReason.BAD_JUSTIFICATION
         needs = []
         for ref in item.statement_symbols + item.body_symbols:
-            pos = symbol_at.get(ref)
-            if pos is not None:
-                needs.append((1 << pos, unresolved, ref))
-            elif ref in notation_at:
-                needs.append((1 << notation_at[ref], RejectReason.MISSING_NOTATION, ref))
+            pos = order.get(ref, never)
+            slot = slot_at[pos]
+            if slot < notation:
+                needs.append((pos, unresolved))
+            elif slot == notation:
+                needs.append((pos, RejectReason.MISSING_NOTATION))
             else:
-                needs.append((never, unresolved, ref))
+                needs.append((never, unresolved))
         for ref in item.by_refs:
-            pos = symbol_at.get(ref)
-            needs.append((never if pos is None else 1 << pos, bad, ref))
+            pos = order.get(ref, never)
+            needs.append((pos if slot_at[pos] < notation else never, bad))
         covers = []
         for var in item.free_vars:
-            covering = 0
+            covering = self._reserving.get(var, ())
             pairs = []
-            for pos in self._reserving.get(var, ()):
-                covering |= 1 << pos
-                type_at = symbol_at.get(self.items[pos].statement_symbols[0])
-                if type_at is not None:
-                    pairs.append((1 << pos | 1 << type_at, pos, type_at))
+            for pos in covering:
+                type_at = order.get(self.items[pos].statement_symbols[0], never)
+                if slot_at[type_at] < notation:
+                    pairs.append((pos, type_at))
             covers.append((covering, pairs))
         hints = None
         if item.by_auto:
-            hints = 0
-            for sym in item.statement_symbols:
-                for pos in self._hinting.get(sym, ()):
-                    hints |= 1 << pos
+            hints = sorted(
+                {pos for sym in item.statement_symbols for pos in self._hinting.get(sym, ())}
+            )
         return needs, covers, hints
 
     def check_item(self, item: Item, env: Environment, trace_requested: bool = False) -> CheckOutcome:
@@ -1013,79 +1007,60 @@ class Corpus:
         whose type resolves and that type, then every applicable hint in
         corpus order.
 
-        The checks are the item's ``_rules``, tested against ``env`` as a
-        mask over the corpus table (``_bits_of``); ``accepts`` and the
-        minimizer's compiled check read the same rules.  The resolved names
-        are listed only when a trace is requested.
+        The checks are the item's ``_rules``, whose positions are bit-tested
+        in ``env`` as a mask over the corpus table (``_bits_of``);
+        ``accepts`` and the minimizer compile the same rules.  The trace is
+        collected as positions, only when it is requested.
         """
         bits = self._bits_of(env)
         needs, covers, hints = self._rules(item)
-        for bit, reason, _ in needs:
-            if not bits & bit:
+        for pos, reason in needs:
+            if not bits >> pos & 1:
                 return CheckOutcome(False, reason, ())
         witnesses = []
         for covering, pairs in covers:
-            for pair, pos, _ in pairs:
-                if bits & pair == pair:
-                    witnesses.append(pos)
+            for pos, type_at in pairs:
+                if bits >> pos & 1 and bits >> type_at & 1:
+                    witnesses += pos, type_at
                     break
             else:
-                if bits & covering:
+                if any(bits >> pos & 1 for pos in covering):
                     return CheckOutcome(False, RejectReason.UNRESOLVED_SYMBOL, ())
                 return CheckOutcome(False, RejectReason.MISSING_RESERVATION, ())
-        if hints is not None and not bits & hints:
+        if hints is not None and not any(bits >> pos & 1 for pos in hints):
             return CheckOutcome(False, RejectReason.NO_APPLICABLE_HINT, ())
         if not trace_requested:
             return CheckOutcome(True, None, ())
-        items = self.items
-        resolved: dict[str, None] = {}
-        for _, _, name in needs:
-            resolved[name] = None
-        for pos in witnesses:
-            witness = items[pos]
-            resolved[witness.name] = None
-            resolved[witness.statement_symbols[0]] = None
+        resolved = [pos for pos, _ in needs] + witnesses
         if hints is not None:
             # Deliberately exhaustive: every applicable hint is a dependency.
-            for pos in bit_positions(bits & hints):
-                resolved[items[pos].name] = None
-        return CheckOutcome(True, None, self.dep_edges(item, resolved))
+            resolved += [pos for pos in hints if bits >> pos & 1]
+        return CheckOutcome(True, None, self.dep_edges(item, dict.fromkeys(resolved)))
 
-    def dep_edges(self, item: Item, targets: Iterable[str]) -> tuple[DepEdge, ...]:
-        """One edge from ``item`` to each of ``targets``, in the order given:
-        explicit when the target occurs literally in the item's source,
-        with the target's opacity."""
+    def dep_edges(self, item: Item, positions: Iterable[int]) -> tuple[DepEdge, ...]:
+        """One edge from ``item`` to the item at each of ``positions``, in
+        the order given: explicit when the target occurs literally in the
+        item's source, with the target's opacity."""
         literal = item.literal_names()
-        items, order, src = self.items, self._order, item.name
+        items, src = self.items, item.name
         explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
-        return tuple(
-            DepEdge(
-                src,
-                target,
-                explicit if target in literal else implicit,
-                items[order[target]].opacity,
-            )
-            for target in targets
-        )
+        edges = []
+        for pos in positions:
+            target = items[pos]
+            vis = explicit if target.name in literal else implicit
+            edges.append(DepEdge(src, target.name, vis, target.opacity))
+        return tuple(edges)
 
     def accepts(self, item: Item, env: Environment) -> bool:
-        """Verdict-only check: the compiled check on ``env``'s mask."""
-        return self._compile_check(item)(self._bits_of(env))
-
-    def _compile_check(self, item: Item) -> Callable[[int], bool]:
-        """``item``'s verdict as a test of a mask over the corpus table: the
-        compiled check (``_compile_local``) of the local bits of the read
-        positions that ``bits`` holds."""
+        """Verdict-only check: the compiled check (``_compile_local``) of
+        the local bits of the read positions that ``env`` holds."""
+        bits = self._bits_of(env)
         reads, _, verifies = self._compile_local(item)
-
-        def accepts(bits: int) -> bool:
-            state = 0
-            for pos, local in reads.items():
-                if bits >> pos & 1:
-                    state |= local
-            return verifies(state)
-
-        return accepts
+        state = 0
+        for pos, local in reads.items():
+            if bits >> pos & 1:
+                state |= local
+        return verifies(state)
 
     def _compile_local(self, item: Item) -> tuple[dict[int, int], int, Callable[[int], bool]]:
         """``item``'s verdict over local bits: ``(reads, required, verifies)``.
@@ -1099,21 +1074,19 @@ class Corpus:
         ``required``, all of one pair per variable, and for ``by auto``
         some hint: the verdict of ``check_item`` on any environment holding
         exactly those read positions.  A name that resolves nowhere gets a
-        required local bit at no position, so no state holds it.  Positions
-        come from the rules as ints: a ``needs`` bit's is its
-        ``bit_length() - 1``.
+        required local bit at position ``len(self)``, which is then dropped
+        from ``reads``, so no state holds it.
         """
         needs, covers, hints = self._rules(item)
         local: dict[int, int] = {}  # position -> local bit, in first-read order
-        for bit, _, _ in needs:
-            pos = bit.bit_length() - 1
+        for pos, _ in needs:
             if pos not in local:
                 local[pos] = 1 << len(local)
         required = (1 << len(local)) - 1
         pairs = []
         for _, var_pairs in covers:
             pairs.append([])
-            for _, pos, type_at in var_pairs:
+            for pos, type_at in var_pairs:
                 if pos not in local:
                     local[pos] = 1 << len(local)
                 if type_at not in local:
@@ -1122,7 +1095,7 @@ class Corpus:
         hint_bits = None
         if hints is not None:
             hint_bits = 0
-            for pos in bit_positions(hints):
+            for pos in hints:
                 if pos not in local:
                     local[pos] = 1 << len(local)
                 hint_bits |= local[pos]

@@ -14,8 +14,8 @@ one final single-removal pass guarantees 1-minimality.  Chunks are tried
 from the back of each list first, which resolves ties (several sufficient
 hints, say) in favor of the earliest candidate in corpus order.
 
-Both routes read one checker: the item's rules, written once as position
-masks by ``Corpus._rules``.  Tracing walks them through
+Both routes read one checker: the item's rules, written once as corpus
+positions by ``Corpus._rules``.  Tracing bit-tests them through
 ``Corpus.check_item``.  Minimization compiles them once per item
 (``Corpus._compile_local``) over local bits, one per position the rules
 read, and searches each kind over indices: the kind's number of positions
@@ -25,10 +25,12 @@ none is counted and dropped, a chunk holding a required position fails,
 and only a chunk holding an alternative (a reservation pair or a hint)
 runs the compiled check; the trials, and their order, are those of a
 search that checks every chunk.  A minimal environment is a mask over the
-corpus table, read back as the names at its set positions, which ascend
-in corpus order, so edges and the trace/minimize comparison need no sort;
-and edge records are formatted as text, which is exact because the writer
-first checks every name against the lexical identifier rule.
+corpus table whose set positions ascend in corpus order: its edges come
+from those positions through ``Corpus.dep_edges``, the builder of a
+trace's edges, and the trace/minimize comparison reads the names at them,
+so neither needs a sort.  Edge records are formatted as text, which is
+exact because the writer first checks every name against the lexical
+identifier rule.
 
 The reader reads the records back by the same form: a block of lines that
 are all records exactly as ``edge_record`` writes them is read by one regex
@@ -177,11 +179,11 @@ def minimize_env(
     once, by name and kind, as the checker matches it, so its own order
     plays no part and names the corpus does not hold under that kind are
     neither searched nor counted in ``removed``.  The item's rules, the
-    ones ``check_item`` walks (``Corpus._rules``), are compiled once into
-    one local bit per position they read (``Corpus._compile_local``), so a
-    state is a small int of the read positions present and its verdict a
-    few tests of it.  A rejected candidate's reason comes from
-    ``check_item``.
+    corpus positions ``check_item`` tests (``Corpus._rules``), are compiled
+    once into one local bit per position they read
+    (``Corpus._compile_local``), so a state is a small int of the read
+    positions present and its verdict a few tests of it.  A rejected
+    candidate's reason comes from ``check_item``.
 
     Each kind is searched over indices (``_shrink``): its number of
     positions and the index of each read position among them
@@ -291,14 +293,14 @@ def edges_from_minimization(corpus: Corpus, results: Sequence[MinimizationResult
     """One edge per surviving environment entry, ordered by corpus position.
 
     The targets are the set positions of each minimal environment's mask
-    over the corpus table, which ascend in corpus order, so no name list is
+    over the corpus table, which ascend in corpus order; ``Corpus.dep_edges``
+    builds the edges from them, as it builds a trace's, so no name list is
     derived and nothing is sorted.
     """
     edges: list[DepEdge] = []
     for result in results:
         item = corpus.item(result.item_name)
-        targets = _names_at(corpus, corpus._bits_of(result.minimal_env))
-        edges.extend(corpus.dep_edges(item, targets))
+        edges.extend(corpus.dep_edges(item, bit_positions(corpus._bits_of(result.minimal_env))))
     return edges
 
 

@@ -62,16 +62,19 @@ def write_corpus(files: dict[str, str], out_dir: str | Path) -> list[Path]:
 
     Raises ``FileExistsError``, before writing anything, when ``out_dir``
     holds a source file that ``files`` does not write: ``parse_corpus``
-    would read it as part of the new corpus.
+    would read it as part of the new corpus.  A path with directories
+    (``sub/a.art``) gets them made, one ``mkdir`` per distinct parent.
     """
     out_dir = Path(out_dir)
     for rel in source_relpaths(out_dir):
         if rel not in files:
             raise FileExistsError(
                 f"{out_dir / rel}: source file that this corpus does not write; "
-                "generate into an empty directory"
+                "write into an empty directory"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
+    for parent in sorted({rel.rpartition("/")[0] for rel in files} - {""}):
+        (out_dir / parent).mkdir(parents=True, exist_ok=True)
     paths = []
     for rel in sorted(files):
         path = out_dir / rel

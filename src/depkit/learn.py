@@ -495,7 +495,10 @@ def export_problems(
     """One pruned premise-list file per theorem, trained chronologically.
 
     Each file names the conjecture and then the top-k ranked premises with
-    their kinds; with k = 0 only the conjecture line is written.
+    their kinds; with k = 0 only the conjecture line is written.  Raises
+    ``FileExistsError``, before writing anything, when ``out_dir`` holds a
+    ``.prb`` file that this export does not write, which would pass for a
+    problem of this corpus.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -503,6 +506,13 @@ def export_problems(
     deps_by_item = dependency_map(edges, explicit_only=explicit_only)
     _check_dependencies(corpus, deps_by_item)
     out_dir = Path(out_dir)
+    theorems = {f"{item.name}.prb" for item in corpus.items if item.kind is ItemKind.THEOREM}
+    for path in sorted(out_dir.glob("*.prb")):
+        if path.name not in theorems:
+            raise FileExistsError(
+                f"{path}: problem file that this export does not write; "
+                "export into an empty directory"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 

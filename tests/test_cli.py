@@ -7,6 +7,7 @@ import json
 import pytest
 
 from depkit.cli import main
+from depkit.corpus import ItemKind, parse_corpus
 
 from conftest import FIXTURES
 
@@ -413,6 +414,85 @@ def test_gen_refuses_to_keep_an_earlier_larger_corpus(tmp_path, capsys):
     assert "art0004.art" in err
     assert len(list(out.iterdir())) == 10
     assert run(["gen", "--items", "100", "--seed", "1", "-o", str(out)], capsys)[0] == 0
+
+
+def _sources(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.glob("*.art")}
+
+
+def test_normalize_refuses_to_keep_an_earlier_larger_corpus(tmp_path, capsys):
+    """Normalizing a 40-item corpus over the normalized 100-item one would
+    leave six of its files in place, which ``extract`` then reads as part of
+    the new corpus; it exits 1 naming the first of them and writes nothing.
+    Normalizing the first corpus again, or its output in place, still works."""
+    big, small, out = tmp_path / "big", tmp_path / "small", tmp_path / "n"
+    assert run(["gen", "--items", "100", "--seed", "1", "-o", str(big)], capsys)[0] == 0
+    assert run(["gen", "--items", "40", "--seed", "2", "-o", str(small)], capsys)[0] == 0
+    assert run(["normalize", str(big), str(out)], capsys)[0] == 0
+    before = _sources(out), (out / "report.json").read_bytes()
+    code, _, err = run(["normalize", str(small), str(out)], capsys)
+    assert code == 1
+    assert "art0004.art" in err
+    assert (_sources(out), (out / "report.json").read_bytes()) == before
+    assert run(["normalize", str(big), str(out)], capsys)[0] == 0
+    assert run(["normalize", str(out), str(out)], capsys)[0] == 0
+    assert _sources(out) == before[0]
+    code, _, err = run(["extract", str(out), "-o", str(tmp_path / "d.jsonl")], capsys)
+    assert code == 0, err
+
+
+def test_normalize_in_place_refuses_a_source_file_with_no_items(tmp_path, capsys):
+    """A file that holds no items renders to no output file, so normalizing
+    its directory in place would keep it beside the output: the run exits 1
+    naming it and writes nothing."""
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.art").write_text("def d := lit;\nreserve x, y : d;\n")
+    (corpus_dir / "notes.art").write_text("# nothing declared here\n")
+    before = _sources(corpus_dir)
+    code, _, err = run(["normalize", str(corpus_dir), str(corpus_dir)], capsys)
+    assert code == 1
+    assert "notes.art" in err
+    assert _sources(corpus_dir) == before
+    assert not (corpus_dir / "report.json").exists()
+
+
+def test_normalize_writes_nested_sources(tmp_path, capsys):
+    corpus_dir = tmp_path / "c"
+    (corpus_dir / "sub" / "deep").mkdir(parents=True)
+    (corpus_dir / "a.art").write_text("def d := lit;\n")
+    (corpus_dir / "sub" / "deep" / "b.art").write_text("reserve x, y : d;\nthm t : var y;\n")
+    out = tmp_path / "n"
+    assert run(["normalize", str(corpus_dir), str(out)], capsys)[0] == 0
+    assert (out / "sub" / "deep" / "b.art").read_text() == (
+        "reserve x : d;\nreserve y : d;\nthm t : var y;\n"
+    )
+    assert run(["normalize", str(out), str(out)], capsys)[0] == 0
+
+
+def test_learn_export_refuses_to_keep_an_earlier_larger_export(tmp_path, capsys):
+    """Exporting a 40-item corpus's problems over the 100-item one's would
+    leave problems of theorems the new corpus lacks; it exits 1 naming the
+    first of them and writes nothing.  Exporting the first again works."""
+    problems = tmp_path / "P"
+    exports = []
+    for items, seed in ((100, 1), (40, 2)):
+        corpus_dir, deps = tmp_path / f"c{items}", tmp_path / f"d{items}.jsonl"
+        assert run(["gen", "--items", str(items), "--seed", str(seed), "-o", str(corpus_dir)],
+                   capsys)[0] == 0
+        assert run(["extract", str(corpus_dir), "-o", str(deps)], capsys)[0] == 0
+        exports.append(
+            ["learn", "export", str(corpus_dir), "--deps", str(deps), "-o", str(problems)]
+        )
+    assert run(exports[0], capsys)[0] == 0
+    before = {path.name: path.read_bytes() for path in problems.iterdir()}
+    code, _, err = run(exports[1], capsys)
+    assert code == 1
+    theorems = {f"{item.name}.prb" for item in parse_corpus(tmp_path / "c40")
+                if item.kind is ItemKind.THEOREM}
+    assert f"{problems / min(set(before) - theorems)}: problem file" in err
+    assert {path.name: path.read_bytes() for path in problems.iterdir()} == before
+    assert run(exports[0], capsys)[0] == 0
 
 
 def test_zero_gen_items_writes_an_empty_corpus(tmp_path, capsys):

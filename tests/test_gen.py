@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,34 @@ def test_write_corpus_round_trips(tmp_path):
     write_corpus(files, tmp_path)
     corpus = parse_corpus(tmp_path)
     assert len(corpus.items) == 18
+
+
+def test_write_corpus_makes_each_nested_parent_once(tmp_path, monkeypatch):
+    """One ``mkdir`` for the output directory, then one per distinct parent
+    of a nested path, and none more for a flat corpus."""
+    from depkit.corpus import parse_corpus
+
+    made = []
+    mkdir = Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    write_corpus(generate_corpus(items=30, seed=8), tmp_path / "flat")
+    assert made == [tmp_path / "flat"]
+    made.clear()
+    files = {
+        "a.art": "def d := lit;\n",
+        "sub/b.art": "thm t : uses d;\n",
+        "sub/c.art": "thm s : uses t;\n",
+        "sub/deep/e.art": "thm : uses s;\n",
+    }
+    out = tmp_path / "nested"
+    write_corpus(files, out)
+    assert made == [out, out / "sub", out / "sub" / "deep"]
+    assert [item.source_file for item in parse_corpus(out)] == sorted(files)
 
 
 def test_bad_arguments_rejected():
