@@ -8,9 +8,10 @@ thread: the checker and the planner are pure Python holding the interpreter
 lock, and thread pools measured slower than serial runs.  Flag combinations
 that cannot work (``extract --events`` without a trace, ``--compare``
 without both methods, ``stats --kinds`` without ``--corpus`` or at file
-granularity, ``--granularity file`` without ``--corpus``) exit 1 before
-any input is read.  ``simulate``
-re-checks each planned item under its full preceding environment.
+granularity, ``--granularity file`` without ``--corpus``, ``normalize``
+into a directory inside its input) exit 1 before any input is read.
+``simulate`` re-checks each planned item under its full preceding
+environment.
 """
 
 from __future__ import annotations
@@ -57,9 +58,15 @@ def _load_graph(args, granularity: Granularity):
 
 
 def _cmd_normalize(args) -> int:
+    out_dir = Path(args.out_dir)
+    if Path(args.in_dir).resolve() in out_dir.resolve().parents:
+        # parse_corpus walks IN's subdirectories, so every later read of IN
+        # would take the normalized copies for more items of its own.
+        raise DepkitError(
+            f"output directory {args.out_dir} is inside input directory {args.in_dir}"
+        )
     corpus = parse_corpus(args.in_dir)
     normalized, reports = normalize_corpus(corpus)
-    out_dir = Path(args.out_dir)
     gen_mod.write_corpus(render_corpus(normalized), out_dir)
     report = {rel: rep.as_dict() for rel, rep in sorted(reports.items())}
     (out_dir / "report.json").write_text(

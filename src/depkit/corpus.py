@@ -239,7 +239,9 @@ class DepEdge:
 
     ``__init__`` is written by hand, with the generated one's parameters, to
     set the fields through their slot descriptors (``_slot_setters``): the
-    edge reader and the tracer build one edge per dependency.
+    edge reader builds one edge per distinct (from, to) pair and the tracer
+    one per resolved dependency, while a graph's ``edges`` view builds one
+    only for an edge that is read.
     """
 
     src: str

@@ -4,8 +4,10 @@ A graph is stored as bit rows over node positions: per node, the nodes it
 directly depends on, and which of those edges are transparent and which
 explicit.  ``DepGraph`` ORs edge records into the rows; a transitive closure
 and a file projection (per file, the OR of its items' rows, mapped to file
-bits) are built from rows by the same constructor.  The edge list is derived
-from the rows when first read.  Graphs are immutable after construction.
+bits) are built from rows by the same constructor.  The edge list is a
+read-only view over the rows that builds an edge only when one is read, so
+counting edges costs a popcount per row.  Graphs are immutable after
+construction.
 Nodes keep corpus order, which is a topological witness (edges always point
 at earlier nodes), so every closure is one pass of bit-row unions
 (``_closure``): over the rows for reachability, over the transposed rows,
@@ -22,13 +24,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
+from itertools import islice
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import IDENTIFIER_RE, Corpus, DepEdge, ItemKind, Opacity, Visibility, bit_positions
 from .errors import CycleDetectedError, DepkitError, UnknownItemError
@@ -103,8 +108,9 @@ class DepGraph:
     ``transparent[i]`` and ``explicit[i]`` when that edge is transparent,
     and explicit.  Duplicate edge records OR into the rows, which is the
     merge rule: explicit wins over implicit and transparent over opaque.
-    ``edges`` and the closures are derived from the rows and cached lazily;
-    recomputing them is idempotent, so concurrent readers need no locking.
+    ``edges`` is a view over the rows (``_EdgeView``); the closures are
+    derived from the rows and cached lazily, and recomputing them is
+    idempotent, so concurrent readers need no locking.
     """
 
     def __init__(
@@ -152,7 +158,6 @@ class DepGraph:
         self.files = dict(files or {})
         self.opacities = dict(opacities or {})
         self.deps, self.transparent, self.explicit = (tuple(row) for row in rows)
-        self._edges: tuple[DepEdge, ...] | None = None
         self._reach: list[int] | None = None
         self._rev_reach: list[int] | None = None
         self._file_scope_bits: tuple[list[int], list[int], list[int]] | None = None
@@ -167,31 +172,9 @@ class DepGraph:
         return self._index[name]
 
     @property
-    def edges(self) -> tuple[DepEdge, ...]:
+    def edges(self) -> _EdgeView:
         """The direct edges, ordered by (source, target) node position."""
-        if self._edges is None:
-            nodes = self.nodes
-            explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
-            transparent, opaque = Opacity.TRANSPARENT, Opacity.OPAQUE
-            edges: list[DepEdge] = []
-            for src, row, trans, expl in zip(nodes, self.deps, self.transparent, self.explicit):
-                # Each row's attributes are read once, as little-endian bytes
-                # as long as the row's (they are submasks of it): bit j is
-                # bit j % 8 of byte j // 8.
-                size = (row.bit_length() + 7) // 8
-                expl_bytes = expl.to_bytes(size, "little")
-                trans_bytes = trans.to_bytes(size, "little")
-                edges.extend(
-                    DepEdge(
-                        src,
-                        nodes[j],
-                        explicit if expl_bytes[j >> 3] >> (j & 7) & 1 else implicit,
-                        transparent if trans_bytes[j >> 3] >> (j & 7) & 1 else opaque,
-                    )
-                    for j in bit_positions(row)
-                )
-            self._edges = tuple(edges)
-        return self._edges
+        return _EdgeView(self)
 
     def reach(self) -> list[int]:
         """Per-node bitsets of transitively reachable (depended-on) nodes."""
@@ -273,6 +256,96 @@ class DepGraph:
                     dependents[f] |= items
             self._file_scope_bits = (file_of, own, dependents)
         return self._file_scope_bits
+
+
+class _EdgeView(Sequence[DepEdge]):
+    """Read-only view of a graph's direct edges, ordered by (source, target)
+    node position, that ``len``, iteration, indexing, ``in`` and ``==``
+    treat as the tuple of those edges.
+
+    It holds only the graph and builds an edge when one is read: ``len`` is
+    the sum of the ``deps`` popcounts, an index walks the row popcounts to
+    its row, and ``in`` tests the edge's two bits, so counting the edges of
+    a closure costs no memory per edge.
+    """
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: DepGraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self._g.deps)
+
+    def __iter__(self) -> Iterator[DepEdge]:
+        g = self._g
+        nodes = g.nodes
+        explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
+        transparent, opaque = Opacity.TRANSPARENT, Opacity.OPAQUE
+        for src, row, trans, expl in zip(nodes, g.deps, g.transparent, g.explicit):
+            # Each row's attributes are read once, as little-endian bytes as
+            # long as the row's (they are submasks of it): bit j is bit j % 8
+            # of byte j // 8.
+            size = (row.bit_length() + 7) // 8
+            expl_bytes = expl.to_bytes(size, "little")
+            trans_bytes = trans.to_bytes(size, "little")
+            for j in bit_positions(row):
+                yield DepEdge(
+                    src,
+                    nodes[j],
+                    explicit if expl_bytes[j >> 3] >> (j & 7) & 1 else implicit,
+                    transparent if trans_bytes[j >> 3] >> (j & 7) & 1 else opaque,
+                )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = range(*index.indices(len(self)))
+            if picked.step > 0:
+                return tuple(islice(self, picked.start, picked.stop, picked.step))
+            # Read up to the first edge picked, then pick backwards.
+            return tuple(islice(self, picked.stop + 1, picked.start + 1))[::picked.step]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for i, row in enumerate(self._g.deps):
+                size = row.bit_count()
+                if index < size:
+                    return self._edge(i, bit_positions(row)[index])
+                index -= size
+        raise IndexError("edge index out of range")
+
+    def __contains__(self, edge: object) -> bool:
+        if not isinstance(edge, DepEdge):
+            return False
+        index = self._g._index
+        i, j = index.get(edge.src), index.get(edge.dst)
+        if i is None or j is None or not self._g.deps[i] >> j & 1:
+            return False
+        return edge == self._edge(i, j)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _EdgeView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    # ``Sequence``'s own ``index`` and ``__reversed__`` index edge by edge,
+    # and each index walks the rows, so both go through the tuple instead.
+    def index(self, value: object, start: int = 0, stop: int = sys.maxsize) -> int:
+        return tuple(self).index(value, start, stop)
+
+    def __reversed__(self) -> Iterator[DepEdge]:
+        return reversed(tuple(self))
+
+    def _edge(self, i: int, j: int) -> DepEdge:
+        """The edge from node ``i`` to node ``j``, which must be one."""
+        g = self._g
+        return DepEdge(
+            g.nodes[i],
+            g.nodes[j],
+            Visibility.EXPLICIT if g.explicit[i] >> j & 1 else Visibility.IMPLICIT,
+            Opacity.TRANSPARENT if g.transparent[i] >> j & 1 else Opacity.OPAQUE,
+        )
 
 
 def _closure(rows: list[int], order: Iterable[int]) -> list[int]:

@@ -457,6 +457,22 @@ def test_normalize_in_place_refuses_a_source_file_with_no_items(tmp_path, capsys
     assert not (corpus_dir / "report.json").exists()
 
 
+def test_normalize_refuses_an_output_inside_its_input(tmp_path, capsys):
+    """An output directory inside the input would put the normalized copies
+    where every later read of the input finds them: the run exits 1 naming
+    both directories before it writes anything, and the input still reads."""
+    corpus_dir = tmp_path / "c"
+    assert run(["gen", "--items", "20", "--seed", "1", "-o", str(corpus_dir)], capsys)[0] == 0
+    before = sorted(path.relative_to(corpus_dir) for path in corpus_dir.rglob("*"))
+    for out in (corpus_dir / "n", corpus_dir / "a" / ".." / "n" / "deep"):
+        code, _, err = run(["normalize", str(corpus_dir), str(out)], capsys)
+        assert code == 1
+        assert str(corpus_dir) in err and str(out) in err
+    assert sorted(path.relative_to(corpus_dir) for path in corpus_dir.rglob("*")) == before
+    code, _, err = run(["extract", str(corpus_dir), "-o", str(tmp_path / "d.jsonl")], capsys)
+    assert code == 0, err
+
+
 def test_normalize_writes_nested_sources(tmp_path, capsys):
     corpus_dir = tmp_path / "c"
     (corpus_dir / "sub" / "deep").mkdir(parents=True)

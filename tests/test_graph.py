@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,86 @@ def test_edges_equal_the_shift_rule_on_random_graphs(nodes, seed, density):
     g = DepGraph(names, records, Granularity.ITEM)
     for graph in (g, transitive_closure(g)):
         assert graph.edges == _edges_by_shifts(graph)
+
+
+def _flipped(edge: DepEdge, visibility: bool) -> DepEdge:
+    """``edge`` with its visibility (or else its opacity) turned over."""
+    vis, opa = edge.visibility, edge.opacity
+    if visibility:
+        vis = Visibility.IMPLICIT if vis is Visibility.EXPLICIT else Visibility.EXPLICIT
+    else:
+        opa = Opacity.OPAQUE if opa is Opacity.TRANSPARENT else Opacity.TRANSPARENT
+    return DepEdge(edge.src, edge.dst, vis, opa)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_edge_view_reads_as_the_tuple_of_the_shift_rule(family):
+    """``g.edges`` is a view over the rows that ``len``, indexing, slicing,
+    ``in`` and ``==`` treat as the tuple of the shift rule, on the item,
+    file and closure graphs of every family."""
+    item_g, _ = _generated_graph(family, 7, Granularity.ITEM)
+    file_g, _ = _generated_graph(family, 7, Granularity.FILE)
+    for g in (item_g, file_g, transitive_closure(item_g), transitive_closure(file_g)):
+        edges, expected = g.edges, _edges_by_shifts(g)
+        assert expected and tuple(edges) == expected
+        assert len(edges) == len(expected)
+        assert edges[0] == expected[0] and edges[-1] == expected[-1]
+        assert edges[len(expected) // 2] == expected[len(expected) // 2]
+        for index in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                expected[index]
+            with pytest.raises(IndexError):
+                edges[index]
+        for part in (
+            slice(None),
+            slice(2, -1, 3),
+            slice(-4, None),
+            slice(None, None, -1),
+            slice(-2, 1, -3),
+            slice(len(expected) + 1, None),
+        ):
+            assert type(edges[part]) is tuple and edges[part] == expected[part]
+        for edge in expected:
+            assert edge in edges
+            assert _flipped(edge, visibility=True) not in edges
+            assert _flipped(edge, visibility=False) not in edges
+        assert DepEdge("nowhere", expected[0].dst, Visibility.EXPLICIT, Opacity.OPAQUE) not in edges
+        assert edges.index(expected[-1]) == len(expected) - 1
+        assert tuple(reversed(edges)) == expected[::-1]
+        assert edges == expected and expected == edges and not edges != expected
+        assert edges == g.edges and g.edges == edges
+        assert edges != expected[:-1] and expected[1:] != edges and edges != list(expected)
+    assert item_g.edges != file_g.edges
+
+
+def test_edge_view_of_an_empty_graph_is_empty():
+    edges = DepGraph(["a", "b"], [], Granularity.ITEM).edges
+    assert not edges and len(edges) == 0 and edges == () and () == edges
+    assert edges[:] == () and _edge("b", "a") not in edges
+    with pytest.raises(IndexError):
+        edges[0]
+
+
+def test_counting_closure_edges_builds_no_edge(monkeypatch):
+    """``len`` of a closure's edges reads the rows: on a 1,000-item chain,
+    whose closure holds 499,500 pairs, it builds no ``DepEdge`` and
+    allocates less than 1 MB at peak, where a tuple of the pairs would take
+    tens of MB."""
+    files = generate_corpus(items=1000, seed=1, family="chain")
+    corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+    closure = transitive_closure(build_graph(corpus, trace_extract(corpus)))
+
+    def refuse(self, *args):
+        raise AssertionError("a DepEdge was built")
+
+    monkeypatch.setattr(DepEdge, "__init__", refuse)
+    tracemalloc.start()
+    try:
+        assert len(closure.edges) == 499_500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # build_graph -----------------------------------------------------------------
