@@ -10,8 +10,12 @@ that cannot work (``extract --events`` without a trace, ``--compare``
 without both methods, ``stats --kinds`` without ``--corpus`` or at file
 granularity, ``--granularity file`` without ``--corpus``, ``normalize``
 into a directory inside its input) exit 1 before any input is read.
+Every command that reads deps loads the corpus and the records through
+one loader, corpus first, so a bad corpus is reported before bad deps.
 ``simulate`` re-checks each planned item under its full preceding
-environment.
+environment.  Numeric flags cost time, never memory beyond the inputs':
+``speedup --samples`` draws one pick per sample into per-node tallies, so
+any positive count is accepted.
 """
 
 from __future__ import annotations
@@ -48,13 +52,22 @@ from .normalize import normalize_corpus
 from .rebuild import ChangeKind, ChangeSet, execute, plan, speedup_report
 
 
-def _load_graph(args, granularity: Granularity):
-    if args.corpus is None and granularity is Granularity.FILE:
+def _load(args, corpus_dir: str | None, granularity: Granularity | None = None):
+    """The corpus at ``corpus_dir`` (None without one) and the ``--deps``
+    records read under ``--method``, or, given a granularity, the graph
+    built from them in place of the records.
+
+    Every command that reads deps loads here, the corpus first.
+    """
+    if corpus_dir is None and granularity is Granularity.FILE:
         raise DepkitError("file granularity needs --corpus (edge records carry no file map)")
+    corpus = None if corpus_dir is None else parse_corpus(corpus_dir)
     edges = read_edges_jsonl(args.deps, method=args.method)
-    if args.corpus is not None:
-        return build_graph(parse_corpus(args.corpus), edges, granularity)
-    return build_graph_from_edges(edges)
+    if granularity is None:
+        return corpus, edges
+    if corpus is None:
+        return corpus, build_graph_from_edges(edges)
+    return corpus, build_graph(corpus, edges, granularity)
 
 
 def _cmd_normalize(args) -> int:
@@ -102,7 +115,7 @@ def _cmd_stats(args) -> int:
         raise DepkitError("--kinds requires --corpus")
     if args.kinds and granularity is Granularity.FILE:
         raise DepkitError("--kinds requires --granularity item")
-    g = _load_graph(args, granularity)
+    _, g = _load(args, args.corpus, granularity)
     s = stats(g)
     if args.json == "-":
         sys.stdout.write(stats_json(s))
@@ -118,13 +131,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    g = _load_graph(args, Granularity(args.granularity))
+    _, g = _load(args, args.corpus, Granularity(args.granularity))
     Path(args.dot).write_text(to_dot(g), encoding="utf-8")
     return 0
 
 
 def _cmd_cumulative(args) -> int:
-    g = _load_graph(args, Granularity(args.granularity))
+    _, g = _load(args, args.corpus, Granularity(args.granularity))
     Path(args.csv).write_text(cumulative_csv(g), encoding="utf-8")
     return 0
 
@@ -141,9 +154,7 @@ def _parse_changes(specs: list[str]) -> ChangeSet:
 
 
 def _cmd_simulate(args) -> int:
-    corpus = parse_corpus(args.dir)
-    edges = read_edges_jsonl(args.deps, method=args.method)
-    g = build_graph(corpus, edges, Granularity.ITEM)
+    corpus, g = _load(args, args.dir, Granularity.ITEM)
     changes = _parse_changes(args.change)
     rebuild_plan = plan(
         g, changes, granularity=Granularity(args.granularity), honor_opacity=args.opacity
@@ -162,47 +173,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
-    corpus = parse_corpus(args.dir)
-    edges = read_edges_jsonl(args.deps, method=args.method)
-    g = build_graph(corpus, edges, Granularity.ITEM)
+    _, g = _load(args, args.dir, Granularity.ITEM)
     report = speedup_report(g, samples=args.samples, rng_seed=args.seed)
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
+def _ranking(args) -> dict:
+    """The ranker options that ``learn eval`` and ``learn export`` share."""
+    return {"alpha": args.alpha, "weight": args.weight, "explicit_only": args.explicit_only}
+
+
 def _cmd_learn_eval(args) -> int:
-    corpus = parse_corpus(args.dir)
-    edges = read_edges_jsonl(args.deps, method=args.method)
-    result = evaluate_chrono(
-        corpus,
-        edges,
-        args.k,
-        alpha=args.alpha,
-        weight=args.weight,
-        explicit_only=args.explicit_only,
-        baseline_seed=args.seed,
-    )
-    result["recall_at_k"] = {str(k): v for k, v in result["recall_at_k"].items()}
-    if "baseline_recall_at_k" in result:
-        result["baseline_recall_at_k"] = {
-            str(k): v for k, v in result["baseline_recall_at_k"].items()
-        }
+    corpus, edges = _load(args, args.dir)
+    result = evaluate_chrono(corpus, edges, args.k, baseline_seed=args.seed, **_ranking(args))
+    for key in ("recall_at_k", "baseline_recall_at_k"):
+        if key in result:
+            result[key] = {str(k): v for k, v in result[key].items()}
     sys.stdout.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_learn_export(args) -> int:
-    corpus = parse_corpus(args.dir)
-    edges = read_edges_jsonl(args.deps, method=args.method)
-    export_problems(
-        corpus,
-        edges,
-        args.k,
-        args.output,
-        alpha=args.alpha,
-        weight=args.weight,
-        explicit_only=args.explicit_only,
-    )
+    corpus, edges = _load(args, args.dir)
+    export_problems(corpus, edges, args.k, args.output, **_ranking(args))
     return 0
 
 

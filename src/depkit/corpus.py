@@ -67,7 +67,7 @@ from itertools import chain, compress, count
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DuplicateNameError, ParseError
+from .errors import DepkitError, DuplicateNameError, ParseError
 
 ART_SUFFIX = ".art"
 
@@ -1138,15 +1138,27 @@ def source_relpaths(root: str | Path) -> list[str]:
     """Sorted posix paths, relative to ``root``, of the ``.art`` files under it.
 
     These are the files ``parse_corpus`` reads: symlinked directories are not
-    descended, symlinked files are listed.
+    descended, symlinked files are listed, and a directory that cannot be
+    listed (a missing ``root`` too) holds none, as under ``os.walk``.  An
+    ``.art`` entry that is not a file, such as a dangling symlink, is an
+    error that names it.  Entry types come from the directory listing, so a
+    plain file costs no ``stat``.
     """
     relpaths = []
-    for dirpath, _, filenames in os.walk(root, followlinks=False):
-        rel = Path(dirpath).relative_to(root).as_posix()
-        prefix = "" if rel == "." else rel + "/"
-        for name in filenames:
-            if name.endswith(ART_SUFFIX) and os.path.isfile(os.path.join(dirpath, name)):
-                relpaths.append(prefix + name)
+    prefixes = [""]
+    for prefix in prefixes:
+        try:
+            entries = list(os.scandir(os.path.join(root, prefix)))
+        except OSError:
+            continue
+        for entry in entries:
+            if entry.is_dir():
+                if not entry.is_symlink():
+                    prefixes.append(f"{prefix}{entry.name}/")
+            elif entry.name.endswith(ART_SUFFIX):
+                if not entry.is_file():
+                    raise DepkitError(f"{entry.path}: source entry is not a readable file")
+                relpaths.append(prefix + entry.name)
     relpaths.sort()
     return relpaths
 

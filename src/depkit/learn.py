@@ -11,9 +11,12 @@ for a conjecture with feature multiset F as
 with Laplace pseudo-count ``a``, feature weight ``w`` and vocabulary size
 V.  Features come from statement symbols only: a fresh conjecture has no
 body yet.  The model stores each count once, in premise rows (feature to
-co-occurring premise to count), and V is the number of rows.  Evaluation
-replays library growth, training only on items that precede the
-conjecture under evaluation.
+co-occurring premise to count), and V is the number of rows.
+
+Evaluation and export run one chronological replay (``_replay``): it
+checks alpha, weight and the dependencies up front, then hands over each
+theorem in corpus order with the ranker trained on exactly the items that
+precede it, and folds the theorem in after the caller has ranked it.
 
 Ranking never scores every candidate (the sparse design of MaSh,
 Kühlwein, Blanchette, Kaliszyk and Urban, ITP 2013).  A candidate with no
@@ -423,6 +426,34 @@ def _shuffled_positions(rng: random.Random, n: int, positions: Sequence[int]) ->
     return [final[p] for p in positions]
 
 
+def _replay(
+    corpus: Corpus, edges: Sequence[DepEdge], alpha: float, weight: float, explicit_only: bool
+) -> tuple[_Ranker, Iterator[tuple[int, Item, Counter, tuple[str, ...]]]]:
+    """The chronological protocol of evaluation and export, checked up front.
+
+    Returns the ranker and an iterator over the theorems in corpus order.
+    Each step hands over ``(index, theorem, features, dependencies)`` with
+    the ranker trained on every earlier item, and the theorem is folded in
+    when the caller asks for the next step.  Alpha, weight and the
+    dependencies are checked here, before the first step, so a caller can
+    act on bad input before it writes anything.
+    """
+    ranker = _Ranker(BayesModel(), corpus, alpha, weight)
+    deps_by_item = dependency_map(edges, explicit_only=explicit_only)
+    _check_dependencies(corpus, deps_by_item)
+
+    def steps():
+        for index, item in enumerate(corpus.items):
+            features = features_of(item).counts()
+            deps = deps_by_item.get(item.name, ())
+            if item.kind is ItemKind.THEOREM:
+                yield index, item, features, deps
+            ranker.update(features, deps)
+            ranker.add(item.name)
+
+    return ranker, steps()
+
+
 def evaluate_chrono(
     corpus: Corpus,
     edges: Sequence[DepEdge],
@@ -442,42 +473,34 @@ def evaluate_chrono(
     ks = sorted(set(int(k) for k in k_values))
     if ks and ks[0] < 0:
         raise ValueError(f"cutoffs must be nonnegative, got {ks[0]}")
-    ranker = _Ranker(BayesModel(), corpus, alpha, weight)
-    deps_by_item = dependency_map(edges, explicit_only=explicit_only)
-    _check_dependencies(corpus, deps_by_item)
-
-    recall_sums = {k: 0.0 for k in ks}
-    baseline_sums = {k: 0.0 for k in ks} if baseline_seed is not None else None
-    rng = random.Random(baseline_seed) if baseline_seed is not None else None
+    ranker, theorems = _replay(corpus, edges, alpha, weight, explicit_only)
+    rng = None if baseline_seed is None else random.Random(baseline_seed)
+    recall_sums = dict.fromkeys(ks, 0.0)
+    baseline_sums = dict.fromkeys(ks, 0.0)
     rank_total = rank_count = evaluated = 0
 
-    for index, item in enumerate(corpus.items):
-        features = features_of(item).counts()
-        true_deps = set(deps_by_item.get(item.name, ()))
-        if item.kind is ItemKind.THEOREM and true_deps:
-            positions = ranker.positions(features, true_deps)
+    for index, _, features, deps in theorems:
+        if not deps:
+            continue
+        positions = ranker.positions(features, deps)
+        for k in ks:
+            recall_sums[k] += sum(p <= k for p in positions) / len(deps)
+        rank_total += sum(positions)
+        rank_count += len(positions)
+        if rng is not None:
+            shuffled = _shuffled_positions(rng, index, [corpus.index_of(d) for d in deps])
             for k in ks:
-                recall_sums[k] += sum(p <= k for p in positions) / len(true_deps)
-            rank_total += sum(positions)
-            rank_count += len(positions)
-            if rng is not None:
-                shuffled = _shuffled_positions(rng, index, [corpus.index_of(d) for d in true_deps])
-                for k in ks:
-                    baseline_sums[k] += sum(p < k for p in shuffled) / len(true_deps)
-            evaluated += 1
-        ranker.update(features, deps_by_item.get(item.name, ()))
-        ranker.add(item.name)
+                baseline_sums[k] += sum(p < k for p in shuffled) / len(deps)
+        evaluated += 1
 
     result = {
         "evaluated": evaluated,
-        "recall_at_k": {
-            k: (recall_sums[k] / evaluated if evaluated else 0.0) for k in ks
-        },
-        "mean_rank": rank_total / rank_count if rank_count else 0.0,
+        "recall_at_k": {k: total / max(evaluated, 1) for k, total in recall_sums.items()},
+        "mean_rank": rank_total / max(rank_count, 1),
     }
-    if baseline_sums is not None:
+    if rng is not None:
         result["baseline_recall_at_k"] = {
-            k: (baseline_sums[k] / evaluated if evaluated else 0.0) for k in ks
+            k: total / max(evaluated, 1) for k, total in baseline_sums.items()
         }
         result["baseline_seed"] = baseline_seed
     return result
@@ -502,32 +525,27 @@ def export_problems(
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    ranker = _Ranker(BayesModel(), corpus, alpha, weight)
-    deps_by_item = dependency_map(edges, explicit_only=explicit_only)
-    _check_dependencies(corpus, deps_by_item)
+    ranker, theorems = _replay(corpus, edges, alpha, weight, explicit_only)
     out_dir = Path(out_dir)
-    theorems = {f"{item.name}.prb" for item in corpus.items if item.kind is ItemKind.THEOREM}
     for path in sorted(out_dir.glob("*.prb")):
-        if path.name not in theorems:
+        item = corpus.get(path.stem)
+        if item is None or item.kind is not ItemKind.THEOREM:
             raise FileExistsError(
                 f"{path}: problem file that this export does not write; "
                 "export into an empty directory"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     items = corpus.items
-    for item in items:
-        features = features_of(item).counts()
-        if item.kind is ItemKind.THEOREM:
-            lines = [f"conjecture {item.name}"]
-            lines.extend(
-                f"premise {items[position].name} {items[position].kind.value}"
-                for _, position in islice(ranker.order(features), k)
-            )
-            path = out_dir / f"{item.name}.prb"
-            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            written.append(path)
-        ranker.update(features, deps_by_item.get(item.name, ()))
-        ranker.add(item.name)
+    written: list[Path] = []
+    for index, theorem, features, _ in theorems:
+        lines = [f"conjecture {theorem.name}"]
+        # the index earlier items are all the candidates, and islice takes
+        # no stop above sys.maxsize
+        lines.extend(
+            f"premise {items[position].name} {items[position].kind.value}"
+            for _, position in islice(ranker.order(features), min(k, index))
+        )
+        path = out_dir / f"{theorem.name}.prb"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        written.append(path)
     return written

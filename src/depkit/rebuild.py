@@ -23,9 +23,10 @@ file's scopes.
 from __future__ import annotations
 
 import random
-from statistics import median
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 from .corpus import Corpus, Opacity, bit_positions
@@ -180,6 +181,16 @@ def execute(plan_: RebuildPlan, corpus: Corpus) -> ExecutionReport:
     )
 
 
+def _total_and_median(costs: Sequence[int], counts: Sequence[int]) -> tuple[int, float]:
+    """Sum and ``statistics.median`` of the multiset that holds each
+    ``costs[i]`` ``counts[i]`` times, without building it."""
+    pairs = sorted(zip(costs, counts))
+    ends = list(accumulate(count for _, count in pairs))
+    # the middle element, or the two middle elements of an even count
+    low, high = (pairs[bisect_right(ends, i)][0] for i in ((ends[-1] - 1) // 2, ends[-1] // 2))
+    return sum(cost * count for cost, count in pairs), (low + high) / 2
+
+
 def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
     """Plan costs for random single-item edits at both granularities.
 
@@ -191,6 +202,9 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
     reverse_counts()[i]`` (a reverse row never holds its own node, since
     every edge points at an earlier node), and a file pick the items of
     its file and of every file that depends on it.
+
+    The picks are tallied per node, so memory follows the graph whatever
+    ``samples`` is; time grows with ``samples``, one draw each.
     """
     if not g.nodes:
         raise DepkitError("speedup needs a graph with at least one item")
@@ -198,29 +212,29 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
         raise ValueError("samples must be positive")
     n = len(g.nodes)
     if samples == n:
-        picks = range(n)
+        counts = [1] * n
     else:
         rng = random.Random(rng_seed)
-        picks = [rng.randrange(n) for _ in range(samples)]
+        counts = [0] * n
+        for _ in range(samples):
+            counts[rng.randrange(n)] += 1
 
     _require_item_graph(g)
-    reverse = g.reverse_counts()
     file_of, own, dependents = g._file_scopes()
     file_scope = [(o | d).bit_count() for o, d in zip(own, dependents)]
-    item_costs = [1 + reverse[i] for i in picks]
-    file_costs = [file_scope[file_of[i]] for i in picks]
-    item_total, file_total = sum(item_costs), sum(file_costs)
-    item_mean = item_total / len(picks)
-    file_mean = file_total / len(picks)
+    item_total, item_median = _total_and_median([1 + r for r in g.reverse_counts()], counts)
+    file_total, file_median = _total_and_median([file_scope[f] for f in file_of], counts)
+    item_mean = item_total / samples
+    file_mean = file_total / samples
     return {
-        "samples": len(picks),
-        "exhaustive": samples == len(g.nodes),
+        "samples": samples,
+        "exhaustive": samples == n,
         "seed": rng_seed,
         "item_mean": item_mean,
         "file_mean": file_mean,
         "ratio": file_mean / item_mean if item_mean else 0.0,
-        "item_median": float(median(item_costs)),
-        "file_median": float(median(file_costs)),
+        "item_median": item_median,
+        "file_median": file_median,
         "item_total": item_total,
         "file_total": file_total,
     }

@@ -3,14 +3,16 @@
 Everything here is deliberately naive: full subset enumeration for minimal
 environments, a check of every chunk of the minimizer's chunked search,
 plain DFS for reachability, straightforward recounting for model training,
-scoring every candidate and sorting for premise ranking, one line at a time
-for tokenizing and for reading edge records, a recursive-descent parser
-with a method call per token, and a ``mixed`` corpus generator that copies
-and rescans every earlier name for each item.
+scoring every candidate and sorting for premise ranking, one cost per
+random pick and ``statistics.median`` for the speedup report, one line at
+a time for tokenizing and for reading edge records, a recursive-descent
+parser with a method call per token, and a ``mixed`` corpus generator that
+copies and rescans every earlier name for each item.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
-bit.
+bit, and the speedup oracle shares the graph's ``reverse_counts`` and file
+scopes and differs only in keeping every pick and cost in a list.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from statistics import median
 
 from depkit.corpus import (
     FRESH_PREFIX,
@@ -37,9 +40,11 @@ from depkit.corpus import (
     Visibility,
     bit_positions,
 )
-from depkit.errors import DuplicateNameError, ParseError
+from depkit.errors import DepkitError, DuplicateNameError, ParseError
 from depkit.extract import KIND_MINIMIZATION_ORDER
+from depkit.graph import DepGraph
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
+from depkit.rebuild import _require_item_graph
 
 
 _LINE_TOKEN_RE = re.compile(r"#[^\n]*|:=|[:;{},]|[A-Za-z_][A-Za-z0-9_]*|\S")
@@ -771,3 +776,49 @@ def mixed_by_rescan(items: int, rng: random.Random) -> list[str]:
             lines.append(f"reserve {var} : {rng.choice(defs)};")
             reserved.append(var)
     return lines
+
+
+def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
+    """Plan costs for random single-item edits at both granularities.
+
+    Draws ``samples`` items uniformly (with replacement, seeded); when
+    ``samples`` equals the node count every node is used exactly once
+    instead (exhaustive mode).  All edits are statement-level, the
+    worst case for invalidation, so each cost is that of ``plan``: an item
+    pick re-checks itself and its reverse dependents, ``1 +
+    reverse_counts()[i]`` (a reverse row never holds its own node, since
+    every edge points at an earlier node), and a file pick the items of
+    its file and of every file that depends on it.
+    """
+    if not g.nodes:
+        raise DepkitError("speedup needs a graph with at least one item")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    n = len(g.nodes)
+    if samples == n:
+        picks = range(n)
+    else:
+        rng = random.Random(rng_seed)
+        picks = [rng.randrange(n) for _ in range(samples)]
+
+    _require_item_graph(g)
+    reverse = g.reverse_counts()
+    file_of, own, dependents = g._file_scopes()
+    file_scope = [(o | d).bit_count() for o, d in zip(own, dependents)]
+    item_costs = [1 + reverse[i] for i in picks]
+    file_costs = [file_scope[file_of[i]] for i in picks]
+    item_total, file_total = sum(item_costs), sum(file_costs)
+    item_mean = item_total / len(picks)
+    file_mean = file_total / len(picks)
+    return {
+        "samples": len(picks),
+        "exhaustive": samples == len(g.nodes),
+        "seed": rng_seed,
+        "item_mean": item_mean,
+        "file_mean": file_mean,
+        "ratio": file_mean / item_mean if item_mean else 0.0,
+        "item_median": float(median(item_costs)),
+        "file_median": float(median(file_costs)),
+        "item_total": item_total,
+        "file_total": file_total,
+    }

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from depkit.cli import main
+from depkit.cli import build_parser, main
 from depkit.corpus import ItemKind, parse_corpus
 
 from conftest import FIXTURES
@@ -628,7 +629,27 @@ def test_deps_record_with_non_string_end_exits_one_with_position(tmp_path, capsy
     assert err.startswith(f"depkit: error: {deps}:2: malformed edge record") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("method", ["any", "trace", "min"])
+# Every command that reads deps, as its argv; DEPS, OUT and CORPUS are
+# placeholders, filled in per test.
+_DEPS_READERS = {
+    "stats": ["stats", "DEPS"],
+    "export": ["export", "DEPS", "--dot", "OUT", "--corpus", "CORPUS"],
+    "cumulative": ["cumulative", "DEPS", "--csv", "OUT"],
+    "simulate": ["simulate", "CORPUS", "--deps", "DEPS", "--change", "t"],
+    "speedup": ["speedup", "CORPUS", "--deps", "DEPS", "--samples", "2"],
+    "learn-eval": ["learn", "eval", "CORPUS", "--deps", "DEPS"],
+    "learn-export": ["learn", "export", "CORPUS", "--deps", "DEPS", "-o", "OUT"],
+}
+
+
+@pytest.mark.parametrize(
+    "method,command",
+    [
+        pytest.param(method, command, id=method if command == "stats" else f"{method}-{command}")
+        for command in _DEPS_READERS
+        for method in ["any", "trace", "min"]
+    ],
+)
 @pytest.mark.parametrize(
     "record",
     [
@@ -638,12 +659,18 @@ def test_deps_record_with_non_string_end_exits_one_with_position(tmp_path, capsy
     ],
 )
 def test_deps_record_malformed_under_any_method_exits_one_with_position(
-    tmp_path, capsys, record, method
+    tmp_path, capsys, record, method, command
 ):
+    """Every deps-reading command loads through one reader, so each reports
+    the record's ``path:line`` and exits 1."""
     deps, lines = _deps_lines(tmp_path, capsys)
     lines[1] = json.dumps(record)
     deps.write_text("\n".join(lines) + "\n")
-    code, out, err = run(["stats", str(deps), "--method", method], capsys)
+    fill = {
+        "DEPS": str(deps), "OUT": str(tmp_path / "out"), "CORPUS": str(FIXTURES / "redundant_hint")
+    }
+    argv = [fill.get(arg, arg) for arg in _DEPS_READERS[command]]
+    code, out, err = run(argv + ["--method", method], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"depkit: error: {deps}:2: malformed edge record") and err.count("\n") == 1
 
@@ -692,3 +719,41 @@ def test_duplicate_name_in_one_file_exits_one_with_its_line(tmp_path, capsys):
         "depkit: error: a.art:3: duplicate item name 'f' (first in a.art, again in a.art)\n"
     )
     assert not deps.exists()
+
+
+@pytest.mark.parametrize("entry", ["dangling-symlink", "fifo"])
+def test_an_art_entry_that_is_not_a_file_exits_one_naming_it(tmp_path, capsys, entry):
+    """It used to be skipped, and ``extract`` wrote the other files' records."""
+    corpus_dir = tmp_path / "c"
+    argv = ["gen", "--items", "20", "--seed", "1", "--family", "chain", "-o", str(corpus_dir)]
+    assert run(argv, capsys)[0] == 0
+    bad = corpus_dir / "zz.art"
+    if entry == "fifo":
+        os.mkfifo(bad)
+    else:
+        bad.symlink_to("missing.art")
+    code, out, err = run(["extract", str(corpus_dir), "-o", str(tmp_path / "d.jsonl")], capsys)
+    assert code == 1 and out == ""
+    assert err == f"depkit: error: {bad}: source entry is not a readable file\n"
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+def test_learn_export_k_beyond_any_index_exits_zero_with_every_candidate(tmp_path, capsys):
+    """A cutoff above ``sys.maxsize`` ranks every earlier item, as a cutoff
+    above the corpus size does; it used to end in an ``islice`` traceback."""
+    deps, _ = _deps_lines(tmp_path, capsys)
+    argv = ["learn", "export", str(FIXTURES / "redundant_hint"), "--deps", str(deps)]
+    assert run(argv + ["--k", "99999999999999999999", "-o", str(tmp_path / "huge")], capsys)[0] == 0
+    assert run(argv + ["--k", "1000", "-o", str(tmp_path / "all")], capsys)[0] == 0
+    huge = {path.name: path.read_bytes() for path in (tmp_path / "huge").iterdir()}
+    assert huge and huge == {path.name: path.read_bytes() for path in (tmp_path / "all").iterdir()}
+
+
+def test_a_huge_sample_count_is_not_a_usage_error():
+    """``speedup --samples`` has no upper bound: memory follows the graph and
+    time the count (see ``rebuild.speedup_report``), so the parser accepts
+    any positive integer.  Only the parse is run here."""
+    args = build_parser().parse_args(
+        ["speedup", "c", "--deps", "d.jsonl", "--samples", "99999999999999999999"]
+    )
+    assert args.samples == 99999999999999999999

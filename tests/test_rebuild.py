@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from depkit import rebuild
 from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
 from depkit.errors import CycleDetectedError, DepkitError, UnknownItemError
 from depkit.extract import extract_corpus, trace_extract
@@ -24,6 +29,7 @@ from depkit.rebuild import (
 )
 
 from _oracles import reachable_pairs_bruteforce
+from _oracles import speedup_report as speedup_report_by_lists
 from conftest import corpus_from
 
 
@@ -446,3 +452,85 @@ def test_speedup_reproducible_for_same_seed():
     _, g = _generated(items=50, seed=3)
     assert speedup_report(g, 20, rng_seed=5) == speedup_report(g, 20, rng_seed=5)
     assert speedup_report(g, 20, rng_seed=5) != speedup_report(g, 20, rng_seed=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.integers(min_value=1, max_value=14),
+    per_file=st.integers(min_value=1, max_value=5),
+    edge_seed=st.integers(min_value=0, max_value=2**16),
+    density=st.sampled_from([0.0, 0.2, 0.6]),
+    side=st.sampled_from([-1, 0, 1]),
+    gap=st.integers(min_value=1, max_value=40),
+    rng_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_speedup_report_from_tallies_equals_the_report_from_pick_lists(
+    nodes, per_file, edge_seed, density, side, gap, rng_seed
+):
+    """Byte for byte, on random graphs of contiguous files, with samples
+    below, equal to (exhaustive) and above the node count."""
+    samples = nodes + side * gap
+    if samples < 1:
+        samples = 1 + gap % nodes
+    rng = random.Random(edge_seed)
+    names = [f"n{i}" for i in range(nodes)]
+    edges = [
+        _dep(names[i], names[j]) for i in range(nodes) for j in range(i) if rng.random() < density
+    ]
+    files = {name: f"f{i // per_file}.art" for i, name in enumerate(names)}
+    g = DepGraph(names, edges, Granularity.ITEM, files=files)
+    report = speedup_report(g, samples, rng_seed=rng_seed)
+    expected = speedup_report_by_lists(g, samples, rng_seed=rng_seed)
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def _speedup_peak(g: DepGraph, samples: int) -> int:
+    tracemalloc.start()
+    try:
+        speedup_report(g, samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_speedup_memory_follows_the_graph_not_the_samples():
+    """The picks are tallied per node: at 100·n samples the report peaks
+    within twice its peak at n + 1 draws, where lists of picks and costs
+    would take about 70 times as much."""
+    _, g = _generated(items=300, seed=5)
+    n = len(g.nodes)
+    speedup_report(g, 1)  # the graph's cached rows are built outside the traced runs
+    assert _speedup_peak(g, 100 * n) < 2 * _speedup_peak(g, n + 1)
+
+
+def test_a_huge_sample_count_costs_time_not_memory(monkeypatch):
+    """``--samples`` has no upper bound: a huge count is a long run, not a
+    usage error, and memory stays that of the graph.  The run is stopped
+    after 20·n draws instead of being run out."""
+
+    class Stop(Exception):
+        pass
+
+    class CountedRandom(random.Random):
+        draws = 0
+
+        def randrange(self, n):
+            CountedRandom.draws += 1
+            if CountedRandom.draws > 20 * n:
+                raise Stop
+            return super().randrange(n)
+
+    _, g = _generated(items=300, seed=5)
+    n = len(g.nodes)
+    speedup_report(g, 1)
+    bound = 2 * _speedup_peak(g, n + 1)
+    monkeypatch.setattr(rebuild.random, "Random", CountedRandom)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            speedup_report(g, 10**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert CountedRandom.draws == 20 * n + 1
+    assert peak < bound
