@@ -34,6 +34,7 @@ from .errors import (
     UnknownItemError,
 )
 from .extract import (
+    EdgeRecords,
     ExtractionResult,
     Microarticle,
     MinimizationResult,

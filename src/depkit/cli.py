@@ -11,7 +11,10 @@ without both methods, ``stats --kinds`` without ``--corpus`` or at file
 granularity, ``--granularity file`` without ``--corpus``, ``normalize``
 into a directory inside its input) exit 1 before any input is read.
 Every command that reads deps loads the corpus and the records through
-one loader, corpus first, so a bad corpus is reported before bad deps.
+one loader, corpus first, so a bad corpus is reported before bad deps.  A
+deps record that does not fit the corpus (an unknown name, a target that
+is not earlier than its source) is reported at ``PATH:LINE:`` of the
+pair's first record, found by reading the file again.
 ``simulate`` re-checks each planned item under its full preceding
 environment.  Numeric flags cost time, never memory beyond the inputs':
 ``speedup --samples`` draws one pick per sample into per-node tallies, so
@@ -35,6 +38,7 @@ from .extract import (
     event_lines,
     extract_corpus,
     read_edges_jsonl,
+    record_line,
     write_edges_jsonl,
 )
 from .graph import (
@@ -68,6 +72,14 @@ def _load(args, corpus_dir: str | None, granularity: Granularity | None = None):
     if corpus is None:
         return corpus, build_graph_from_edges(edges)
     return corpus, build_graph(corpus, edges, granularity)
+
+
+def _located(args, err: Exception) -> str:
+    """``err``'s message, after ``PATH:LINE: `` of the ``--deps`` record
+    it names (``DepkitError.pair``), if it names one."""
+    pair, deps = getattr(err, "pair", None), getattr(args, "deps", None)
+    line = None if pair is None or deps is None else record_line(deps, pair, args.method)
+    return str(err) if line is None else f"{deps}:{line}: {err}"
 
 
 def _cmd_normalize(args) -> int:
@@ -377,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteScoreError as err:
         parser.error(f"argument --alpha/--weight: {err}")
     except (DepkitError, OSError) as err:
-        print(f"depkit: error: {err}", file=sys.stderr)
+        print(f"depkit: error: {_located(args, err)}", file=sys.stderr)
         return 1
 
 

@@ -239,9 +239,9 @@ class DepEdge:
 
     ``__init__`` is written by hand, with the generated one's parameters, to
     set the fields through their slot descriptors (``_slot_setters``): the
-    edge reader builds one edge per distinct (from, to) pair and the tracer
-    one per resolved dependency, while a graph's ``edges`` view builds one
-    only for an edge that is read.
+    tracer builds one edge per resolved dependency, while the edge reader's
+    records (``EdgeRecords``) and a graph's ``edges`` view build one only for
+    an edge that is read.
     """
 
     src: str

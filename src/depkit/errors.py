@@ -9,7 +9,14 @@ from __future__ import annotations
 
 
 class DepkitError(Exception):
-    """Base class for all domain errors raised by depkit."""
+    """Base class for all domain errors raised by depkit.
+
+    ``pair`` is the (from, to) of the dependency record at fault, when the
+    error is about one, so that a caller holding the records' file can name
+    the record's line.
+    """
+
+    pair: tuple[str, str] | None = None
 
 
 class ParseError(DepkitError):
@@ -60,14 +67,23 @@ class NotVerifiableError(DepkitError):
 class CorpusMismatchError(DepkitError):
     """Two artifacts that must describe the same corpus do not."""
 
+    def __init__(self, message: str, pair: tuple[str, str] | None = None):
+        super().__init__(message)
+        self.pair = pair
+
 
 class UnknownItemError(DepkitError):
     """A name does not resolve to any known item (or file)."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, pair: tuple[str, str] | None = None):
         super().__init__(f"unknown item: {name!r}")
         self.name = name
+        self.pair = pair
 
 
 class CycleDetectedError(DepkitError):
     """Dependency edges contradict the corpus ordering."""
+
+    def __init__(self, message: str, pair: tuple[str, str] | None = None):
+        super().__init__(message)
+        self.pair = pair

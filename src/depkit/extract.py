@@ -37,12 +37,15 @@ are all records exactly as ``edge_record`` writes them is read by one regex
 search, and any other block by ``json.loads`` per line, so a valid file in
 another layout reads the same and every malformed record names its line.
 Every record is checked before the method filter, so whether a file reads
-does not depend on the filter.
+does not depend on the filter.  The reader folds the records into their
+(from, to) pairs and returns them as a view (``EdgeRecords``), which the
+graph and the learner read without building an edge per record.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -440,6 +443,63 @@ def compare_json(report: dict) -> str:
 # JSON-lines edge records -----------------------------------------------------
 
 
+_VISIBILITY_OF = (Visibility.IMPLICIT, Visibility.EXPLICIT)
+_OPACITY_OF = (Opacity.OPAQUE, Opacity.TRANSPARENT)
+
+
+def _flag_bits(visibility: Visibility, opacity: Opacity) -> int:
+    """A dependency record's flag bits: explicit 1, transparent 2."""
+    return (visibility is Visibility.EXPLICIT) | (opacity is Opacity.TRANSPARENT) << 1
+
+
+class EdgeRecords(Sequence[DepEdge]):
+    """Read-only view of folded dependency records: per distinct (from, to)
+    pair, in first-seen order, its from, its to and its flag bits
+    (``_flag_bits``), held in two lists of names and one byte string.
+
+    ``len``, iteration, indexing, slices, ``in`` and ``==`` treat it as the
+    list of one ``DepEdge`` per pair, and it builds an edge only when one is
+    read; ``edge_columns`` hands the names and the bits over as they are.
+    """
+
+    __slots__ = ("_sources", "_targets", "_flags")
+
+    def __init__(self, folded: dict[tuple[str, str], int]):
+        """The records of ``folded``, each pair's ORed flag bits, in its order."""
+        self._sources = list(map(operator.itemgetter(0), folded))
+        self._targets = list(map(operator.itemgetter(1), folded))
+        self._flags = bytes(folded.values())
+
+    def __len__(self) -> int:
+        return len(self._flags)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        # The names list raises what a list of the edges would.
+        src, dst, bits = self._sources[index], self._targets[index], self._flags[index]
+        return DepEdge(src, dst, _VISIBILITY_OF[bits & 1], _OPACITY_OF[bits >> 1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, EdgeRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def edge_columns(edges: Iterable[DepEdge]) -> tuple[list[str], list[str], bytes | bytearray]:
+    """The from, the to and the flag bits (``_flag_bits``) of each edge, as
+    three columns: an ``EdgeRecords``' own, else one entry per edge, in
+    order."""
+    if isinstance(edges, EdgeRecords):
+        return edges._sources, edges._targets, edges._flags
+    sources, targets, flags = [], [], bytearray()
+    for edge in edges:
+        sources.append(edge.src)
+        targets.append(edge.dst)
+        flags.append(_flag_bits(edge.visibility, edge.opacity))
+    return sources, targets, flags
+
+
 def edge_record(edge: DepEdge, method: str) -> str:
     """One ``deps.jsonl`` record, without its line end.
 
@@ -488,12 +548,9 @@ def _tail(vis: str, opacity: str, method: str) -> str:
 
 
 # The tail of each (vis, opacity, method), with the record's flag bits
-# (explicit 1, transparent 2) and its method.
+# (``_flag_bits``) and its method.
 _TAILS = {
-    _tail(vis.value, opacity.value, method): (
-        (vis is Visibility.EXPLICIT) | (opacity is Opacity.TRANSPARENT) << 1,
-        method,
-    )
+    _tail(vis.value, opacity.value, method): (_flag_bits(vis, opacity), method)
     for vis in Visibility
     for opacity in Opacity
     for method in _METHODS
@@ -555,13 +612,15 @@ def _canonical_records(block: Sequence[bytes]) -> list[tuple[str, str, str]] | N
     return records if len(records) == len(block) else None
 
 
-def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
+def read_edges_jsonl(path: str | Path, method: str = "any") -> EdgeRecords:
     """Load edges back, optionally filtered by extraction method.
 
     Each record's explicit and transparent flags are ORed into its (from,
     to) pair while reading, so explicit wins over implicit and transparent
-    over opaque, and one ``DepEdge`` is built per pair, in first-seen
-    order.  A malformed record raises ``ParseError`` naming its line.
+    over opaque.  The pairs and their flag bits, in first-seen order, are
+    returned as an ``EdgeRecords`` view, which reads as the list of one
+    ``DepEdge`` per pair but builds an edge only when one is read.  A
+    malformed record raises ``ParseError`` naming its line.
 
     Lines are read ``_BLOCK_LINES`` at a time, and each record is read as
     its from, its to and its tail: the text of its vis, opacity and method,
@@ -572,14 +631,19 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
     builds the same tail, so a valid record in another layout reads the
     same, a malformed record is reported with its own line, and blank lines
     are skipped.  One loop then folds the block's records, looking up each
-    tail's flag bits and method in ``_TAILS`` and skipping the records of
-    another ``method`` unless it is ``"any"``; every record of the block is
-    checked before any is filtered, so whether a file reads does not depend
-    on ``method``.
+    tail's flag bits among the ``_TAILS`` whose method ``method`` keeps (all
+    eight for ``"any"``) and skipping the records of any other tail; every
+    record of the block is checked before any is filtered, so whether a
+    file reads does not depend on ``method``.
     """
     if method not in ("any", "trace", "min"):
         raise ValueError(f"unknown method filter: {method!r}")
+    # The flag bits of each tail whose method the filter keeps.
+    wanted = {
+        tail: bits for tail, (bits, rec_method) in _TAILS.items() if method in ("any", rec_method)
+    }
     flags: dict[tuple[str, str], int] = {}
+    get = flags.get
     lines = Path(path).read_bytes().splitlines()
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
@@ -595,9 +659,23 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> list[DepEdge]:
                             f"malformed edge record ({err!r})", str(path), lineno
                         ) from None
         for src, dst, tail in records:
-            bits, rec_method = _TAILS[tail]
-            if method == "any" or rec_method == method:
-                flags[src, dst] = flags.get((src, dst), 0) | bits
-    vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
-    opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
-    return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]
+            bits = wanted.get(tail)
+            if bits is not None:
+                pair = src, dst
+                flags[pair] = get(pair, 0) | bits
+    return EdgeRecords(flags)
+
+
+def record_line(path: str | Path, pair: tuple[str, str], method: str = "any") -> int | None:
+    """The line of the first record of ``pair`` that ``read_edges_jsonl``
+    reads from ``path`` under ``method``, or None when it reads none.
+
+    The file is read again, one ``json.loads`` per line, so this is for
+    naming a record in an error, not for the load path.
+    """
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if line.strip():
+            src, dst, tail = _record_fields(json.loads(line))
+            if (src, dst) == pair and method in ("any", _TAILS[tail][1]):
+                return lineno
+    return None

@@ -2,12 +2,23 @@
 
 A graph is stored as bit rows over node positions: per node, the nodes it
 directly depends on, and which of those edges are transparent and which
-explicit.  ``DepGraph`` ORs edge records into the rows; a transitive closure
-and a file projection (per file, the OR of its items' rows, mapped to file
-bits) are built from rows by the same constructor.  The edge list is a
-read-only view over the rows that builds an edge only when one is read, so
-counting edges costs a popcount per row.  Graphs are immutable after
-construction.
+explicit.  ``DepGraph`` ORs edge records into the rows in one loop over
+(from, to, flag bits) triples, which the reader's ``EdgeRecords`` hands
+over as it folded them (``edge_columns``), with no edge object per record;
+a transitive closure and a file projection (per file, the OR of its items'
+rows, mapped to file bits) are built from rows by the same constructor.
+The edge list is a read-only view over the rows that builds an edge only
+when one is read, so counting edges costs a popcount per row.  Graphs are
+immutable after construction.
+Next to the rows a folded graph keeps each edge's positions: its source
+and target node positions, in two ``array``s, and its flag bits, in a byte
+string (9 bytes an edge), mapped from its records' names after the loop.
+The two steps that need every edge, the transposition under
+``reverse_reach`` and the file projection of all three rows, read these
+positions instead of walking every row's bits.  A graph built from rows,
+such as a closure or a projection, has no records; it gives the same
+steps its positions by one walk over the rows' bits when they ask, and
+keeps none, so a closure's memory stays its bit rows.
 Nodes keep corpus order, which is a topological witness (edges always point
 at earlier nodes), so every closure is one pass of bit-row unions
 (``_closure``): over the rows for reachability, over the transposed rows,
@@ -27,6 +38,7 @@ import json
 import operator
 import re
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .corpus import IDENTIFIER_RE, Corpus, DepEdge, ItemKind, Opacity, Visibility, bit_positions
 from .errors import CycleDetectedError, DepkitError, UnknownItemError
+from .extract import EdgeRecords, edge_columns
 
 # A file name that ``to_dot`` can write between quotes unescaped.
 _DOT_PATH_RE = re.compile(r'[^"\\]+')
@@ -128,29 +141,38 @@ class DepGraph:
             raise ValueError("duplicate node names")
 
         deps, transparent, explicit = rows = [[0] * len(nodes) for _ in range(3)]
-        for edge in edges:
+        sources, targets, flags = edge_columns(edges)
+        for src, dst, bits in zip(sources, targets, flags):
             try:
-                si, di = index[edge.src], index[edge.dst]
+                si, di = index[src], index[dst]
             except KeyError as err:
-                raise UnknownItemError(err.args[0]) from None
+                raise UnknownItemError(err.args[0], (src, dst)) from None
             if si <= di:
                 raise CycleDetectedError(
-                    f"edge {edge.src} -> {edge.dst} does not point at an earlier node; "
-                    "corpus order is not a topological witness"
+                    f"edge {src} -> {dst} does not point at an earlier node; "
+                    "corpus order is not a topological witness",
+                    (src, dst),
                 )
             bit = 1 << di
             deps[si] |= bit
-            if edge.opacity is Opacity.TRANSPARENT:
+            if bits & 2:
                 transparent[si] |= bit
-            if edge.visibility is Visibility.EXPLICIT:
+            if bits & 1:
                 explicit[si] |= bit
-        self._init_rows(nodes, index, rows, granularity, kinds, files, opacities)
+        positions = (
+            array("I", map(index.__getitem__, sources)),
+            array("I", map(index.__getitem__, targets)),
+            flags,
+        )
+        self._init_rows(nodes, index, rows, granularity, kinds, files, opacities, positions)
 
     def _init_rows(
-        self, nodes, index, rows, granularity, kinds=None, files=None, opacities=None
+        self, nodes, index, rows, granularity, kinds=None, files=None, opacities=None, positions=None
     ) -> DepGraph:
         """The one constructor from bit rows (``deps``, ``transparent``, ``explicit``);
-        ``index`` maps each of the distinct ``nodes`` to its position."""
+        ``index`` maps each of the distinct ``nodes`` to its position, and
+        ``positions`` are the edges' (``_edge_positions``) as three columns
+        when the caller has them."""
         self.granularity = granularity
         self.nodes: tuple[str, ...] = nodes
         self._index = index
@@ -158,6 +180,7 @@ class DepGraph:
         self.files = dict(files or {})
         self.opacities = dict(opacities or {})
         self.deps, self.transparent, self.explicit = (tuple(row) for row in rows)
+        self._positions = positions
         self._reach: list[int] | None = None
         self._rev_reach: list[int] | None = None
         self._file_scope_bits: tuple[list[int], list[int], list[int]] | None = None
@@ -195,17 +218,30 @@ class DepGraph:
         """Per-node bitsets of transitive reverse dependents."""
         if self._rev_reach is None:
             users = [0] * len(self.nodes)
-            for i, row in enumerate(self.deps):
-                for j in bit_positions(row):
-                    users[j] |= 1 << i
+            for i, j, _ in self._edge_positions():
+                users[j] |= 1 << i
             self._rev_reach = _closure(users, reversed(range(len(self.nodes))))
         return self._rev_reach
+
+    def _edge_positions(self) -> Iterator[tuple[int, int, int]]:
+        """Each edge's (source position, target position, flag bits), the
+        bits explicit 1 and transparent 2, in no fixed order and perhaps with
+        repeats: the fold's positions, or, for a graph built from rows, one
+        walk over the rows' bits, which keeps nothing."""
+        if self._positions is not None:
+            return zip(*self._positions)
+        return (
+            (i, j, bits)
+            for i, rows in enumerate(zip(self.deps, self.transparent, self.explicit))
+            for j, bits in zip(*_row_edges(*rows))
+        )
 
     def _file_projection(self) -> tuple[DepGraph, list[int], list[int]]:
         """The file graph (files in first-item order), each node's file
         position, and each file's item mask.  For each of the three rows, a
         file's row is the OR of its items' rows, with the file's own items
-        masked out and every other item bit mapped to the bit of its file."""
+        masked out and every other item bit mapped to the bit of its file:
+        one pass over the edge positions sets all three."""
         if not self.files.keys() >= set(self.nodes):
             raise DepkitError("file granularity needs a file map that covers every item")
         file_names = [self.files[name] for name in self.nodes]
@@ -215,22 +251,18 @@ class DepGraph:
         for i, f in enumerate(file_of):
             own[f] |= 1 << i
 
-        def project(rows: Sequence[int]) -> list[int]:
-            merged = [0] * len(own)
-            for f, row in zip(file_of, rows):
-                merged[f] |= row
-            out = []
-            for f, bits in enumerate(merged):
-                file_bits = 0
-                for j in bit_positions(bits & ~own[f]):
-                    file_bits |= 1 << file_of[j]
-                out.append(file_bits)
-            return out
-
-        deps = project(self.deps)
+        deps, transparent, explicit = rows = [[0] * len(own) for _ in range(3)]
+        for i, j, bits in self._edge_positions():
+            f, t = file_of[i], file_of[j]
+            if f != t:
+                bit = 1 << t
+                deps[f] |= bit
+                if bits & 2:
+                    transparent[f] |= bit
+                if bits & 1:
+                    explicit[f] |= bit
         if any(bits >> f for f, bits in enumerate(deps)):
             raise CycleDetectedError("file order is not a topological witness")
-        rows = (deps, project(self.transparent), project(self.explicit))
         file_g = DepGraph.__new__(DepGraph)._init_rows(
             tuple(file_index), file_index, rows, Granularity.FILE
         )
@@ -280,22 +312,11 @@ class _EdgeView(Sequence[DepEdge]):
     def __iter__(self) -> Iterator[DepEdge]:
         g = self._g
         nodes = g.nodes
-        explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
-        transparent, opaque = Opacity.TRANSPARENT, Opacity.OPAQUE
-        for src, row, trans, expl in zip(nodes, g.deps, g.transparent, g.explicit):
-            # Each row's attributes are read once, as little-endian bytes as
-            # long as the row's (they are submasks of it): bit j is bit j % 8
-            # of byte j // 8.
-            size = (row.bit_length() + 7) // 8
-            expl_bytes = expl.to_bytes(size, "little")
-            trans_bytes = trans.to_bytes(size, "little")
-            for j in bit_positions(row):
-                yield DepEdge(
-                    src,
-                    nodes[j],
-                    explicit if expl_bytes[j >> 3] >> (j & 7) & 1 else implicit,
-                    transparent if trans_bytes[j >> 3] >> (j & 7) & 1 else opaque,
-                )
+        visibility = (Visibility.IMPLICIT, Visibility.EXPLICIT)
+        opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
+        for src, *rows in zip(nodes, g.deps, g.transparent, g.explicit):
+            for j, bits in zip(*_row_edges(*rows)):
+                yield DepEdge(src, nodes[j], visibility[bits & 1], opacity[bits >> 1])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -348,6 +369,24 @@ class _EdgeView(Sequence[DepEdge]):
         )
 
 
+def _row_edges(row: int, transparent: int, explicit: int) -> tuple[list[int], list[int]]:
+    """The set positions of ``row``, ascending, and each one's flag bits
+    (explicit 1, transparent 2) read from its two submasks.
+
+    The submasks are read once, as little-endian bytes as long as the row's:
+    bit j is bit j % 8 of byte j // 8.
+    """
+    targets = bit_positions(row)
+    size = (row.bit_length() + 7) // 8
+    trans_bytes = transparent.to_bytes(size, "little")
+    expl_bytes = explicit.to_bytes(size, "little")
+    flags = [
+        expl_bytes[j >> 3] >> (j & 7) & 1 | (trans_bytes[j >> 3] >> (j & 7) & 1) << 1
+        for j in targets
+    ]
+    return targets, flags
+
+
 def _closure(rows: list[int], order: Iterable[int]) -> list[int]:
     """Close bit rows in place: row ``i`` becomes itself ORed with the closed
     rows of the positions it points at.  ``order`` visits every position
@@ -394,10 +433,11 @@ def build_graph_from_edges(edges: Iterable[DepEdge]) -> DepGraph:
     dependency), then by name.  Statistics that need the full node set
     should prefer ``build_graph`` with the corpus.
     """
-    edges = list(edges)
+    if not isinstance(edges, EdgeRecords):
+        edges = list(edges)
     sorter: TopologicalSorter = TopologicalSorter()
-    for edge in edges:
-        sorter.add(edge.src, edge.dst)
+    for src, dst in zip(*edge_columns(edges)[:2]):
+        sorter.add(src, dst)
     try:
         sorter.prepare()
     except CycleError:

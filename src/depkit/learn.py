@@ -61,8 +61,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
-from .corpus import Corpus, DepEdge, Item, ItemKind, Visibility
+from .corpus import Corpus, DepEdge, Item, ItemKind
 from .errors import CorpusMismatchError
+from .extract import edge_columns
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_WEIGHT = 1.0
@@ -90,12 +91,14 @@ def features_of(item: Item) -> FeatureVector:
 def dependency_map(
     edges: Iterable[DepEdge], explicit_only: bool = False
 ) -> dict[str, tuple[str, ...]]:
-    """Ordered, deduplicated dependency targets per source item."""
+    """Ordered, deduplicated dependency targets per source item, read from
+    the edges' names and flag bits (``edge_columns``), so the reader's
+    records build no edge here."""
     out: dict[str, dict[str, None]] = {}
-    for edge in edges:
-        if explicit_only and edge.visibility is not Visibility.EXPLICIT:
+    for src, dst, bits in zip(*edge_columns(edges)):
+        if explicit_only and not bits & 1:
             continue
-        out.setdefault(edge.src, {}).setdefault(edge.dst)
+        out.setdefault(src, {}).setdefault(dst)
     return {src: tuple(targets) for src, targets in out.items()}
 
 
@@ -143,13 +146,14 @@ class BayesModel:
 def _check_dependencies(corpus: Corpus, deps_by_item: dict[str, tuple[str, ...]]) -> None:
     """Both ends of every dependency must be corpus items, the target the earlier one."""
     bad = [
-        f"{src} -> {dst}"
+        (src, dst)
         for src, targets in deps_by_item.items()
         for dst in targets
         if src not in corpus or dst not in corpus or corpus.index_of(dst) >= corpus.index_of(src)
     ]
     if bad:
-        raise CorpusMismatchError(f"dependencies do not match the corpus: {bad[:3]}")
+        shown = [f"{src} -> {dst}" for src, dst in bad[:3]]
+        raise CorpusMismatchError(f"dependencies do not match the corpus: {shown}", bad[0])
 
 
 def train(

@@ -5,14 +5,18 @@ environments, a check of every chunk of the minimizer's chunked search,
 plain DFS for reachability, straightforward recounting for model training,
 scoring every candidate and sorting for premise ranking, one cost per
 random pick and ``statistics.median`` for the speedup report, one line at
-a time for tokenizing and for reading edge records, a recursive-descent
-parser with a method call per token, and a ``mixed`` corpus generator that
-copies and rescans every earlier name for each item.
+a time for tokenizing and for reading edge records, a list of one edge per
+record pair from the block reader, a walk over every row's bits for a
+graph's transposition and file projection, a recursive-descent parser with
+a method call per token, and a ``mixed`` corpus generator that copies and
+rescans every earlier name for each item.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
-bit, and the speedup oracle shares the graph's ``reverse_counts`` and file
-scopes and differs only in keeping every pick and cost in a list.
+bit, the speedup oracle shares the graph's ``reverse_counts`` and file
+scopes and differs only in keeping every pick and cost in a list, and the
+list reader shares the block reader's decoding and differs only in the list
+it returns, and the bit-walk transposition shares the closure pass.
 """
 
 from __future__ import annotations
@@ -41,8 +45,14 @@ from depkit.corpus import (
     bit_positions,
 )
 from depkit.errors import DepkitError, DuplicateNameError, ParseError
-from depkit.extract import KIND_MINIMIZATION_ORDER
-from depkit.graph import DepGraph
+from depkit.extract import (
+    _BLOCK_LINES,
+    _TAILS,
+    KIND_MINIMIZATION_ORDER,
+    _canonical_records,
+    _record_fields,
+)
+from depkit.graph import DepGraph, _closure
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
 from depkit.rebuild import _require_item_graph
 
@@ -449,6 +459,73 @@ def read_edges_by_line(path: str | Path, method: str = "any") -> list[DepEdge]:
     vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
     opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
     return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]
+
+
+def read_edges_as_list(path: str | Path, method: str = "any") -> list[DepEdge]:
+    """``read_edges_jsonl`` as it was before its records became a view: the
+    same block reader and fold, then a list of one ``DepEdge`` per pair, in
+    first-seen order."""
+    if method not in ("any", "trace", "min"):
+        raise ValueError(f"unknown method filter: {method!r}")
+    flags: dict[tuple[str, str], int] = {}
+    lines = Path(path).read_bytes().splitlines()
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
+        records = _canonical_records(block)
+        if records is None:
+            records = []
+            for lineno, line in enumerate(block, start + 1):
+                if line.strip():
+                    try:
+                        records.append(_record_fields(json.loads(line)))
+                    except (KeyError, TypeError, ValueError) as err:
+                        raise ParseError(
+                            f"malformed edge record ({err!r})", str(path), lineno
+                        ) from None
+        for src, dst, tail in records:
+            bits, rec_method = _TAILS[tail]
+            if method == "any" or rec_method == method:
+                flags[src, dst] = flags.get((src, dst), 0) | bits
+    vis = (Visibility.IMPLICIT, Visibility.EXPLICIT)
+    opacity = (Opacity.OPAQUE, Opacity.TRANSPARENT)
+    return [DepEdge(*pair, vis[bits & 1], opacity[bits >> 1]) for pair, bits in flags.items()]
+
+
+def reverse_reach_by_bits(g: DepGraph) -> list[int]:
+    """``DepGraph.reverse_reach`` with the rows transposed by walking every
+    row's bits instead of reading the edge positions."""
+    users = [0] * len(g.nodes)
+    for i, row in enumerate(g.deps):
+        for j in bit_positions(row):
+            users[j] |= 1 << i
+    return _closure(users, reversed(range(len(g.nodes))))
+
+
+def file_rows_by_bits(g: DepGraph) -> tuple[tuple[int, ...], ...]:
+    """The ``deps``, ``transparent`` and ``explicit`` rows of ``g``'s file
+    projection by walking every merged row's bits: per file, the OR of its
+    items' rows, its own items masked out, each other item's bit mapped to
+    its file's bit."""
+    file_names = [g.files[name] for name in g.nodes]
+    file_index = {file: f for f, file in enumerate(dict.fromkeys(file_names))}
+    file_of = [file_index[file] for file in file_names]
+    own = [0] * len(file_index)
+    for i, f in enumerate(file_of):
+        own[f] |= 1 << i
+
+    def project(rows) -> tuple[int, ...]:
+        merged = [0] * len(own)
+        for f, row in zip(file_of, rows):
+            merged[f] |= row
+        out = []
+        for f, bits in enumerate(merged):
+            file_bits = 0
+            for j in bit_positions(bits & ~own[f]):
+                file_bits |= 1 << file_of[j]
+            out.append(file_bits)
+        return tuple(out)
+
+    return project(g.deps), project(g.transparent), project(g.explicit)
 
 
 class DescentParser:

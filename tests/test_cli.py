@@ -694,7 +694,8 @@ def test_learn_rejects_deps_that_do_not_match_the_corpus(
     argv = ["learn", command, str(FIXTURES / "redundant_hint"), "--deps", str(deps)]
     code, out, err = run(argv + (["-o", str(problems)] if command == "export" else []), capsys)
     assert code == 1 and out == ""
-    assert err.startswith("depkit: error: dependencies do not match the corpus") and name in err
+    assert err.startswith(f"depkit: error: {deps}:{line + 1}: dependencies do not match the corpus")
+    assert name in err
     assert not problems.exists()
 
 
@@ -757,3 +758,45 @@ def test_a_huge_sample_count_is_not_a_usage_error():
         ["speedup", "c", "--deps", "d.jsonl", "--samples", "99999999999999999999"]
     )
     assert args.samples == 99999999999999999999
+
+
+# Each deps-reading command with a corpus, as argv with placeholders.
+_CORPUS_DEPS_READERS = {
+    "stats": ["stats", "DEPS", "--corpus", "CORPUS"],
+    "stats-file": ["stats", "DEPS", "--corpus", "CORPUS", "--granularity", "file"],
+    "export": ["export", "DEPS", "--dot", "OUT", "--corpus", "CORPUS"],
+    "cumulative": ["cumulative", "DEPS", "--csv", "OUT", "--corpus", "CORPUS"],
+    "simulate": ["simulate", "CORPUS", "--deps", "DEPS", "--change", "t"],
+    "speedup": ["speedup", "CORPUS", "--deps", "DEPS", "--samples", "2"],
+    "learn-eval": ["learn", "eval", "CORPUS", "--deps", "DEPS"],
+    "learn-export": ["learn", "export", "CORPUS", "--deps", "DEPS", "-o", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CORPUS_DEPS_READERS))
+@pytest.mark.parametrize(
+    "pair",
+    [("zz", "f"), ("t", "zz"), ("f", "t"), ("t", "t")],
+    ids=["unknown-from", "unknown-to", "forward", "self"],
+)
+@pytest.mark.parametrize("method,line", [("any", 4), ("trace", 11)])
+def test_deps_record_that_does_not_fit_the_corpus_names_its_line(
+    tmp_path, capsys, command, pair, method, line
+):
+    """A well-formed record whose pair does not fit the corpus (an unknown
+    name, or a target not earlier than its source) is reported at the line
+    of the pair's first record that the ``--method`` filter reads, and the
+    command exits 1 without writing output."""
+    deps, lines = _deps_lines(tmp_path, capsys)
+    src, dst = pair
+    record = {"from": src, "to": dst, "vis": "explicit", "opacity": "transparent"}
+    lines.insert(3, json.dumps({**record, "method": "min"}))
+    lines.append(json.dumps({**record, "method": "trace"}))
+    assert len(lines) == 11
+    deps.write_text("\n".join(lines) + "\n")
+    out_path = tmp_path / "out"
+    fill = {"DEPS": str(deps), "OUT": str(out_path), "CORPUS": str(FIXTURES / "redundant_hint")}
+    argv = [fill.get(arg, arg) for arg in _CORPUS_DEPS_READERS[command]]
+    code, out, err = run(argv + ["--method", method], capsys)
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.startswith(f"depkit: error: {deps}:{line}: ") and err.count("\n") == 1

@@ -27,6 +27,7 @@ from depkit.corpus import (
 )
 from depkit.errors import CorpusMismatchError, NotVerifiableError, ParseError
 from depkit.extract import (
+    EdgeRecords,
     Microarticle,
     _shrink,
     compare_json,
@@ -42,11 +43,13 @@ from depkit.extract import (
     write_edges_jsonl,
 )
 from depkit.gen import FAMILIES, generate_corpus
+from depkit.graph import Granularity, build_graph
 from depkit.normalize import normalize_corpus
 
 from _oracles import (
     brute_force_minimal_env,
     minimize_per_trial,
+    read_edges_as_list,
     read_edges_by_line,
     shrink_per_trial,
 )
@@ -759,7 +762,7 @@ def test_non_canonical_records_read_as_the_per_line_oracle_reads_them(long_deps_
     one = long_deps_lines[:i] + [rewrite(long_deps_lines[i])] + long_deps_lines[i + 1 :]
     for lines in (one, [rewrite(line) for line in long_deps_lines]):
         for method in ("any", "trace", "min"):
-            assert isinstance(_read_both(lines, b"\n", method), list)
+            assert isinstance(_read_both(lines, b"\n", method), EdgeRecords)
 
 
 def test_crlf_ends_and_blank_lines_read_as_the_per_line_oracle_reads_them(long_deps_lines):
@@ -848,3 +851,52 @@ def test_every_record_tail_reads_alike_in_both_layouts(tmp_path, monkeypatch, me
     assert read_edges_jsonl(spaced, method) == expected
     monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("json.loads"))
     assert read_edges_jsonl(canonical, method) == expected
+
+
+# The records view ------------------------------------------------------------
+
+
+def _index_outcome(seq, index):
+    """``seq[index]``, or the type and message of the error it raises."""
+    try:
+        return seq[index]
+    except IndexError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    items=st.integers(min_value=0, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**16),
+    family=st.sampled_from(FAMILIES),
+    method=st.sampled_from(["any", "trace", "min"]),
+    seeded=st.booleans(),
+)
+def test_edge_records_read_as_the_list_reader_reads_them(items, seed, family, method, seeded):
+    """``read_edges_jsonl``'s records are the list the reader used to build
+    under ``==`` both ways, ``len``, indexing, slices and ``in``, and the
+    rows a graph folds from them are the rows it folds from that list."""
+    corpus = _generated(items, seed, family)
+    path = Path(tempfile.mkdtemp()) / "deps.jsonl"
+    write_edges_jsonl(path, extract_corpus(corpus, mode="both", seed_from_trace=seeded))
+    records, expected = read_edges_jsonl(path, method), read_edges_as_list(path, method)
+    assert isinstance(records, EdgeRecords)
+    assert records == expected and expected == records and not records != expected
+    assert records == read_edges_jsonl(path, method) and list(records) == expected
+    assert records != tuple(expected) and len(records) == len(expected)
+    if expected:
+        assert records != expected[:-1] and expected[1:] != records
+    for index in (0, -1, len(expected) // 2, len(expected), -len(expected) - 1):
+        assert _index_outcome(records, index) == _index_outcome(expected, index)
+    for part in (slice(None), slice(1, -1, 2), slice(-3, None), slice(None, None, -2)):
+        assert type(records[part]) is list and records[part] == expected[part]
+    for edge in expected:
+        assert edge in records
+        flipped = Visibility.IMPLICIT if edge.visibility is Visibility.EXPLICIT else Visibility.EXPLICIT
+        assert DepEdge(edge.src, edge.dst, flipped, edge.opacity) not in records
+    assert (None in records) is False
+    for granularity in Granularity:
+        g, oracle_g = build_graph(corpus, records, granularity), build_graph(corpus, expected, granularity)
+        assert (g.deps, g.transparent, g.explicit) == (
+            oracle_g.deps, oracle_g.transparent, oracle_g.explicit
+        )

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from depkit import extract
 from depkit.corpus import Corpus, DepEdge, ItemKind, Opacity, Visibility, parse_source
 from depkit.errors import CycleDetectedError, DepkitError, UnknownItemError
-from depkit.extract import edge_record, extract_corpus, read_edges_jsonl, trace_extract
+from depkit.extract import (
+    edge_record,
+    extract_corpus,
+    read_edges_jsonl,
+    trace_extract,
+    write_edges_jsonl,
+)
 from depkit.gen import FAMILIES, generate_corpus
 from depkit.graph import (
     DepGraph,
@@ -30,9 +36,17 @@ from depkit.graph import (
     to_dot,
     transitive_closure,
 )
+from depkit.learn import dependency_map, evaluate_chrono
 from depkit.normalize import normalize_corpus
+from depkit.rebuild import ChangeKind, ChangeSet, plan, speedup_report
 
-from _oracles import reachable_pairs_bruteforce, topological_order_by_rounds
+from _oracles import (
+    file_rows_by_bits,
+    reachable_pairs_bruteforce,
+    read_edges_as_list,
+    reverse_reach_by_bits,
+    topological_order_by_rounds,
+)
 from conftest import corpus_from
 
 
@@ -163,6 +177,87 @@ def test_counting_closure_edges_builds_no_edge(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _rows_from_positions_equal_the_bit_walk(g: DepGraph) -> None:
+    """``g``'s reverse rows, and the file rows of all three kinds when it
+    has a file map, equal those of the walk over every row's bits."""
+    assert g.reverse_reach() == reverse_reach_by_bits(g)
+    if g.files:
+        file_g = g._file_projection()[0]
+        assert (file_g.deps, file_g.transparent, file_g.explicit) == file_rows_by_bits(g)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_positions_give_the_rows_of_the_bit_walk(family):
+    """Folded positions (item graphs) and positions derived from rows (file
+    projections and closures) give the transposition and the projection of
+    the bit walk."""
+    item_g, _ = _generated_graph(family, 7, Granularity.ITEM)
+    file_g, _ = _generated_graph(family, 7, Granularity.FILE)
+    for g in (item_g, file_g, transitive_closure(item_g), transitive_closure(file_g)):
+        _rows_from_positions_equal_the_bit_walk(g)
+
+
+@given(
+    nodes=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    density=st.sampled_from([0.02, 0.1, 0.4, 0.9]),
+    per_file=st.integers(min_value=1, max_value=6),
+)
+def test_positions_give_the_rows_of_the_bit_walk_on_random_graphs(nodes, seed, density, per_file):
+    """The same on random graphs folded from duplicate edge records, whose
+    files are runs of ``per_file`` nodes, and on their closures."""
+    rng = random.Random(seed)
+    names = [f"n{i}" for i in range(nodes)]
+    records = [
+        DepEdge(names[i], names[j], rng.choice(list(Visibility)), rng.choice(list(Opacity)))
+        for i in range(nodes)
+        for j in range(i)
+        if rng.random() < density
+        for _ in range(rng.choice((1, 1, 2)))
+    ]
+    files = {name: f"f{i // per_file}" for i, name in enumerate(names)}
+    g = DepGraph(names, records, Granularity.ITEM, files=files)
+    for graph in (g, transitive_closure(g)):
+        _rows_from_positions_equal_the_bit_walk(graph)
+
+
+def test_load_path_builds_no_edge(tmp_path, monkeypatch):
+    """Reading deps and building, querying and ranking from the records
+    builds no ``DepEdge``, and the read peaks below the list reader's on a
+    file whose edge list outweighs one block's decoding."""
+    files = generate_corpus(items=1500, seed=3, family="mixed")
+    corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
+    path = tmp_path / "deps.jsonl"
+    write_edges_jsonl(path, extract_corpus(corpus, mode="both"))
+
+    def refuse(self, *args):
+        raise AssertionError("a DepEdge was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DepEdge, "__init__", refuse)
+        records = read_edges_jsonl(path)
+        item_g = build_graph(corpus, records, Granularity.ITEM)
+        file_g = build_graph(corpus, records, Granularity.FILE)
+        stats(item_g), stats(file_g), reverse_cumulative(item_g)
+        speedup_report(item_g, samples=50)
+        plan(item_g, ChangeSet.single(corpus.items[0].name, ChangeKind.STATEMENT_OR_TYPE))
+        build_graph_from_edges(records)
+        dependency_map(records)
+        evaluate_chrono(corpus, records, [1, 10], baseline_seed=1)
+    assert len(records) == len(item_g.edges) > 2000
+
+    peaks = []
+    for read in (read_edges_jsonl, read_edges_as_list):
+        read(path)  # warm: the first read's one-time allocations count for neither
+        tracemalloc.start()
+        try:
+            read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 # build_graph -----------------------------------------------------------------
