@@ -14,7 +14,9 @@ Every command that reads deps loads the corpus and the records through
 one loader, corpus first, so a bad corpus is reported before bad deps.  A
 deps record that does not fit the corpus (an unknown name, a target that
 is not earlier than its source) is reported at ``PATH:LINE:`` of the
-pair's first record, found by reading the file again.
+pair's first record, found by reading the file again, and an item that
+``extract`` finds does not verify at ``PATH:LINE:`` of its declaration,
+found by tokenizing its source file again.
 ``simulate`` re-checks each planned item under its full preceding
 environment.  Numeric flags cost time, never memory beyond the inputs':
 ``speedup --samples`` draws one pick per sample into per-node tallies, so
@@ -26,12 +28,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import gen as gen_mod
-from .corpus import parse_corpus, render_corpus
-from .errors import DepkitError
+from .corpus import item_line, parse_corpus, render_corpus
+from .errors import DepkitError, NotVerifiableError
 from .extract import (
     compare_json,
     compare_methods,
@@ -106,9 +109,15 @@ def _cmd_extract(args) -> int:
     if args.compare and args.mode != "both":
         raise DepkitError("--compare requires --mode both")
     corpus = parse_corpus(args.dir)
-    result = extract_corpus(
-        corpus, mode=args.mode, jobs=args.jobs, seed_from_trace=not args.no_seed
-    )
+    try:
+        result = extract_corpus(
+            corpus, mode=args.mode, jobs=args.jobs, seed_from_trace=not args.no_seed
+        )
+    except NotVerifiableError as err:
+        item = corpus.item(err.item_name)
+        line = item_line(args.dir, item)
+        path = os.path.join(args.dir, item.source_file)
+        raise NotVerifiableError(err.item_name, err.reason, path, line) from None
     write_edges_jsonl(args.output, result)
     if args.events:
         lines = event_lines(corpus, result.trace_edges)

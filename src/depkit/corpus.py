@@ -49,12 +49,14 @@ reservations covering each free variable with their types, and the hints
 of ``by auto``, all corpus positions.  A name resolves through the
 corpus's one name index and the kind slot of its position; a name that
 resolves nowhere gets the position past the last item, which no mask
-holds.  ``check_item`` bit-tests the positions for a reason and collects a
-trace as positions, and ``_compile_local`` gives each position it reads one
+holds.  ``_check`` bit-tests the positions for a reason and collects a
+trace as positions, and ``_compile`` gives each position they read one
 local bit, compiling the rules into the test that ``accepts`` and the
 minimizer run, so tracing and minimization consult one checker, and
-reservations and hints are tried in corpus order.  ``dep_edges`` builds
-the edges of both from positions.
+reservations and hints are tried in corpus order.  Extraction runs both
+on one ``_rules`` result per item.  ``dep_records`` gives the records of
+both from positions (each target's name and flag bits), and ``dep_edges``
+builds ``check_item``'s trace edges from them.
 """
 
 from __future__ import annotations
@@ -238,10 +240,12 @@ class DepEdge:
     """A directed dependency: ``src`` needs ``dst``.
 
     ``__init__`` is written by hand, with the generated one's parameters, to
-    set the fields through their slot descriptors (``_slot_setters``): the
-    tracer builds one edge per resolved dependency, while the edge reader's
-    records (``EdgeRecords``) and a graph's ``edges`` view build one only for
-    an edge that is read.
+    set the fields through their slot descriptors (``_slot_setters``).
+    ``check_item`` builds one edge per dependency of a trace it is asked
+    for, while extraction keeps its results as records (``EdgeRecords``,
+    names and flag bits from ``Corpus.dep_records``), and those records, the
+    edge reader's and a graph's ``edges`` view build one only for an edge
+    that is read.
     """
 
     src: str
@@ -262,6 +266,16 @@ class DepEdge:
 
 _ITEM_SETTERS = _slot_setters(Item)
 _EDGE_SETTERS = _slot_setters(DepEdge)
+
+# The visibility and the opacity of a dependency record's flag bits
+# (``_flag_bits``), by bit value.
+_VISIBILITY_OF = (Visibility.IMPLICIT, Visibility.EXPLICIT)
+_OPACITY_OF = (Opacity.OPAQUE, Opacity.TRANSPARENT)
+
+
+def _flag_bits(visibility: Visibility, opacity: Opacity) -> int:
+    """A dependency record's flag bits: explicit 1, transparent 2."""
+    return (visibility is Visibility.EXPLICIT) | (opacity is Opacity.TRANSPARENT) << 1
 
 
 # bin() digits as bytes 0/1, so that a mask selects with itertools.compress.
@@ -544,6 +558,9 @@ def _label_tags(relpaths: Sequence[str]) -> list[str]:
         tags.append(tag if seen[tag] == 1 else f"{tag}__{seen[tag]}")
     return tags
 
+
+# The keywords that start an item; ``thm`` after ``then`` is in the same item.
+_ITEM_KEYWORDS = frozenset({"def", "thm", "then", "notation", "hint", "reserve"})
 
 # The tokens at which no name can stand: the non-names and end of file.
 _STOPS = _NOT_NAMES | {None}
@@ -1009,16 +1026,27 @@ class Corpus:
         whose type resolves and that type, then every applicable hint in
         corpus order.
 
-        The checks are the item's ``_rules``, whose positions are bit-tested
-        in ``env`` as a mask over the corpus table (``_bits_of``);
+        The checks are the item's ``_rules``, whose positions ``_check``
+        bit-tests in ``env`` as a mask over the corpus table (``_bits_of``);
         ``accepts`` and the minimizer compile the same rules.  The trace is
-        collected as positions, only when it is requested.
+        collected as positions, only when it is requested, and its edges are
+        built from them by ``dep_edges``.
         """
-        bits = self._bits_of(env)
-        needs, covers, hints = self._rules(item)
+        reason, resolved = self._check(self._rules(item), self._bits_of(env), trace_requested)
+        if reason is not None:
+            return CheckOutcome(False, reason, ())
+        return CheckOutcome(True, None, self.dep_edges(item, resolved) if trace_requested else ())
+
+    @staticmethod
+    def _check(rules, bits: int, trace: bool) -> tuple[RejectReason | None, list[int]]:
+        """The verdict of ``rules`` (``_rules``) on ``bits``, a mask over the
+        corpus table: the reason of the first failing check, or None and,
+        when ``trace``, the positions resolved, first seen first (see
+        ``check_item``); else no positions."""
+        needs, covers, hints = rules
         for pos, reason in needs:
             if not bits >> pos & 1:
-                return CheckOutcome(False, reason, ())
+                return reason, []
         witnesses = []
         for covering, pairs in covers:
             for pos, type_at in pairs:
@@ -1027,31 +1055,40 @@ class Corpus:
                     break
             else:
                 if any(bits >> pos & 1 for pos in covering):
-                    return CheckOutcome(False, RejectReason.UNRESOLVED_SYMBOL, ())
-                return CheckOutcome(False, RejectReason.MISSING_RESERVATION, ())
+                    return RejectReason.UNRESOLVED_SYMBOL, []
+                return RejectReason.MISSING_RESERVATION, []
         if hints is not None and not any(bits >> pos & 1 for pos in hints):
-            return CheckOutcome(False, RejectReason.NO_APPLICABLE_HINT, ())
-        if not trace_requested:
-            return CheckOutcome(True, None, ())
+            return RejectReason.NO_APPLICABLE_HINT, []
+        if not trace:
+            return None, []
         resolved = [pos for pos, _ in needs] + witnesses
         if hints is not None:
             # Deliberately exhaustive: every applicable hint is a dependency.
             resolved += [pos for pos in hints if bits >> pos & 1]
-        return CheckOutcome(True, None, self.dep_edges(item, dict.fromkeys(resolved)))
+        return None, list(dict.fromkeys(resolved))
 
-    def dep_edges(self, item: Item, positions: Iterable[int]) -> tuple[DepEdge, ...]:
-        """One edge from ``item`` to the item at each of ``positions``, in
-        the order given: explicit when the target occurs literally in the
+    def dep_records(self, item: Item, positions: Iterable[int]) -> tuple[list[str], list[int]]:
+        """Per edge from ``item`` to the item at each of ``positions``, in
+        the order given, the target's name and the edge's flag bits
+        (``_flag_bits``): explicit when the target occurs literally in the
         item's source, with the target's opacity."""
         literal = item.literal_names()
-        items, src = self.items, item.name
-        explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
-        edges = []
+        items, transparent = self.items, Opacity.TRANSPARENT
+        names, flags = [], []
         for pos in positions:
             target = items[pos]
-            vis = explicit if target.name in literal else implicit
-            edges.append(DepEdge(src, target.name, vis, target.opacity))
-        return tuple(edges)
+            names.append(target.name)
+            flags.append((target.name in literal) | (target.opacity is transparent) << 1)
+        return names, flags
+
+    def dep_edges(self, item: Item, positions: Iterable[int]) -> tuple[DepEdge, ...]:
+        """One ``DepEdge`` per record of ``dep_records``, for ``check_item``'s
+        trace."""
+        src = item.name
+        return tuple(
+            DepEdge(src, name, _VISIBILITY_OF[bits & 1], _OPACITY_OF[bits >> 1])
+            for name, bits in zip(*self.dep_records(item, positions))
+        )
 
     def accepts(self, item: Item, env: Environment) -> bool:
         """Verdict-only check: the compiled check (``_compile_local``) of
@@ -1065,21 +1102,26 @@ class Corpus:
         return verifies(state)
 
     def _compile_local(self, item: Item) -> tuple[dict[int, int], int, Callable[[int], bool]]:
-        """``item``'s verdict over local bits: ``(reads, required, verifies)``.
+        """``item``'s verdict over local bits: ``_compile`` of its ``_rules``."""
+        return self._compile(self._rules(item))
 
-        Each position that the item's ``_rules`` read gets one local bit,
-        and ``reads`` maps the position to it.  The rules become
-        ``required``, the local bits of every ``needs`` position, one list
-        of (reservation, type) pair masks per free variable, and the ``by
-        auto`` hints mask.  ``verifies(state)`` is true when ``state``, the
-        local bits of the read positions present, holds all of
-        ``required``, all of one pair per variable, and for ``by auto``
-        some hint: the verdict of ``check_item`` on any environment holding
-        exactly those read positions.  A name that resolves nowhere gets a
-        required local bit at position ``len(self)``, which is then dropped
-        from ``reads``, so no state holds it.
+    def _compile(self, rules) -> tuple[dict[int, int], int, Callable[[int], bool]]:
+        """A verdict over local bits, ``(reads, required, verifies)``, of
+        ``rules`` (an item's ``_rules``).
+
+        Each position that the rules read gets one local bit, and ``reads``
+        maps the position to it.  The rules become ``required``, the local
+        bits of every ``needs`` position, one list of (reservation, type)
+        pair masks per free variable, and the ``by auto`` hints mask.
+        ``verifies(state)`` is true when ``state``, the local bits of the
+        read positions present, holds all of ``required``, all of one pair
+        per variable, and for ``by auto`` some hint: the verdict of
+        ``check_item`` on any environment holding exactly those read
+        positions.  A name that resolves nowhere gets a required local bit
+        at position ``len(self)``, which is then dropped from ``reads``, so
+        no state holds it.
         """
-        needs, covers, hints = self._rules(item)
+        needs, covers, hints = rules
         local: dict[int, int] = {}  # position -> local bit, in first-read order
         for pos, _ in needs:
             if pos not in local:
@@ -1161,6 +1203,42 @@ def source_relpaths(root: str | Path) -> list[str]:
                 relpaths.append(prefix + entry.name)
     relpaths.sort()
     return relpaths
+
+
+def item_line(root: str | Path, item: Item) -> int | None:
+    """The line of ``item``'s first token in its source file under
+    ``root``, or None when that file no longer holds it.
+
+    The file is tokenized again with lines, and the item is the
+    ``index_in_file``-th item keyword (``then`` starts its theorem), so
+    this is for naming an item of a parsed corpus in an error, not for the
+    load path.
+    """
+    try:
+        with open(os.path.join(root, item.source_file), "rb") as source:
+            tokens, lines = _tokenize(source.read().decode("utf-8"), item.source_file)
+    except (OSError, UnicodeDecodeError, ParseError):
+        return None
+    starts = [
+        line
+        for at, (tok, line) in enumerate(zip(tokens, lines))
+        if tok in _ITEM_KEYWORDS and not (tok == "thm" and at and tokens[at - 1] == "then")
+    ]
+    return starts[item.index_in_file] if item.index_in_file < len(starts) else None
+
+
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Create or truncate the file at ``path`` and write ``data``: one
+    ``os.open``, ``os.write`` until all of it is written, and one
+    ``os.close``, with no buffered file object, which is much of the cost
+    of writing many small files."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 def parse_corpus(root: str | Path) -> Corpus:

@@ -56,12 +56,20 @@ class DanglingThenError(DepkitError):
 
 
 class NotVerifiableError(DepkitError):
-    """An item fails to check even under its full candidate environment."""
+    """An item fails to check even under its full candidate environment;
+    ``source_file`` and ``line`` locate it, when known."""
 
-    def __init__(self, item_name: str, reason: str):
-        super().__init__(f"item {item_name!r} does not verify under its full environment ({reason})")
+    def __init__(
+        self, item_name: str, reason: str, source_file: str | None = None, line: int | None = None
+    ):
+        where = f"{source_file}:{line}: " if line is not None else ""
+        super().__init__(
+            f"{where}item {item_name!r} does not verify under its full environment ({reason})"
+        )
         self.item_name = item_name
         self.reason = reason
+        self.source_file = source_file
+        self.line = line
 
 
 class CorpusMismatchError(DepkitError):

@@ -15,22 +15,28 @@ from the back of each list first, which resolves ties (several sufficient
 hints, say) in favor of the earliest candidate in corpus order.
 
 Both routes read one checker: the item's rules, written once as corpus
-positions by ``Corpus._rules``.  Tracing bit-tests them through
-``Corpus.check_item``.  Minimization compiles them once per item
-(``Corpus._compile_local``) over local bits, one per position the rules
-read, and searches each kind over indices: the kind's number of positions
-and the index of each read position among them.  A trial's verdict can
-only change when its chunk removes a read position, so a chunk holding
-none is counted and dropped, a chunk holding a required position fails,
-and only a chunk holding an alternative (a reservation pair or a hint)
-runs the compiled check; the trials, and their order, are those of a
-search that checks every chunk.  A minimal environment is a mask over the
-corpus table whose set positions ascend in corpus order: its edges come
-from those positions through ``Corpus.dep_edges``, the builder of a
-trace's edges, and the trace/minimize comparison reads the names at them,
-so neither needs a sort.  Edge records are formatted as text, which is
-exact because the writer first checks every name against the lexical
-identifier rule.
+positions by ``Corpus._rules``.  Tracing bit-tests them
+(``Corpus._check``) and collects the trace as positions; with both
+routes, the same pass compiles them (``Corpus._compile``) over local bits,
+one per position the rules read, and minimization searches each kind
+over indices: the kind's number of positions and the index of each read
+position among them.  A trial's verdict can only change when its chunk
+removes a read position, so a chunk holding none is counted and dropped,
+a chunk holding a required position fails, and only a chunk holding an
+alternative (a reservation pair or a hint) runs the compiled check; once
+every read left is required, the remaining passes are counted over the
+indices alone.  The trials, and their order, are those of a search that
+checks every chunk.  A minimal environment is a mask over the corpus
+table whose set positions ascend in corpus order.
+
+Both routes' results are records (``EdgeRecords``): per dependency, the
+names and the flag bits ``Corpus.dep_records`` gives for a trace's
+positions and for a minimal environment's, so no ``DepEdge`` is built.
+The writer, the progress events and the trace/minimize comparison read
+the records' columns, and the comparison reads each item's lists off
+positions, in corpus order, with no sort of names.  Edge records are
+formatted as text, which is exact because the writer first checks every
+name against the lexical identifier rule.
 
 The reader reads the records back by the same form: a block of lines that
 are all records exactly as ``edge_record`` writes them is read by one regex
@@ -60,7 +66,11 @@ from .corpus import (
     ItemKind,
     Opacity,
     Visibility,
+    _OPACITY_OF,
     _SLOT,
+    _VISIBILITY_OF,
+    _flag_bits,
+    _slot_setters,
     bit_positions,
 )
 from .errors import CorpusMismatchError, NotVerifiableError, ParseError
@@ -84,12 +94,36 @@ class Microarticle:
     candidate_env: Environment
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MinimizationResult:
+    """One item's minimal environment, the trials its search made and, per
+    kind, how many candidate positions it removed.
+
+    ``__init__`` is written by hand, with the generated one's parameters, to
+    set the fields through their slot descriptors (``_slot_setters``):
+    extraction builds one result per item and method.
+    """
+
     item_name: str
     minimal_env: Environment
     oracle_calls: int
     removed: dict[ItemKind, int]
+
+    def __init__(
+        self,
+        item_name: str,
+        minimal_env: Environment,
+        oracle_calls: int,
+        removed: dict[ItemKind, int],
+    ):
+        set_name, set_env, set_calls, set_removed = _RESULT_SETTERS
+        set_name(self, item_name)
+        set_env(self, minimal_env)
+        set_calls(self, oracle_calls)
+        set_removed(self, removed)
+
+
+_RESULT_SETTERS = _slot_setters(MinimizationResult)
 
 
 def decompose(corpus: Corpus) -> list[Microarticle]:
@@ -125,10 +159,21 @@ def _shrink(
     search over the positions themselves, in the same order.  The last pass
     removes every unread position, so the kept positions are the reads
     whose local bits ``state`` still holds.
+
+    Once every remaining read is required, each later pass is known in
+    advance: its chunks holding reads fail and the others are dropped.  The
+    rest of the search is then counted over the read indices alone
+    (``_counted_passes``), with no local bits and no ``verifies`` call, and
+    ``state`` does not change.
     """
     trials = 0
     size = (n + 1) // 2
     while n:
+        for _, local in reads:
+            if not local & required:
+                break
+        else:
+            return state, trials + _counted_passes(n, reads, size)
         trials += -(-n // size)
         # Back to front, the chunks holding reads: ``reads[start:end]``, in
         # the chunk that starts at index ``first``.
@@ -160,17 +205,59 @@ def _shrink(
     return state, trials
 
 
+def _counted_passes(n: int, reads: list[tuple[int, int]], size: int) -> int:
+    """The trials of ``_shrink``'s passes over ``n`` positions from chunk
+    ``size`` on, when every chunk holding one of the ``reads`` fails and
+    every other chunk is removed: each pass counts its chunks, and the
+    chunks holding reads close up, by the reads' indices alone.  The last
+    pass, of single positions, counts one trial per position left."""
+    if not reads:
+        return -(-n // size)
+    trials = 0
+    if len(reads) == 1:
+        # One read, the most common case: its chunk is the only one kept.
+        index = reads[0][0]
+        while size > 1:
+            trials += -(-n // size)
+            first = index - index % size
+            n = n - first if n - first < size else size
+            index -= first
+            size = (size + 1) // 2 if size > 2 else 1
+        return trials + n
+    indices = [index for index, _ in reads]
+    while size > 1:
+        trials += -(-n // size)
+        moved = []
+        length = 0
+        first = -size
+        for index in indices:
+            if index - first >= size:
+                # The first index of a kept chunk, which starts at ``first``
+                # and moves down to ``length``.
+                first = index - index % size
+                shift = length - first
+                length += n - first if n - first < size else size
+            moved.append(index + shift)
+        n, indices = length, moved
+        size = (size + 1) // 2 if size > 2 else 1
+    return trials + n
+
+
 def minimize_env(
     corpus: Corpus,
     micro: Microarticle,
-    seed_targets: Iterable[str] | None = None,
+    seed_targets: Iterable[str | int] | None = None,
+    compiled: tuple[dict[int, int], int, Callable[[int], bool]] | None = None,
 ) -> MinimizationResult:
     """Smallest sublist of the candidate environment that still verifies.
 
     The result is 1-minimal: removing any single element breaks
     verification.  ``seed_targets`` (typically the targets of a previously
-    captured trace) short-circuits the search: if the environment
-    restricted to the seed verifies, minimization proceeds inside it only.
+    captured trace, as names or as corpus positions) short-circuits the
+    search: if the environment restricted to the seed verifies,
+    minimization proceeds inside it only.  ``compiled`` is the item's
+    compiled check, ``Corpus._compile_local(item)``, when the caller has it
+    from a rules pass of its own, as ``extract_corpus`` has from the trace.
     ``oracle_calls`` counts the trials of the search itself, the seed
     restrict and every chunk of the chunked search, whether a count
     decided a trial or the compiled check did (the upfront validation of
@@ -184,7 +271,7 @@ def minimize_env(
     neither searched nor counted in ``removed``.  The item's rules, the
     corpus positions ``check_item`` tests (``Corpus._rules``), are compiled
     once into one local bit per position they read
-    (``Corpus._compile_local``), so a state is a small int of the read
+    (``Corpus._compile``), so a state is a small int of the read
     positions present and its verdict a few tests of it.  A rejected
     candidate's reason comes from ``check_item``.
 
@@ -192,18 +279,20 @@ def minimize_env(
     positions and the index of each read position among them
     (``Corpus._index_reads``).  For a candidate environment, a prefix mask, both
     are read from the corpus's per-cut kind counts; after a kept restrict,
-    from the seed targets' positions, looked up by name; no kind's
-    positions are listed per item.  Only a candidate mask that is no
-    prefix, such as a restricted environment's, is listed by
-    ``bit_positions``.  The last pass of each search drops every position
-    the rules do not read, so the minimal mask is the read positions kept,
-    and ``removed[kind]`` is the number of the candidate's positions of that
+    from the seed targets' positions (looked up once when given as names);
+    no kind's positions are listed per item.  Only a candidate mask that is
+    no prefix, such as a restricted environment's, is listed by
+    ``bit_positions``.  A kind holding no read position is dropped by the
+    first pass of its search, whose at most two trials are counted without
+    a search.  The last pass of each search drops every position the rules
+    do not read, so the minimal mask is the read positions kept, and
+    ``removed[kind]`` is the number of the candidate's positions of that
     kind less the number kept.
     """
     item = micro.item
     candidate = corpus._bits_of(micro.candidate_env)
     cut = candidate.bit_length()
-    reads, required, verifies = corpus._compile_local(item)
+    reads, required, verifies = corpus._compile_local(item) if compiled is None else compiled
     # The candidate's positions: all below ``cut`` for a prefix mask (a
     # candidate environment), else listed; ``holds(pos)`` tests one.
     listed = bit_positions(candidate) if candidate & (candidate + 1) else None
@@ -223,8 +312,13 @@ def minimize_env(
     calls = 0
     searched = listed
     if seed_targets is not None:
-        index = corpus._table.index
-        seeds = sorted(filter(holds, {index[name] for name in seed_targets if name in index}))
+        targets = set(seed_targets)
+        if targets and isinstance(next(iter(targets)), str):
+            # Names: one the corpus lacks gets position ``len(corpus)``,
+            # which no candidate holds.
+            index, never = corpus._table.index, len(corpus)
+            targets = {index.get(name, never) for name in targets}
+        seeds = sorted(filter(holds, targets))
         if len(seeds) != sum(candidate_counts):
             calls += 1
             restricted = 0
@@ -235,9 +329,13 @@ def minimize_env(
 
     counts, held = corpus._index_reads(reads, cut, searched)
     for slot in _SEARCH_SLOTS:
-        if counts[slot]:
+        if held[slot]:
             state, trials = _shrink(counts[slot], held[slot], state, required, verifies)
             calls += trials
+        else:
+            # A kind holding no read: the first pass drops its chunks, at
+            # most two.
+            calls += min(counts[slot], 2)
 
     slot_at = corpus._slot_at
     minimal = 0
@@ -247,71 +345,102 @@ def minimize_env(
             minimal |= 1 << pos
             kept_counts[slot_at[pos]] += 1
     return MinimizationResult(
-        item_name=item.name,
-        minimal_env=Environment._of(corpus._table, minimal),
-        oracle_calls=calls,
-        removed={kind: candidate_counts[slot] - kept_counts[slot] for kind, slot in _SLOT.items()},
+        item.name,
+        Environment._of(corpus._table, minimal),
+        calls,
+        dict(zip(_SLOT, map(operator.sub, candidate_counts, kept_counts))),
     )
 
 
 def trace_extract(
-    corpus: Corpus, micros: Sequence[Microarticle] | None = None
-) -> list[DepEdge]:
-    """Concatenated traces of every item under its candidate environment.
+    corpus: Corpus,
+    micros: Sequence[Microarticle] | None = None,
+    on_item: Callable[[Microarticle, list[int], tuple], None] | None = None,
+) -> EdgeRecords:
+    """Concatenated traces of every item under its candidate environment,
+    as records: one per resolved dependency, in corpus order, then in the
+    order each check resolved them.
 
     ``micros`` are the corpus's microarticles, ``decompose(corpus)`` when
     not given; ``extract_corpus`` passes the ones it minimizes, so each
-    candidate environment is built once.
+    candidate environment is built once.  Each item's rules
+    (``Corpus._rules``) are written out once, checked (``Corpus._check``)
+    with the trace collected as positions, and the records built from the
+    positions (``Corpus.dep_records``), so no ``DepEdge`` is built.
+    ``on_item``, when given, is called after each item's check with the
+    microarticle, its trace positions and its compiled check
+    (``Corpus._compile``) from the same rules; ``extract_corpus``
+    minimizes the item there, so no compiled check outlives its item.
     """
-    edges: list[DepEdge] = []
-    for micro in decompose(corpus) if micros is None else micros:
-        outcome = corpus.check_item(micro.item, micro.candidate_env, trace_requested=True)
-        if not outcome.accepted:
-            raise NotVerifiableError(
-                micro.item.name, outcome.reason.value if outcome.reason else "rejected"
-            )
-        edges.extend(outcome.trace)
-    return edges
+
+    def traces():
+        for micro in decompose(corpus) if micros is None else micros:
+            item = micro.item
+            rules = corpus._rules(item)
+            reason, resolved = corpus._check(rules, corpus._bits_of(micro.candidate_env), True)
+            if reason is not None:
+                raise NotVerifiableError(item.name, reason.value)
+            if on_item is not None:
+                on_item(micro, resolved, corpus._compile(rules))
+            yield item, resolved
+
+    return _records(corpus, traces())
 
 
 def event_lines(corpus: Corpus, trace_edges: Sequence[DepEdge]) -> list[str]:
-    """One progress message per item, in corpus order."""
+    """One progress message per item, in corpus order, read from the
+    edges' names (``edge_columns``)."""
     by_src: dict[str, list[str]] = {item.name: [] for item in corpus.items}
-    for edge in trace_edges:
-        by_src[edge.src].append(edge.dst)
-    lines = []
-    for item in corpus.items:
-        targets = by_src[item.name]
-        lines.append(f"dependencies: {' '.join(targets)}" if targets else "dependencies: (empty list)")
-    return lines
+    sources, targets, _ = edge_columns(trace_edges)
+    for src, dst in zip(sources, targets):
+        by_src[src].append(dst)
+    return [
+        f"dependencies: {' '.join(targets)}" if targets else "dependencies: (empty list)"
+        for targets in by_src.values()
+    ]
 
 
-def _names_at(corpus: Corpus, bits: int) -> list[str]:
-    """The names at the set positions of ``bits``, a corpus mask, in corpus order."""
-    items = corpus.items
-    return [items[pos].name for pos in bit_positions(bits)]
-
-
-def edges_from_minimization(corpus: Corpus, results: Sequence[MinimizationResult]) -> list[DepEdge]:
-    """One edge per surviving environment entry, ordered by corpus position.
+def edges_from_minimization(corpus: Corpus, results: Sequence[MinimizationResult]) -> EdgeRecords:
+    """One record per surviving environment entry, ordered by corpus position.
 
     The targets are the set positions of each minimal environment's mask
-    over the corpus table, which ascend in corpus order; ``Corpus.dep_edges``
-    builds the edges from them, as it builds a trace's, so no name list is
-    derived and nothing is sorted.
+    over the corpus table, which ascend in corpus order;
+    ``Corpus.dep_records`` gives their names and flag bits, as it gives a
+    trace's, so no name list is derived, nothing is sorted and no
+    ``DepEdge`` is built.
     """
-    edges: list[DepEdge] = []
-    for result in results:
-        item = corpus.item(result.item_name)
-        edges.extend(corpus.dep_edges(item, bit_positions(corpus._bits_of(result.minimal_env))))
-    return edges
+    return _records(
+        corpus,
+        (
+            (corpus.item(result.item_name), bit_positions(corpus._bits_of(result.minimal_env)))
+            for result in results
+        ),
+    )
+
+
+def _records(corpus: Corpus, targets_of: Iterable[tuple[Item, list[int]]]) -> EdgeRecords:
+    """The records of one edge from each item to the item at each of its
+    positions, in the order given, from ``Corpus.dep_records``."""
+    sources: list[str] = []
+    targets: list[str] = []
+    flags = bytearray()
+    for item, positions in targets_of:
+        names, bits = corpus.dep_records(item, positions)
+        sources += [item.name] * len(names)
+        targets += names
+        flags.extend(bits)
+    return EdgeRecords(sources, targets, flags)
 
 
 @dataclass(frozen=True, slots=True)
 class ExtractionResult:
-    trace_edges: tuple[DepEdge, ...] | None
+    """Both methods' dependencies: each method's records (``EdgeRecords``,
+    read as a sequence of ``DepEdge``) and the minimization results, None
+    for a method the run did not use."""
+
+    trace_edges: Sequence[DepEdge] | None
     minimization: tuple[MinimizationResult, ...] | None
-    min_edges: tuple[DepEdge, ...] | None
+    min_edges: Sequence[DepEdge] | None
 
 
 def extract_corpus(
@@ -321,6 +450,12 @@ def extract_corpus(
     seed_from_trace: bool = True,
 ) -> ExtractionResult:
     """Run trace and/or minimization extraction over a whole corpus.
+
+    With both methods, each item's rules are written out once: as the
+    trace checks each item, it hands the item's trace positions and
+    compiled check to ``minimize_env``, as its seed (unless
+    ``seed_from_trace`` is false) and its check, so the item is minimized
+    right after it is traced.
 
     ``jobs`` must be at least 1 and never changes anything: items are
     minimized one after another in corpus order, because the checker is
@@ -332,32 +467,25 @@ def extract_corpus(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     micros = decompose(corpus)
-    trace_edges = trace_extract(corpus, micros) if mode in ("trace", "both") else None
-
+    trace_edges = None
     minimization = None
     min_edges = None
-    if mode in ("minimize", "both"):
-        seeds: dict[str, list[str]] | None = None
-        if seed_from_trace and trace_edges is not None:
-            seeds = {}
-            for edge in trace_edges:
-                seeds.setdefault(edge.src, []).append(edge.dst)
+    if mode == "both":
+        results: list[MinimizationResult] = []
 
-        minimization = tuple(
-            minimize_env(
-                corpus,
-                micro,
-                seed_targets=seeds.get(micro.item.name, []) if seeds is not None else None,
-            )
-            for micro in micros
-        )
-        min_edges = tuple(edges_from_minimization(corpus, minimization))
+        def minimize(micro: Microarticle, resolved: list[int], compiled: tuple) -> None:
+            seed = resolved if seed_from_trace else None
+            results.append(minimize_env(corpus, micro, seed, compiled))
 
-    return ExtractionResult(
-        trace_edges=tuple(trace_edges) if trace_edges is not None else None,
-        minimization=minimization,
-        min_edges=min_edges,
-    )
+        trace_edges = trace_extract(corpus, micros, minimize)
+        minimization = tuple(results)
+    elif mode == "trace":
+        trace_edges = trace_extract(corpus, micros)
+    else:
+        minimization = tuple(minimize_env(corpus, micro) for micro in micros)
+    if minimization is not None:
+        min_edges = edges_from_minimization(corpus, minimization)
+    return ExtractionResult(trace_edges, minimization, min_edges)
 
 
 def compare_methods(
@@ -365,35 +493,42 @@ def compare_methods(
     trace_edges: Sequence[DepEdge],
     minimization: Sequence[MinimizationResult],
 ) -> dict:
-    """Per-item set differences between traced and minimized dependencies."""
+    """Per-item set differences between traced and minimized dependencies.
+
+    The traced targets are read from the edges' names (``edge_columns``)
+    as corpus positions, and the minimal ones are the set positions of each
+    minimal environment's mask, which ascend; each item's lists are read
+    from those positions, in corpus order.
+    """
     min_names = {result.item_name for result in minimization}
-    corpus_names = {item.name for item in corpus.items}
+    corpus_names = corpus._order.keys()
     if min_names != corpus_names:
         raise CorpusMismatchError(
             "minimization results do not cover the corpus "
             f"(missing {sorted(corpus_names - min_names)[:3]}, "
             f"extra {sorted(min_names - corpus_names)[:3]})"
         )
-    stray = {name for edge in trace_edges for name in edge.pair()} - corpus_names
+    sources, targets, _ = edge_columns(trace_edges)
+    stray = set(sources).union(targets) - corpus_names
     if stray:
         raise CorpusMismatchError(f"trace edges reference unknown items: {sorted(stray)[:3]}")
 
-    # Per item, the traced and the minimal dependencies as corpus masks: the
-    # set differences are mask operations whose positions come out in
-    # corpus order.
-    index_of = corpus.index_of
-    traced = dict.fromkeys(corpus_names, 0)
-    for edge in trace_edges:
-        traced[edge.src] |= 1 << index_of(edge.dst)
-    minimal = {result.item_name: corpus._bits_of(result.minimal_env) for result in minimization}
-
+    order = corpus._order
+    traced: dict[str, list[int]] = {}
+    for src, dst in zip(sources, targets):
+        traced.setdefault(src, []).append(order[dst])
+    minimal = {
+        result.item_name: bit_positions(corpus._bits_of(result.minimal_env))
+        for result in minimization
+    }
+    names = corpus._table.names
     per_item = {}
-    for item in corpus.items:
-        t, m = traced[item.name], minimal[item.name]
-        per_item[item.name] = {
-            "trace_only": _names_at(corpus, t & ~m),
-            "min_only": _names_at(corpus, m & ~t),
-            "common": _names_at(corpus, t & m),
+    for name in order:
+        t, m = set(traced.get(name, ())), minimal[name]
+        per_item[name] = {
+            "trace_only": [names[pos] for pos in sorted(t.difference(m))],
+            "min_only": [names[pos] for pos in m if pos not in t],
+            "common": [names[pos] for pos in m if pos in t],
         }
     totals = {
         key: sum(len(entry[key]) for entry in per_item.values())
@@ -443,32 +578,26 @@ def compare_json(report: dict) -> str:
 # JSON-lines edge records -----------------------------------------------------
 
 
-_VISIBILITY_OF = (Visibility.IMPLICIT, Visibility.EXPLICIT)
-_OPACITY_OF = (Opacity.OPAQUE, Opacity.TRANSPARENT)
-
-
-def _flag_bits(visibility: Visibility, opacity: Opacity) -> int:
-    """A dependency record's flag bits: explicit 1, transparent 2."""
-    return (visibility is Visibility.EXPLICIT) | (opacity is Opacity.TRANSPARENT) << 1
-
-
 class EdgeRecords(Sequence[DepEdge]):
-    """Read-only view of folded dependency records: per distinct (from, to)
-    pair, in first-seen order, its from, its to and its flag bits
-    (``_flag_bits``), held in two lists of names and one byte string.
+    """Read-only view of dependency records: per record, its from, its to
+    and its flag bits (``_flag_bits``), held in two lists of names and one
+    byte string.  The reader's records are one per distinct (from, to)
+    pair, in first-seen order; extraction's are one per dependency, in
+    corpus order.
 
     ``len``, iteration, indexing, slices, ``in`` and ``==`` treat it as the
-    list of one ``DepEdge`` per pair, and it builds an edge only when one is
-    read; ``edge_columns`` hands the names and the bits over as they are.
+    list of one ``DepEdge`` per record, and it builds an edge only when one
+    is read; ``edge_columns`` hands the names and the bits over as they
+    are, and two views compare by them.
     """
 
     __slots__ = ("_sources", "_targets", "_flags")
 
-    def __init__(self, folded: dict[tuple[str, str], int]):
-        """The records of ``folded``, each pair's ORed flag bits, in its order."""
-        self._sources = list(map(operator.itemgetter(0), folded))
-        self._targets = list(map(operator.itemgetter(1), folded))
-        self._flags = bytes(folded.values())
+    def __init__(self, sources: list[str], targets: list[str], flags: bytes | bytearray):
+        """The records of three columns of one length, which the view keeps."""
+        self._sources = sources
+        self._targets = targets
+        self._flags = flags
 
     def __len__(self) -> int:
         return len(self._flags)
@@ -481,7 +610,13 @@ class EdgeRecords(Sequence[DepEdge]):
         return DepEdge(src, dst, _VISIBILITY_OF[bits & 1], _OPACITY_OF[bits >> 1])
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, EdgeRecords)):
+        if isinstance(other, EdgeRecords):
+            return (
+                self._flags == other._flags
+                and self._sources == other._sources
+                and self._targets == other._targets
+            )
+        if not isinstance(other, list):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
@@ -500,6 +635,13 @@ def edge_columns(edges: Iterable[DepEdge]) -> tuple[list[str], list[str], bytes 
     return sources, targets, flags
 
 
+# A record's text around its from, its to and its tail (``_tail``).
+_RECORD = '{{"from":"{}","to":"{}",{}}}'
+
+# Records per write of ``write_edges_jsonl``.
+_WRITE_LINES = 4096
+
+
 def edge_record(edge: DepEdge, method: str) -> str:
     """One ``deps.jsonl`` record, without its line end.
 
@@ -509,30 +651,44 @@ def edge_record(edge: DepEdge, method: str) -> str:
     under the lexical identifier rule (``IDENTIFIER_RE``), which
     ``write_edges_jsonl`` checks before it writes.
     """
-    return (
-        f'{{"from":"{edge.src}","to":"{edge.dst}","vis":"{edge.visibility.value}",'
-        f'"opacity":"{edge.opacity.value}","method":"{method}"}}'
-    )
+    tail = _tail(edge.visibility.value, edge.opacity.value, method)
+    return _RECORD.format(edge.src, edge.dst, tail)
 
 
 def write_edges_jsonl(path: str | Path, result: ExtractionResult) -> None:
     """Write the trace records, then the minimization records, one per line.
 
-    Every name of the records must match the lexical identifier rule, so
-    that ``edge_record`` needs no escaping: a name that does not raises
-    ``ValueError`` before anything is written.
+    Each record is written as ``edge_record`` writes it, read from the
+    records' names and flag bits (``edge_columns``), so no ``DepEdge`` is
+    built: the text after the names is one of the ``_tail`` strings, picked
+    by the flag bits.  The text is written ``_WRITE_LINES`` records at a
+    time, so the writer holds one block's lines, not the file's.  Every
+    name of the records must match the lexical identifier rule, so that no
+    name needs escaping: a name that does not raises ``ValueError`` before
+    anything is written.
     """
     groups = [
-        (edges, method)
+        (edge_columns(edges), method)
         for edges, method in ((result.trace_edges, "trace"), (result.min_edges, "min"))
         if edges is not None
     ]
-    names = {name for edges, _ in groups for edge in edges for name in (edge.src, edge.dst)}
+    names: set[str] = set()
+    for (sources, targets, _), _ in groups:
+        names.update(sources, targets)
     for name in names:
         if not IDENTIFIER_RE.fullmatch(name):
             raise ValueError(f"item name {name!r} is not an identifier; no records written")
-    text = "".join(edge_record(edge, method) + "\n" for edges, method in groups for edge in edges)
-    Path(path).write_text(text, encoding="utf-8")
+    line = _RECORD + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        for (sources, targets, flags), method in groups:
+            tails = [
+                _tail(_VISIBILITY_OF[bits & 1].value, _OPACITY_OF[bits >> 1].value, method)
+                for bits in range(4)
+            ]
+            for start in range(0, len(flags), _WRITE_LINES):
+                block = slice(start, start + _WRITE_LINES)
+                tails_of = map(tails.__getitem__, flags[block])
+                out.write("".join(map(line.format, sources[block], targets[block], tails_of)))
 
 
 # Lines per block of ``read_edges_jsonl``.  A block's matches live until
@@ -663,7 +819,11 @@ def read_edges_jsonl(path: str | Path, method: str = "any") -> EdgeRecords:
             if bits is not None:
                 pair = src, dst
                 flags[pair] = get(pair, 0) | bits
-    return EdgeRecords(flags)
+    return EdgeRecords(
+        list(map(operator.itemgetter(0), flags)),
+        list(map(operator.itemgetter(1), flags)),
+        bytes(flags.values()),
+    )
 
 
 def record_line(path: str | Path, pair: tuple[str, str], method: str = "any") -> int | None:

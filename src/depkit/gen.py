@@ -30,7 +30,7 @@ import random
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import source_relpaths
+from .corpus import source_relpaths, write_bytes
 
 FAMILIES = ("chain", "diamond", "hints", "symbols", "mixed")
 
@@ -64,6 +64,7 @@ def write_corpus(files: dict[str, str], out_dir: str | Path) -> list[Path]:
     holds a source file that ``files`` does not write: ``parse_corpus``
     would read it as part of the new corpus.  A path with directories
     (``sub/a.art``) gets them made, one ``mkdir`` per distinct parent.
+    Each file is written by ``write_bytes``, in UTF-8.
     """
     out_dir = Path(out_dir)
     for rel in source_relpaths(out_dir):
@@ -78,7 +79,7 @@ def write_corpus(files: dict[str, str], out_dir: str | Path) -> list[Path]:
     paths = []
     for rel in sorted(files):
         path = out_dir / rel
-        path.write_text(files[rel], encoding="utf-8")
+        write_bytes(path, files[rel].encode("utf-8"))
         paths.append(path)
     return paths
 

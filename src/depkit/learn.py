@@ -61,7 +61,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
-from .corpus import Corpus, DepEdge, Item, ItemKind
+from .corpus import Corpus, DepEdge, Item, ItemKind, write_bytes
 from .errors import CorpusMismatchError
 from .extract import edge_columns
 
@@ -143,14 +143,19 @@ class BayesModel:
         )
 
 
-def _check_dependencies(corpus: Corpus, deps_by_item: dict[str, tuple[str, ...]]) -> None:
-    """Both ends of every dependency must be corpus items, the target the earlier one."""
-    bad = [
-        (src, dst)
-        for src, targets in deps_by_item.items()
-        for dst in targets
-        if src not in corpus or dst not in corpus or corpus.index_of(dst) >= corpus.index_of(src)
-    ]
+def _check_dependencies(corpus: Corpus, pairs: Iterable[tuple[str, str]]) -> None:
+    """Both ends of every dependency, a (from, to) pair, must be corpus
+    items, the target the earlier one; the error names the bad pairs in the
+    order given, the first one as its ``pair``."""
+    bad = list(
+        dict.fromkeys(
+            (src, dst)
+            for src, dst in pairs
+            if src not in corpus
+            or dst not in corpus
+            or corpus.index_of(dst) >= corpus.index_of(src)
+        )
+    )
     if bad:
         shown = [f"{src} -> {dst}" for src, dst in bad[:3]]
         raise CorpusMismatchError(f"dependencies do not match the corpus: {shown}", bad[0])
@@ -169,7 +174,9 @@ def train(
     """
     if upto > len(corpus.items):
         raise CorpusMismatchError(f"training horizon {upto} exceeds corpus size {len(corpus.items)}")
-    _check_dependencies(corpus, deps_by_item)
+    _check_dependencies(
+        corpus, ((src, dst) for src, targets in deps_by_item.items() for dst in targets)
+    )
     model = BayesModel()
     for item in corpus.items[:upto]:
         model.update(features_of(item).counts(), deps_by_item.get(item.name, ()))
@@ -444,7 +451,17 @@ def _replay(
     """
     ranker = _Ranker(BayesModel(), corpus, alpha, weight)
     deps_by_item = dependency_map(edges, explicit_only=explicit_only)
-    _check_dependencies(corpus, deps_by_item)
+    # In the records' order, so that the first bad pair is the first bad
+    # record of a deps file, as the graph commands report it.
+    sources, targets, flags = edge_columns(edges)
+    _check_dependencies(
+        corpus,
+        (
+            (src, dst)
+            for src, dst, bits in zip(sources, targets, flags)
+            if bits & 1 or not explicit_only
+        ),
+    )
 
     def steps():
         for index, item in enumerate(corpus.items):
@@ -522,7 +539,8 @@ def export_problems(
     """One pruned premise-list file per theorem, trained chronologically.
 
     Each file names the conjecture and then the top-k ranked premises with
-    their kinds; with k = 0 only the conjecture line is written.  Raises
+    their kinds; with k = 0 only the conjecture line is written, each file
+    by ``write_bytes``, in UTF-8.  Raises
     ``FileExistsError``, before writing anything, when ``out_dir`` holds a
     ``.prb`` file that this export does not write, which would pass for a
     problem of this corpus.
@@ -550,6 +568,6 @@ def export_problems(
             for _, position in islice(ranker.order(features), min(k, index))
         )
         path = out_dir / f"{theorem.name}.prb"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        write_bytes(path, "".join(line + "\n" for line in lines).encode("utf-8"))
         written.append(path)
     return written

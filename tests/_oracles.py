@@ -8,8 +8,12 @@ random pick and ``statistics.median`` for the speedup report, one line at
 a time for tokenizing and for reading edge records, a list of one edge per
 record pair from the block reader, a walk over every row's bits for a
 graph's transposition and file projection, a recursive-descent parser with
-a method call per token, and a ``mixed`` corpus generator that copies and
-rescans every earlier name for each item.
+a method call per token, a ``mixed`` corpus generator that copies and
+rescans every earlier name for each item, and extraction's edges built as
+one ``DepEdge`` per dependency: the trace's from ``check_item``'s traces,
+the minimal environments' by a copy of the edge builder that extraction
+had before it kept records, and the two methods' comparison read off one
+corpus mask per item and method.
 The oracles never share code paths with the functions they check; the
 ranking oracles share only training, the feature and dependency maps and
 ``score_premise``, whose floats the sparse ranking must reproduce bit for
@@ -44,13 +48,15 @@ from depkit.corpus import (
     Visibility,
     bit_positions,
 )
-from depkit.errors import DepkitError, DuplicateNameError, ParseError
+from depkit.errors import DepkitError, DuplicateNameError, NotVerifiableError, ParseError
 from depkit.extract import (
     _BLOCK_LINES,
     _TAILS,
     KIND_MINIMIZATION_ORDER,
+    MinimizationResult,
     _canonical_records,
     _record_fields,
+    decompose,
 )
 from depkit.graph import DepGraph, _closure
 from depkit.learn import BayesModel, RankedPremises, dependency_map, features_of, score_premise
@@ -899,3 +905,67 @@ def speedup_report(g: DepGraph, samples: int, rng_seed: int = 42) -> dict:
         "item_total": item_total,
         "file_total": file_total,
     }
+
+
+def trace_edges_by_check(corpus: Corpus, micros=None) -> list[DepEdge]:
+    """Concatenated traces of every item under its candidate environment:
+    ``check_item``'s trace of each, one ``DepEdge`` per resolved
+    dependency."""
+    edges: list[DepEdge] = []
+    for micro in decompose(corpus) if micros is None else micros:
+        outcome = corpus.check_item(micro.item, micro.candidate_env, trace_requested=True)
+        if not outcome.accepted:
+            raise NotVerifiableError(
+                micro.item.name, outcome.reason.value if outcome.reason else "rejected"
+            )
+        edges.extend(outcome.trace)
+    return edges
+
+
+def dep_edges(corpus: Corpus, item: Item, positions) -> tuple[DepEdge, ...]:
+    """One edge from ``item`` to the item at each of ``positions``, in
+    the order given: explicit when the target occurs literally in the
+    item's source, with the target's opacity."""
+    literal = item.literal_names()
+    items, src = corpus.items, item.name
+    explicit, implicit = Visibility.EXPLICIT, Visibility.IMPLICIT
+    edges = []
+    for pos in positions:
+        target = items[pos]
+        vis = explicit if target.name in literal else implicit
+        edges.append(DepEdge(src, target.name, vis, target.opacity))
+    return tuple(edges)
+
+
+def min_edges_by_dep_edges(corpus: Corpus, results: list[MinimizationResult]) -> list[DepEdge]:
+    """One edge per surviving environment entry, ordered by corpus
+    position, each built by ``dep_edges``."""
+    edges: list[DepEdge] = []
+    for result in results:
+        item = corpus.item(result.item_name)
+        edges.extend(dep_edges(corpus, item, bit_positions(corpus._bits_of(result.minimal_env))))
+    return edges
+
+
+def compare_by_masks(corpus: Corpus, trace_edges, minimization) -> dict:
+    """``compare_methods``'s report for inputs that fit the corpus, from one
+    corpus mask per item and method: the set differences are mask
+    operations whose positions come out in corpus order."""
+    items = corpus.items
+    traced = dict.fromkeys((item.name for item in items), 0)
+    for edge in trace_edges:
+        traced[edge.src] |= 1 << corpus.index_of(edge.dst)
+    minimal = {result.item_name: corpus._bits_of(result.minimal_env) for result in minimization}
+    per_item = {}
+    for item in items:
+        t, m = traced[item.name], minimal[item.name]
+        per_item[item.name] = {
+            key: [items[pos].name for pos in bit_positions(bits)]
+            for key, bits in (("trace_only", t & ~m), ("min_only", m & ~t), ("common", t & m))
+        }
+    totals = {
+        key: sum(len(entry[key]) for entry in per_item.values())
+        for key in ("trace_only", "min_only", "common")
+    }
+    return {"per_item": per_item, "totals": totals}
+

@@ -699,6 +699,42 @@ def test_learn_rejects_deps_that_do_not_match_the_corpus(
     assert not problems.exists()
 
 
+@pytest.mark.parametrize("command", [["learn", "eval"], ["learn", "export"], ["stats"]])
+def test_the_first_of_two_bad_records_is_the_one_reported(tmp_path, capsys, command):
+    """Learn commands name the first bad record in file order, as ``stats``
+    does, not the first in their dependency map's order."""
+    deps, lines = _deps_lines(tmp_path, capsys)
+    record = json.loads(lines[0])
+    lines.insert(3, json.dumps({**record, "from": "t", "to": "ghost"}))
+    lines.append(json.dumps({**record, "from": "h1", "to": "ghost2"}))
+    deps.write_text("\n".join(lines) + "\n")
+    corpus = str(FIXTURES / "redundant_hint")
+    if command == ["stats"]:
+        argv = ["stats", str(deps), "--corpus", corpus]
+    else:
+        argv = command + [corpus, "--deps", str(deps)]
+        argv += ["-o", str(tmp_path / "problems")] if command[1] == "export" else []
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"depkit: error: {deps}:4: ")
+    assert "ghost" in err
+
+
+@pytest.mark.parametrize("mode", ["both", "trace", "minimize"])
+def test_extract_names_the_line_of_an_item_that_does_not_verify(tmp_path, capsys, mode):
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    (corpus_dir / "x.art").write_text("def d := lit;\nthm a : uses d by d;\n\nthm h : uses zz;\n")
+    out_path = tmp_path / "out"
+    code, out, err = run(["extract", str(corpus_dir), "-o", str(out_path), "--mode", mode], capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        f"depkit: error: {corpus_dir / 'x.art'}:4: item 'h' does not verify under its "
+        "full environment (UnresolvedSymbol)\n"
+    )
+    assert not out_path.exists()
+
+
 def test_non_utf8_source_exits_one_with_path(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

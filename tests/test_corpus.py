@@ -27,6 +27,7 @@ from depkit.corpus import (
     _tokenize,
     bit_positions,
     file_tag,
+    item_line,
     parse_corpus,
     parse_source,
     render_file,
@@ -716,3 +717,31 @@ def test_bit_positions_matches_naive_loop():
             cases.append(sum(1 << i for i in range(length) if rng.random() < density))
     for bits in cases:
         assert bit_positions(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def test_item_line_is_the_line_of_each_item_s_first_token(tmp_path):
+    """Every construct, anonymous theorems, ``then`` links and defblock
+    members included, is found at the line its keyword starts on; a file
+    that no longer holds the item gives None."""
+    source = (
+        "# header\n"
+        "def d := lit;  def e : d := d;\n"
+        "defblock {\n"
+        "  def opaque f := lit;\n"
+        "  def g := f;\n"
+        "}\n"
+        "thm : uses d;\n"
+        "then\n"
+        "  thm t : uses e by d;\n"
+        "notation n for d;  hint h uses d;\n"
+        "\n"
+        "reserve x, y : d; thm transparent : var x by auto;\n"
+    )
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.art").write_text(source)
+    corpus = parse_corpus(tmp_path)
+    lines = [item_line(tmp_path, item) for item in corpus.items]
+    assert lines == [2, 2, 4, 5, 7, 8, 10, 10, 12, 12]
+    (tmp_path / "sub" / "a.art").write_text("def d := lit;\n")
+    assert item_line(tmp_path, corpus.items[1]) is None
+

@@ -48,10 +48,13 @@ from depkit.normalize import normalize_corpus
 
 from _oracles import (
     brute_force_minimal_env,
+    compare_by_masks,
+    min_edges_by_dep_edges,
     minimize_per_trial,
     read_edges_as_list,
     read_edges_by_line,
     shrink_per_trial,
+    trace_edges_by_check,
 )
 from conftest import corpus_from
 
@@ -302,6 +305,38 @@ def test_minimize_equals_the_per_trial_search_on_every_family(family, items, see
                 assert result.removed == removed, micro.item.name
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_shrink_counts_the_passes_of_required_reads_as_the_per_trial_search(n, data):
+    """Once every remaining read is required, ``_shrink`` counts the rest
+    of its passes over the read indices alone; at up to 10k positions its
+    trials and state equal those of ``_oracles.shrink_per_trial``, whose
+    every trial tests the local bits of the read positions it holds.  A few
+    reads may be optional (their removal verifies), so the counting starts
+    after the passes that remove them."""
+    read = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=min(n, 6))))
+    optional = data.draw(st.integers(0, (1 << len(read)) - 1)) if data.draw(st.booleans()) else 0
+    held = (1 << len(read)) - 1
+    required = held & ~optional
+
+    def verifies(state: int) -> bool:
+        return state & required == required
+
+    trials = 0
+
+    def still_ok(trial: int) -> bool:
+        nonlocal trials
+        trials += 1
+        return verifies(sum((trial >> pos & 1) << bit for bit, pos in enumerate(read)))
+
+    kept = shrink_per_trial(list(range(n)), (1 << n) - 1, still_ok)
+    reads = [(pos, 1 << bit) for bit, pos in enumerate(read)]
+    state, calls = _shrink(n, reads, held, required, verifies)
+    assert calls == trials
+    assert state == required
+    assert kept == sum(1 << pos for bit, pos in enumerate(read) if required >> bit & 1)
+
+
 def test_unseeded_minimization_checks_few_of_its_trials(monkeypatch):
     """Most trials of an unseeded run are decided by counting: their chunk
     holds no position the item's rules read, or a required one.  The
@@ -388,6 +423,84 @@ def test_removed_counts_the_candidate_names_the_minimal_environment_lacks(family
                     }
                     expected = len(held - set(result.minimal_env.names(kind)))
                     assert result.removed[kind] == expected, (micro.item.name, kind, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    items=st.integers(min_value=20, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_extraction_records_read_as_the_edges_built_one_per_dependency(family, items, seed):
+    """Seeded and unseeded, each method's records read as the list of one
+    ``DepEdge`` per dependency: the trace's as ``check_item``'s traces
+    (``_oracles.trace_edges_by_check``), the minimal environments' as the
+    edges ``_oracles.min_edges_by_dep_edges`` builds.  ``len``, indexing
+    and ``==`` hold as for those lists, between results and against lists."""
+    corpus = _generated(items=items, seed=seed, family=family)
+    seeded = extract_corpus(corpus, mode="both")
+    unseeded = extract_corpus(corpus, mode="both", seed_from_trace=False)
+    trace = trace_edges_by_check(corpus)
+    minimal = min_edges_by_dep_edges(corpus, seeded.minimization)
+    for result in (seeded, unseeded):
+        assert list(result.trace_edges) == trace
+        assert list(result.min_edges) == min_edges_by_dep_edges(corpus, result.minimization)
+    assert list(extract_corpus(corpus, mode="trace").trace_edges) == trace
+    assert list(extract_corpus(corpus, mode="minimize").min_edges) == minimal
+    for edges, expected in ((seeded.trace_edges, trace), (seeded.min_edges, minimal)):
+        assert len(edges) == len(expected)
+        assert edges == expected and not edges != expected
+        for index in (0, len(expected) // 2, -1):
+            if expected:
+                assert edges[index] == expected[index]
+    assert seeded.trace_edges == unseeded.trace_edges
+    assert seeded.min_edges == unseeded.min_edges
+    assert (seeded.trace_edges == seeded.min_edges) == (trace == minimal)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    items=st.integers(min_value=20, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_compare_methods_reads_the_masks_report(family, items, seed):
+    """The comparison read off positions equals the one read off corpus
+    masks (``_oracles.compare_by_masks``): for the extracted records, and
+    for a shuffled part of the trace as a tuple of edges, which leaves some
+    minimal dependencies untraced."""
+    corpus = _generated(items=items, seed=seed, family=family)
+    result = extract_corpus(corpus, mode="both")
+    edges = list(result.trace_edges)
+    random.Random(seed).shuffle(edges)
+    part = tuple(edges[: len(edges) // 2])
+    for trace in (result.trace_edges, part):
+        report = compare_methods(corpus, trace, result.minimization)
+        assert report == compare_by_masks(corpus, trace, result.minimization)
+
+
+def test_extraction_builds_no_edge(tmp_path, monkeypatch):
+    """Extraction in every mode, the records' writer, the event lines and
+    the comparison of the two methods build no ``DepEdge``: the results are
+    records, read by their columns."""
+    corpus = _generated(items=400, seed=4)
+
+    def refuse(self, *args):
+        raise AssertionError("a DepEdge was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DepEdge, "__init__", refuse)
+        results = [
+            extract_corpus(corpus, mode=mode, seed_from_trace=seeded)
+            for mode in ("trace", "minimize", "both")
+            for seeded in (True, False)
+        ]
+        both = results[-2]
+        write_edges_jsonl(tmp_path / "deps.jsonl", both)
+        event_lines(corpus, both.trace_edges)
+        report = compare_methods(corpus, both.trace_edges, both.minimization)
+        assert both.min_edges == results[-1].min_edges
+    assert report["totals"]["common"] == len(both.min_edges) > len(corpus)
 
 
 # trace_extract ---------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_build_graph_from_edges_orders_like_round_based_sort(family):
     for seed in (5, 6):
         files = generate_corpus(items=60, seed=seed, family=family, per_file=10)
         corpus = Corpus([it for rel, text in files.items() for it in parse_source(text, rel)])
-        edges = trace_extract(corpus)
+        edges = list(trace_extract(corpus))
         for _ in range(3):
             expected = topological_order_by_rounds(edges)
             assert build_graph_from_edges(edges).nodes == tuple(expected)
