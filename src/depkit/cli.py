@@ -110,9 +110,7 @@ def _cmd_extract(args) -> int:
         raise DepkitError("--compare requires --mode both")
     corpus = parse_corpus(args.dir)
     try:
-        result = extract_corpus(
-            corpus, mode=args.mode, jobs=args.jobs, seed_from_trace=not args.no_seed
-        )
+        result = extract_corpus(corpus, mode=args.mode, jobs=args.jobs)
     except NotVerifiableError as err:
         item = corpus.item(err.item_name)
         line = item_line(args.dir, item)
@@ -296,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--events", help="also write the per-item progress message stream")
     p.add_argument("--compare", help="also write the trace/minimize comparison report")
-    p.add_argument(
-        "--no-seed",
-        action="store_true",
-        help="do not seed minimization from the trace in --mode both",
-    )
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("stats", help="dependency graph statistics")

@@ -49,14 +49,15 @@ reservations covering each free variable with their types, and the hints
 of ``by auto``, all corpus positions.  A name resolves through the
 corpus's one name index and the kind slot of its position; a name that
 resolves nowhere gets the position past the last item, which no mask
-holds.  ``_check`` bit-tests the positions for a reason and collects a
-trace as positions, and ``_compile`` gives each position they read one
-local bit, compiling the rules into the test that ``accepts`` and the
-minimizer run, so tracing and minimization consult one checker, and
-reservations and hints are tried in corpus order.  Extraction runs both
-on one ``_rules`` result per item.  ``dep_records`` gives the records of
-both from positions (each target's name and flag bits), and ``dep_edges``
-builds ``check_item``'s trace edges from them.
+holds.  ``_check`` bit-tests the positions for a reason, which is the
+verdict of ``check_item`` and ``accepts``, and collects a trace as
+positions; ``_compile`` gives each position they read one local bit,
+compiling the rules into the test that the minimizer runs, so tracing and
+minimization consult one checker, and reservations and hints are tried in
+corpus order.  Extraction runs both on one ``_rules`` result per item.
+``dep_records`` gives the records of both from positions (each target's
+name and flag bits), and ``dep_edges`` builds ``check_item``'s trace edges
+from them.
 """
 
 from __future__ import annotations
@@ -215,14 +216,6 @@ class Item:
         set_anonymous(self, anonymous)
         set_linked(self, linked)
         set_block(self, block_id)
-
-    @property
-    def justification(self) -> str | tuple[str, ...] | None:
-        if self.by_auto:
-            return "auto"
-        if self.by_refs:
-            return self.by_refs
-        return None
 
     def literal_names(self) -> frozenset[str]:
         """All identifiers that occur literally in this item's source text."""
@@ -1027,10 +1020,10 @@ class Corpus:
         corpus order.
 
         The checks are the item's ``_rules``, whose positions ``_check``
-        bit-tests in ``env`` as a mask over the corpus table (``_bits_of``);
-        ``accepts`` and the minimizer compile the same rules.  The trace is
-        collected as positions, only when it is requested, and its edges are
-        built from them by ``dep_edges``.
+        bit-tests in ``env`` as a mask over the corpus table (``_bits_of``),
+        as ``accepts`` does; the minimizer compiles the same rules.  The
+        trace is collected as positions, only when it is requested, and its
+        edges are built from them by ``dep_edges``.
         """
         reason, resolved = self._check(self._rules(item), self._bits_of(env), trace_requested)
         if reason is not None:
@@ -1091,15 +1084,9 @@ class Corpus:
         )
 
     def accepts(self, item: Item, env: Environment) -> bool:
-        """Verdict-only check: the compiled check (``_compile_local``) of
-        the local bits of the read positions that ``env`` holds."""
-        bits = self._bits_of(env)
-        reads, _, verifies = self._compile_local(item)
-        state = 0
-        for pos, local in reads.items():
-            if bits >> pos & 1:
-                state |= local
-        return verifies(state)
+        """Verdict-only check: ``_check`` of the item's ``_rules`` on
+        ``env``'s mask, with no trace and nothing compiled."""
+        return self._check(self._rules(item), self._bits_of(env), False)[0] is None
 
     def _compile_local(self, item: Item) -> tuple[dict[int, int], int, Callable[[int], bool]]:
         """``item``'s verdict over local bits: ``_compile`` of its ``_rules``."""

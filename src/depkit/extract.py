@@ -29,6 +29,12 @@ indices alone.  The trials, and their order, are those of a search that
 checks every chunk.  A minimal environment is a mask over the corpus
 table whose set positions ascend in corpus order.
 
+Extraction walks corpus positions and holds nothing per item but its
+results.  The trace checks each item on its prefix mask, and the one
+candidate (``Microarticle``) the minimizer takes is built while its item
+is minimized and dropped with it, so no list of candidates, whose masks
+would grow with the square of the corpus, is held.
+
 Both routes' results are records (``EdgeRecords``): per dependency, the
 names and the flag bits ``Corpus.dep_records`` gives for a trace's
 positions and for a minimal environment's, so no ``DepEdge`` is built.
@@ -354,34 +360,32 @@ def minimize_env(
 
 def trace_extract(
     corpus: Corpus,
-    micros: Sequence[Microarticle] | None = None,
-    on_item: Callable[[Microarticle, list[int], tuple], None] | None = None,
+    on_item: Callable[[int, list[int], tuple], None] | None = None,
 ) -> EdgeRecords:
     """Concatenated traces of every item under its candidate environment,
     as records: one per resolved dependency, in corpus order, then in the
     order each check resolved them.
 
-    ``micros`` are the corpus's microarticles, ``decompose(corpus)`` when
-    not given; ``extract_corpus`` passes the ones it minimizes, so each
-    candidate environment is built once.  Each item's rules
-    (``Corpus._rules``) are written out once, checked (``Corpus._check``)
-    with the trace collected as positions, and the records built from the
-    positions (``Corpus.dep_records``), so no ``DepEdge`` is built.
-    ``on_item``, when given, is called after each item's check with the
-    microarticle, its trace positions and its compiled check
-    (``Corpus._compile``) from the same rules; ``extract_corpus``
-    minimizes the item there, so no compiled check outlives its item.
+    Each item's candidate environment is its prefix mask ``(1 << i) - 1``
+    over the corpus table, so no ``Microarticle`` or ``Environment`` is
+    built.  Each item's rules (``Corpus._rules``) are written out once,
+    checked (``Corpus._check``) on that mask with the trace collected as
+    positions, and the records built from the positions
+    (``Corpus.dep_records``), so no ``DepEdge`` is built.  ``on_item``,
+    when given, is called after each item's check with the item's
+    position, its trace positions and its compiled check
+    (``Corpus._compile``) from the same rules; ``extract_corpus`` minimizes
+    the item there, so no candidate or compiled check outlives its item.
     """
 
     def traces():
-        for micro in decompose(corpus) if micros is None else micros:
-            item = micro.item
+        for pos, item in enumerate(corpus.items):
             rules = corpus._rules(item)
-            reason, resolved = corpus._check(rules, corpus._bits_of(micro.candidate_env), True)
+            reason, resolved = corpus._check(rules, (1 << pos) - 1, True)
             if reason is not None:
                 raise NotVerifiableError(item.name, reason.value)
             if on_item is not None:
-                on_item(micro, resolved, corpus._compile(rules))
+                on_item(pos, resolved, corpus._compile(rules))
             yield item, resolved
 
     return _records(corpus, traces())
@@ -451,11 +455,15 @@ def extract_corpus(
 ) -> ExtractionResult:
     """Run trace and/or minimization extraction over a whole corpus.
 
-    With both methods, each item's rules are written out once: as the
-    trace checks each item, it hands the item's trace positions and
-    compiled check to ``minimize_env``, as its seed (unless
-    ``seed_from_trace`` is false) and its check, so the item is minimized
-    right after it is traced.
+    Extraction walks corpus positions and holds nothing per item but its
+    results: the trace checks prefix masks, and each item's
+    ``Microarticle``, which ``minimize_env`` takes, is built from
+    ``Corpus.candidate_environment`` when the item is minimized and dropped
+    with it.  With both methods, each item's rules are written out once: as
+    the trace checks each item, it hands the item's position, trace
+    positions and compiled check over, and the item is minimized right
+    after it is traced, with the trace as its seed (unless
+    ``seed_from_trace`` is false) and that check.
 
     ``jobs`` must be at least 1 and never changes anything: items are
     minimized one after another in corpus order, because the checker is
@@ -466,23 +474,26 @@ def extract_corpus(
         raise ValueError(f"unknown extraction mode: {mode!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
-    micros = decompose(corpus)
+
+    def micro(pos: int) -> Microarticle:
+        return Microarticle(corpus.items[pos], corpus.candidate_environment(pos))
+
     trace_edges = None
     minimization = None
     min_edges = None
     if mode == "both":
         results: list[MinimizationResult] = []
 
-        def minimize(micro: Microarticle, resolved: list[int], compiled: tuple) -> None:
+        def minimize(pos: int, resolved: list[int], compiled: tuple) -> None:
             seed = resolved if seed_from_trace else None
-            results.append(minimize_env(corpus, micro, seed, compiled))
+            results.append(minimize_env(corpus, micro(pos), seed, compiled))
 
-        trace_edges = trace_extract(corpus, micros, minimize)
+        trace_edges = trace_extract(corpus, minimize)
         minimization = tuple(results)
     elif mode == "trace":
-        trace_edges = trace_extract(corpus, micros)
+        trace_edges = trace_extract(corpus)
     else:
-        minimization = tuple(minimize_env(corpus, micro) for micro in micros)
+        minimization = tuple(minimize_env(corpus, micro(pos)) for pos in range(len(corpus)))
     if minimization is not None:
         min_edges = edges_from_minimization(corpus, minimization)
     return ExtractionResult(trace_edges, minimization, min_edges)

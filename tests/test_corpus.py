@@ -44,7 +44,7 @@ GRAMMAR_TABLE = [
     (
         "def f : nat := lit;",
         dict(name="f", kind=ItemKind.DEFINITION, statement_symbols=("nat",),
-             body_symbols=(), justification=None, opacity=Opacity.TRANSPARENT),
+             body_symbols=(), by_refs=(), by_auto=False, opacity=Opacity.TRANSPARENT),
     ),
     (
         "def opaque k := v w;",
@@ -58,16 +58,18 @@ GRAMMAR_TABLE = [
     (
         "thm t : uses f by auto;",
         dict(name="t", kind=ItemKind.THEOREM, statement_symbols=("f",),
-             justification="auto", opacity=Opacity.OPAQUE),
+             by_auto=True, opacity=Opacity.OPAQUE),
     ),
     (
         "thm transparent u : uses f uses g var x by f g;",
         dict(name="u", kind=ItemKind.THEOREM, statement_symbols=("f", "g"),
-             free_vars=("x",), justification=("f", "g"), opacity=Opacity.TRANSPARENT),
+             free_vars=("x",), by_refs=("f", "g"), by_auto=False,
+             opacity=Opacity.TRANSPARENT),
     ),
     (
         "thm bare : ;",
-        dict(name="bare", kind=ItemKind.THEOREM, statement_symbols=(), justification=None),
+        dict(name="bare", kind=ItemKind.THEOREM, statement_symbols=(), by_refs=(),
+             by_auto=False),
     ),
     (
         "notation oplus for plus;",

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from depkit import extract
 from depkit.corpus import (
     KIND_FIELDS,
     Corpus,
@@ -501,6 +503,44 @@ def test_extraction_builds_no_edge(tmp_path, monkeypatch):
         report = compare_methods(corpus, both.trace_edges, both.minimization)
         assert both.min_edges == results[-1].min_edges
     assert report["totals"]["common"] == len(both.min_edges) > len(corpus)
+
+
+def test_extraction_builds_no_candidate_list(monkeypatch):
+    """No mode of ``extract_corpus``, and no ``trace_extract``, calls
+    ``decompose``: with it patched to raise, each returns what it returns
+    unpatched."""
+    corpus = _generated(items=300, seed=6)
+    modes = ("trace", "minimize", "both")
+    expected = [extract_corpus(corpus, mode=mode) for mode in modes]
+    trace = trace_extract(corpus)
+
+    def refuse(corpus):
+        raise AssertionError("the candidate list was built")
+
+    monkeypatch.setattr(extract, "decompose", refuse)
+    assert [extract_corpus(corpus, mode=mode) for mode in modes] == expected
+    assert trace_extract(corpus) == trace == expected[0].trace_edges
+
+
+def _extraction_excess(corpus: Corpus, mode: str) -> int:
+    """The traced peak of ``extract_corpus`` less what its result holds."""
+    tracemalloc.start()
+    try:
+        result = extract_corpus(corpus, mode=mode)  # held while memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+@pytest.mark.parametrize("mode", ["trace", "minimize", "both"])
+def test_extraction_memory_follows_the_corpus(mode):
+    """Beyond its results, extraction holds nothing per item but the item
+    it runs: at twice the items, the traced peak less what the result
+    holds stays under 2.5 times its value, where a list of every item's
+    candidate, each as wide as its position, makes it about 2.8 times."""
+    small, large = _generated(items=1500, seed=3), _generated(items=3000, seed=3)
+    assert _extraction_excess(large, mode) < 2.5 * _extraction_excess(small, mode)
 
 
 # trace_extract ---------------------------------------------------------------
